@@ -128,9 +128,10 @@ def width_monotone_along(f: IvFn, geod: Geodesic, grid: int = 33) -> bool:
     """True when the width is non-decreasing on a uniform grid over [0, 1]."""
     if grid < 2:
         raise ValueError("grid must contain at least two points")
+    svals = [j / (grid - 1) for j in range(grid)]
     previous = None
-    for j in range(grid):
-        w = f.width(geod.at(j / (grid - 1)))
+    for pt in geod.start.manifold.geodesic_points(geod.start, geod.end, svals):
+        w = f.width(pt)
         if previous is not None and w < previous - MONOTONE_SLACK:
             return False
         previous = w

@@ -195,12 +195,13 @@ def _segment_check(
     """Return (severity, s, lhs, rhs) violations along one segment."""
     manifold = p.manifold
     vp, vq = f(p), f(q)
+    svals = _grid_values(grid, interior=strict)
+    if path == "chord":
+        points = (manifold.chord_point(p, q, s) for s in svals)
+    else:
+        points = manifold.geodesic_points(p, q, svals)
     out = []
-    for s in _grid_values(grid, interior=strict):
-        if path == "chord":
-            pt = manifold.chord_point(p, q, s)
-        else:
-            pt = manifold.geodesic_point(p, q, s)
+    for s, pt in zip(svals, points):
         lhs = f(pt)
         rhs = _mix(f, vp, vq, s)
         severity = (
@@ -307,8 +308,8 @@ def check_affine(
         q = dom.draw_one(rng)
         vp, vq = f(p), f(q)
         used += 1
-        for s in _grid_values(grid, interior=False):
-            pt = p.manifold.geodesic_point(p, q, s)
+        svals = _grid_values(grid, interior=False)
+        for s, pt in zip(svals, p.manifold.geodesic_points(p, q, svals)):
             lhs = f(pt)
             rhs = _mix(f, vp, vq, s)
             if isinstance(lhs, Interval):
@@ -337,8 +338,8 @@ def check_star_shaped(
     for _ in range(targets):
         q = dom.draw_one(rng)
         used += 1
-        for s in _grid_values(grid, interior=True):
-            pt = p0.manifold.geodesic_point(p0, q, s)
+        svals = _grid_values(grid, interior=True)
+        for s, pt in zip(svals, p0.manifold.geodesic_points(p0, q, svals)):
             if not dom.membership(pt):
                 return ConvexityReport(
                     Verdict.COUNTEREXAMPLE,

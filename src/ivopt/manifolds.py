@@ -7,14 +7,19 @@
 * ``Spd(dim)`` -- symmetric positive definite matrices with the affine
   invariant metric g_p(X, Y) = tr(p^-1 X p^-1 Y).
 
-Points and tangents are immutable; every operation returns fresh objects.
+Points and tangents are immutable.  An ``Spd`` point memoises its feature
+dict, so ``features`` computes its slogdet at most once per point and hands
+every caller a fresh copy.  ``geodesic_points`` builds a whole parameter
+grid along one geodesic; on ``Spd`` it does each eigendecomposition of the
+geodesic formula once per segment and validates the grid as one stack,
+with the same checks and errors as ``Spd.point``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,6 +81,10 @@ def sym_exp(mat: np.ndarray) -> np.ndarray:
 class Point:
     manifold: "Manifold"
     value: Union[float, np.ndarray]
+    # Spd feature memo, set by Spd.features and Spd.geodesic_points.  A class
+    # attribute, not a field, so building a point costs no more.  The flat
+    # geometries leave it unset: their features cost no more than a lookup.
+    _features: ClassVar[Optional[dict]] = None
 
     def close_to(self, other: "Point", tol: float = 1e-9) -> bool:
         if self.manifold != other.manifold:
@@ -132,6 +141,15 @@ class Manifold:
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
         raise NotImplementedError
 
+    def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
+        """Geodesic points at each s in svals, in order.
+
+        Points are produced lazily: a point that fails validation raises
+        when the caller reaches it, as ``geodesic_point`` would there.
+        """
+        for s in svals:
+            yield self.geodesic_point(p, q, s)
+
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         """Interpolation in ambient coordinates (straight-line mixing)."""
         raise NotImplementedError
@@ -166,6 +184,8 @@ class Manifold:
 
     def _check_tangent(self, p: Point, x: TangentDirection) -> None:
         self._check(p)
+        if x.base is p:
+            return
         if x.base.manifold != self:
             raise ManifoldMismatchError("tangent direction from a different manifold")
         if self.distance(x.base, p) > 1e-9:
@@ -364,11 +384,47 @@ class Spd(Manifold):
         return half, inv_half
 
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
+        return next(self.geodesic_points(p, q, (s,)))
+
+    def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
+        """Grid points p^(1/2) m^s p^(1/2), m = p^(-1/2) q p^(-1/2), in order.
+
+        p and m are each decomposed once.  The grid is built and validated
+        as one stack with the checks of ``point``, and each point's features
+        are memoised from one stacked slogdet.  From the first point that
+        fails a check on, points go through ``point`` one at a time, so the
+        failure raises its usual error when the caller reaches it.
+        """
+        if len(svals) == 0:
+            return
         self._check(p)
         self._check(q)
         half, inv_half = self._roots(p)
-        inner_mat = sym_power(inv_half @ q.value @ inv_half, s)
-        return self.point(half @ inner_mat @ half)
+        vals, vecs = _pd_eig(inv_half @ q.value @ inv_half)
+        # one scalar power per grid value: numpy special-cases exponents such
+        # as 0.5, so a broadcast vals ** svals would change the bits
+        pows = np.stack([vals**s for s in svals])
+        raw = half @ ((vecs * pows[:, None, :]) @ vecs.T) @ half
+        flipped = raw.transpose(0, 2, 1)
+        good = _prefix(
+            np.isfinite(raw).all(axis=(1, 2))
+            & (np.abs(raw - flipped).max(axis=(1, 2)) <= SYM_TOL)
+        )
+        sym = 0.5 * (raw[:good] + flipped[:good])
+        good = _prefix(np.linalg.eigvalsh(sym).min(axis=1) > EIG_FLOOR)
+        sym = sym[:good]
+        sym.setflags(write=False)
+        signs, logdets = np.linalg.slogdet(sym)
+        traces = np.trace(sym, axis1=1, axis2=2)
+        for value, sign, logdet, trace in zip(
+            sym, signs.tolist(), logdets.tolist(), traces.tolist()
+        ):
+            pt = Point(self, value)
+            if sign > 0:
+                object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
+            yield pt
+        for j in range(good, len(raw)):
+            yield self.point(raw[j])
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
@@ -403,11 +459,15 @@ class Spd(Manifold):
         return float(np.trace(a @ b))
 
     def features(self, p: Point) -> dict:
+        """logdet and trace, computed once per point; each call gets a fresh dict."""
         self._check(p)
-        sign, logdet = np.linalg.slogdet(p.value)
-        if sign <= 0:
-            raise NonPositiveDefiniteError("determinant is not positive")
-        return {"logdet": float(logdet), "trace": float(np.trace(p.value))}
+        if p._features is None:
+            sign, logdet = np.linalg.slogdet(p.value)
+            if sign <= 0:
+                raise NonPositiveDefiniteError("determinant is not positive")
+            feats = {"logdet": float(logdet), "trace": float(np.trace(p.value))}
+            object.__setattr__(p, "_features", feats)
+        return dict(p._features)
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
         raw = rng.normal(0.0, scale, size=(self.dim, self.dim))
@@ -415,6 +475,11 @@ class Spd(Manifold):
 
     def point_to_json(self, p: Point):
         return [[float(v) for v in row] for row in p.value]
+
+
+def _prefix(mask: np.ndarray) -> int:
+    """Length of the leading run of True entries."""
+    return len(mask) if mask.all() else int(mask.argmin())
 
 
 # -- module-level operation surface -------------------------------------

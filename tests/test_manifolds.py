@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from ivopt import manifolds
+from ivopt.convexity import DomainSampler, Verdict, check_star_shaped
 from ivopt.errors import (
     DomainError,
     ManifoldMismatchError,
@@ -16,6 +18,7 @@ from ivopt.manifolds import (
     Circle,
     Euclidean,
     Geodesic,
+    Point,
     Spd,
     distance,
     exp_map,
@@ -182,6 +185,107 @@ class TestSpd:
         assert feats["trace"] == pytest.approx(4.0)
 
 
+def _grid(n, interior):
+    first, last = (1, n - 1) if interior else (0, n)
+    return [j / (n - 1) for j in range(first, last)]
+
+
+def _per_point_geodesic(manifold, p, q, s):
+    """The per-point geodesic formula, validated by Spd.point."""
+    half, inv_half = manifold._roots(p)
+    return manifold.point(half @ sym_power(inv_half @ q.value @ inv_half, s) @ half)
+
+
+class TestSpdGeodesicGrid:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_grid_matches_per_point_formula_bitwise(self, dim, interior):
+        manifold = Spd(dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            p, q = manifold.random_point(rng), manifold.random_point(rng)
+            for n in (3, 9, 33):  # the full 3-point grid is s = 0, 0.5, 1
+                svals = _grid(n, interior)
+                points = list(manifold.geodesic_points(p, q, svals))
+                assert len(points) == len(svals)
+                for s, pt in zip(svals, points):
+                    ref = _per_point_geodesic(manifold, p, q, s)
+                    assert np.array_equal(pt.value, ref.value)
+                    assert manifold.features(pt) == manifold.features(Point(manifold, ref.value))
+
+    def test_grid_points_are_read_only(self):
+        p, q = SPD.point(I2), SPD.point(np.diag([2.0, 3.0]))
+        pt = next(SPD.geodesic_points(p, q, [0.5]))
+        with pytest.raises(ValueError):
+            pt.value[0, 0] = 1.0
+
+    def test_empty_grid_builds_nothing(self):
+        assert list(SPD.geodesic_points(SPD.point(I2), SPD.point(2.0 * I2), [])) == []
+
+    # p = I/2, q = diag(1/4, 1): the grid point at s has smallest eigenvalue
+    # 2^-(1+s), while p and p^-1/2 q p^-1/2 keep every eigenvalue >= 1/2.
+    P_HALF = np.eye(2) / 2.0
+    Q_SKEW = np.diag([0.25, 1.0])
+    SVALS = [j / 8 for j in range(9)]
+    FAIL_AT = 3  # s = 0.375
+
+    def _floor_between_points(self, monkeypatch):
+        lows = [2.0 ** -(1.0 + s) for s in self.SVALS]
+        monkeypatch.setattr(
+            manifolds, "EIG_FLOOR", 0.5 * (lows[self.FAIL_AT - 1] + lows[self.FAIL_AT])
+        )
+
+    def test_failing_grid_point_raises_like_point(self, monkeypatch):
+        p, q = SPD.point(self.P_HALF), SPD.point(self.Q_SKEW)
+        self._floor_between_points(monkeypatch)
+        with pytest.raises(NonPositiveDefiniteError) as expected:
+            _per_point_geodesic(SPD, p, q, self.SVALS[self.FAIL_AT])
+        built = []
+        with pytest.raises(NonPositiveDefiniteError) as got:
+            for pt in SPD.geodesic_points(p, q, self.SVALS):
+                built.append(pt)
+        assert len(built) == self.FAIL_AT
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(NonPositiveDefiniteError) as single:
+            SPD.geodesic_point(p, q, self.SVALS[self.FAIL_AT])
+        assert str(single.value) == str(expected.value)
+
+    def test_caller_stopping_before_failing_point_does_not_raise(self, monkeypatch):
+        p, q = SPD.point(self.P_HALF), SPD.point(self.Q_SKEW)
+        self._floor_between_points(monkeypatch)
+        # grid 9, interior: s = 0.125 is a member, s = 0.25 is not, and the
+        # point that fails validation (s = 0.375) is never reached
+        dom = DomainSampler(
+            membership=lambda pt: pt is q or np.linalg.eigvalsh(pt.value).min() > 0.43,
+            sample=lambda rng: q,
+        )
+        report = check_star_shaped(dom, p, targets=1, grid=9)
+        assert report.verdict is Verdict.COUNTEREXAMPLE
+        assert report.counterexample.s == 0.25
+        everything = DomainSampler(membership=lambda pt: True, sample=lambda rng: q)
+        with pytest.raises(NonPositiveDefiniteError):
+            check_star_shaped(everything, p, targets=1, grid=9)
+
+
+class TestFeatureMemo:
+    @pytest.mark.parametrize(
+        "manifold, raw",
+        [(E2, [0.5, -2.0]), (S1, 1.25), (SPD, 2.0 * I2)],
+        ids=lambda v: getattr(v, "name", ""),
+    )
+    def test_each_call_gets_a_fresh_dict(self, manifold, raw):
+        p = manifold.point(raw)
+        first = manifold.features(p)
+        first[manifold.feature_names[0]] = 123.0
+        second = manifold.features(p)
+        assert second is not first
+        assert second == manifold.features(manifold.point(raw))
+
+    def test_mismatched_point_still_rejected(self):
+        with pytest.raises(ManifoldMismatchError):
+            SPD.features(S1.point(1.0))
+
+
 class TestRandomizedGeometry:
     """Sweeps over random pairs; tolerances follow the module contract."""
 
@@ -229,6 +333,18 @@ class TestCrossManifoldSafety:
         x = S1.tangent(q, 0.5)
         with pytest.raises(ManifoldMismatchError):
             exp_map(p, x, 1.0)
+        # Spd(2): the same base object, an equal but distinct base, a distant base
+        p = SPD.point(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        raw = np.array([[0.1, 0.2], [0.2, -0.1]])
+        same = SPD.tangent(p, raw)
+        equal = SPD.tangent(SPD.point(np.array(p.value)), raw)
+        distant = SPD.tangent(SPD.point(3.0 * I2), raw)
+        assert np.array_equal(exp_map(p, same, 0.5).value, exp_map(p, equal, 0.5).value)
+        assert inner(p, same, same) == inner(p, equal, equal)
+        with pytest.raises(ManifoldMismatchError):
+            exp_map(p, distant, 0.5)
+        with pytest.raises(ManifoldMismatchError):
+            inner(p, same, distant)
 
     def test_geodesic_mixed_endpoints_rejected(self):
         with pytest.raises(ManifoldMismatchError):
