@@ -8,6 +8,8 @@ derivatives, sampled geodesic-convexity certifiers, and checkers for
 sufficient optimality conditions with multiplier search.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calculus import (
     DEFAULT_SCHEME,
     DerivScheme,
@@ -122,101 +124,8 @@ from .problems import (
 
 __version__ = "0.1.0"
 
+# Every public non-module name bound above is exported, plus the version.
 __all__ = [
-    "DEFAULT_SCHEME",
-    "DerivScheme",
-    "GhDerivative",
-    "dir_deriv",
-    "gh_dir_deriv",
-    "width_monotone_along",
-    "ConvexityReport",
-    "Counterexample",
-    "DomainSampler",
-    "LocalMinReport",
-    "Verdict",
-    "check_affine",
-    "check_convex",
-    "check_convex_at",
-    "check_cw_convex_at",
-    "check_gradient_inequality",
-    "check_local_min",
-    "check_star_shaped",
-    "ConfigError",
-    "DomainError",
-    "ExprSyntaxError",
-    "InfeasibleCandidateError",
-    "IvoptError",
-    "ManifoldMismatchError",
-    "ModeMismatchError",
-    "NegativeWidthError",
-    "NonFiniteError",
-    "NonPositiveDefiniteError",
-    "NotConvergedError",
-    "SamplerExhaustedError",
-    "UnknownFeatureError",
-    "UnknownFunctionError",
-    "IvFn",
-    "RealFn",
-    "builtin_iv",
-    "builtin_names",
-    "builtin_real",
-    "iv_linear_combination",
-    "lift_real",
-    "linear_combination",
-    "smooth_registry",
-    "Interval",
-    "OrderOutcome",
-    "OrderRelation",
-    "ZERO",
-    "add",
-    "combine",
-    "compare",
-    "format_interval",
-    "geq_max",
-    "gh_diff",
-    "hausdorff",
-    "leq_min",
-    "lt_min",
-    "parse_interval",
-    "scale",
-    "KktCertificate",
-    "KktVerdict",
-    "Problem",
-    "SplitMode",
-    "active_set",
-    "brute_force_improvement",
-    "direction_samples",
-    "find_multipliers",
-    "reduce_p4",
-    "verify_p2",
-    "verify_p3",
-    "verify_p3_split",
-    "verify_p4",
-    "Circle",
-    "Euclidean",
-    "Geodesic",
-    "Manifold",
-    "Point",
-    "Spd",
-    "TangentDirection",
-    "distance",
-    "exp_map",
-    "geodesic_at",
-    "inner",
-    "log_map",
-    "sym_exp",
-    "sym_log",
-    "sym_power",
-    "LoadedProblem",
-    "build_problem",
-    "circle_domain",
-    "euclidean_box_domain",
-    "load_problem",
-    "pstar_problem",
-    "pstarstar_problem",
-    "run_repro",
-    "scenario_ids",
-    "spd_domain",
-    "two_branch_domain",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -185,7 +185,7 @@ def _cmd_check_kkt(args) -> int:
     elif label == "P3":
         cert = verify_p3(prob, p0, mu, dirs, scheme, tol=args.tol, seed=seed)
     else:
-        mode = SplitMode(args.mode) if args.mode else _suggest_mode(prob, p0, seed)
+        mode = SplitMode(args.mode) if args.mode else None
         cert = verify_p4(prob, p0, mu, dirs, scheme, mode=mode, tol=args.tol, seed=seed)
 
     if args.json:
@@ -203,19 +203,6 @@ def _cmd_check_kkt(args) -> int:
                 kind = "required" if check.gating else "warning"
                 print(f"{kind}: {check.name} failed ({check.detail})")
     return 0 if cert.positive() else 2
-
-
-def _suggest_mode(prob, p0, seed) -> SplitMode:
-    from .kkt import CONST_TOL, STRICT_SAMPLES, _feasible_points
-
-    centers = [
-        prob.objective.center(q)
-        for q in _feasible_points(prob, p0, STRICT_SAMPLES, seed)
-    ]
-    spread = (max(centers) - min(centers)) if centers else 0.0
-    if spread <= CONST_TOL:
-        return SplitMode.CENTER_CONSTANT
-    return SplitMode.CENTER_NONCONSTANT
 
 
 # -- repro --------------------------------------------------------------------
@@ -310,7 +297,8 @@ def build_parser() -> _Parser:
     p_kkt.add_argument("--tol", type=float, default=1e-8,
                        help="active-set tolerance (default: 1e-8)")
     p_kkt.add_argument("--mode", choices=[m.value for m in SplitMode], default=None,
-                       help="split mode for interval-constraint problems")
+                       help="split mode for interval-constraint problems "
+                            "(default: the mode the sampled center implies)")
     p_kkt.add_argument("--deriv-h0", type=float, default=DEFAULT_SCHEME.h0,
                        help="initial derivative step (default: 1e-2)")
     p_kkt.add_argument("--deriv-levels", type=int, default=DEFAULT_SCHEME.levels,

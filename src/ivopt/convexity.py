@@ -214,6 +214,27 @@ def _segment_check(
     return out
 
 
+def _report(worst, used: int, skipped: int = 0) -> ConvexityReport:
+    """Report the worst (severity, counterexample) found, if any."""
+    if worst is None:
+        return ConvexityReport(Verdict.HOLDS, None, used, skipped)
+    return ConvexityReport(Verdict.COUNTEREXAMPLE, worst[1], used, skipped)
+
+
+def _worst_on_segments(
+    f: Fn, segments, grid: int, strict: bool, margin: float, path: str
+) -> ConvexityReport:
+    """Worst convexity violation over (p, q) segments, drawn lazily in order."""
+    worst = None
+    used = 0
+    for p, q in segments:
+        used += 1
+        for severity, s, lhs, rhs in _segment_check(f, p, q, grid, strict, margin, path):
+            if worst is None or severity > worst[0]:
+                worst = (severity, Counterexample(p, q, s, lhs, rhs))
+    return _report(worst, used)
+
+
 def check_convex(
     f: Fn,
     dom: DomainSampler,
@@ -232,18 +253,13 @@ def check_convex(
     if path not in ("geodesic", "chord"):
         raise ValueError(f"unknown path kind {path!r}")
     rng = np.random.default_rng(seed)
-    worst = None
-    used = 0
-    for _ in range(pairs):
-        p = dom.draw_one(rng)
-        q = dom.draw_one(rng, apart_from=p, min_dist=1e-8 if strict else 0.0)
-        used += 1
-        for severity, s, lhs, rhs in _segment_check(f, p, q, grid, strict, margin, path):
-            if worst is None or severity > worst[0]:
-                worst = (severity, Counterexample(p, q, s, lhs, rhs))
-    if worst is None:
-        return ConvexityReport(Verdict.HOLDS, None, used)
-    return ConvexityReport(Verdict.COUNTEREXAMPLE, worst[1], used)
+
+    def drawn_pairs():
+        for _ in range(pairs):
+            p = dom.draw_one(rng)
+            yield p, dom.draw_one(rng, apart_from=p, min_dist=1e-8 if strict else 0.0)
+
+    return _worst_on_segments(f, drawn_pairs(), grid, strict, margin, path)
 
 
 def check_convex_at(
@@ -258,19 +274,11 @@ def check_convex_at(
 ) -> ConvexityReport:
     """Test the convexity inequality on geodesics from a fixed base point."""
     rng = np.random.default_rng(seed)
-    worst = None
-    used = 0
-    for _ in range(targets):
-        q = dom.draw_one(rng, apart_from=p0, min_dist=1e-8 if strict else 0.0)
-        used += 1
-        for severity, s, lhs, rhs in _segment_check(
-            f, p0, q, grid, strict, margin, "geodesic"
-        ):
-            if worst is None or severity > worst[0]:
-                worst = (severity, Counterexample(p0, q, s, lhs, rhs))
-    if worst is None:
-        return ConvexityReport(Verdict.HOLDS, None, used)
-    return ConvexityReport(Verdict.COUNTEREXAMPLE, worst[1], used)
+    segments = (
+        (p0, dom.draw_one(rng, apart_from=p0, min_dist=1e-8 if strict else 0.0))
+        for _ in range(targets)
+    )
+    return _worst_on_segments(f, segments, grid, strict, margin, "geodesic")
 
 
 def check_cw_convex_at(
@@ -318,9 +326,7 @@ def check_affine(
                 gap = abs(lhs - rhs)
             if gap > tol and (worst is None or gap > worst[0]):
                 worst = (gap, Counterexample(p, q, s, lhs, rhs))
-    if worst is None:
-        return ConvexityReport(Verdict.HOLDS, None, used)
-    return ConvexityReport(Verdict.COUNTEREXAMPLE, worst[1], used)
+    return _report(worst, used)
 
 
 def check_star_shaped(
@@ -406,9 +412,7 @@ def check_gradient_inequality(
             gap = deriv - rhs
             if gap > DERIV_EPS * max(1.0, abs(rhs)) and (worst is None or gap > worst[0]):
                 worst = (gap, Counterexample(p0, q, 0.0, deriv, rhs))
-    if worst is None:
-        return ConvexityReport(Verdict.HOLDS, None, used, skipped)
-    return ConvexityReport(Verdict.COUNTEREXAMPLE, worst[1], used, skipped)
+    return _report(worst, used, skipped)
 
 
 @dataclass

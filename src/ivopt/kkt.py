@@ -6,11 +6,24 @@ Three problem classes are supported, inferred from the value kinds:
 * P3 -- interval objective, real constraints;
 * P4 -- interval objective, interval constraints.
 
-A certificate checks nonnegative multipliers, complementary slackness, and
-the stationarity inequality over a finite set of sampled tangent
-directions.  Verdicts are Optimal, StrictOptimal, or Inconclusive and are
-always relative to the recorded samples; the conditions are sufficient
-only, so no verdict ever asserts non-optimality.
+All verifiers run one pipeline, in this order:
+
+1. precheck -- multiplier count and signs, feasibility, and complementary
+   slackness against the active set;
+2. convexity hypotheses at the candidate (reported, never gating);
+3. width gate -- every interval-valued function among the objective and
+   the active constraints must have a non-decreasing width along the
+   sampled geodesics;
+4. per-direction residual -- the stationarity sum along each sampled
+   tangent direction, real or interval as the value kinds dictate;
+5. strictness -- pairwise distinct tested values on sampled feasible
+   points upgrade Optimal to StrictOptimal.
+
+The split forms (P3 split, P4) test the center or the width of the
+objective; the same feasible points decide that choice and strictness.
+Verdicts are Optimal, StrictOptimal, or Inconclusive and are always
+relative to the recorded samples; the conditions are sufficient only, so
+no verdict ever asserts non-optimality.
 """
 
 from __future__ import annotations
@@ -351,24 +364,22 @@ def _pairwise_distinct(values, tol: float = DISTINCT_TOL) -> bool:
 
 
 def _convexity_hypotheses(
-    prob: Problem,
-    p0: Point,
-    J: tuple,
-    seed: int,
-    objective_mode: str,
+    prob: Problem, p0: Point, labelled: list, seed: int
 ) -> List[HypothesisCheck]:
     """Convexity-at-candidate checks for the objective and active constraints.
 
-    These are reported but do not gate the verdict: the worked scenarios
-    require positive verdicts even where a sampled convexity check fails,
-    so failures surface as warnings in the certificate instead.
+    Interval-valued functions are checked componentwise.  These are
+    reported but do not gate the verdict: the worked scenarios require
+    positive verdicts even where a sampled convexity check fails, so
+    failures surface as warnings in the certificate instead.
     """
     dom = prob.feasible_sampler()
     checks = []
-
-    def run(fn, label, cw):
-        if cw:
+    for fn, label in labelled:
+        if isinstance(fn, IvFn):
             report = check_cw_convex_at(fn, p0, dom, targets=16, grid=17, seed=seed)
+            if label == "objective":
+                label = "objective (componentwise)"
         else:
             report = check_convex_at(fn, p0, dom, targets=16, grid=17, seed=seed)
         detail = ""
@@ -377,40 +388,128 @@ def _convexity_hypotheses(
         checks.append(
             HypothesisCheck(f"{label} convex at candidate", report.holds(), False, detail)
         )
-
-    if objective_mode == "cw":
-        run(prob.objective, "objective (componentwise)", cw=True)
-    elif objective_mode == "real":
-        run(prob.objective, "objective", cw=False)
-    for i in J:
-        g = prob.constraints[i]
-        run(g, prob.constraint_label(i), cw=isinstance(g, IvFn))
     return checks
 
 
-def _width_monotone_gate(
-    fns_with_labels,
+def _split_component(prob: Problem, points: list, mode: Optional[SplitMode]) -> SplitMode:
+    """The split mode the sampled centers allow.
+
+    A given mode is returned when the centers agree with it, else
+    ModeMismatchError is raised; None picks the mode they imply.
+    """
+    centers = [prob.objective.center(q) for q in points]
+    spread = max(centers) - min(centers) if centers else 0.0
+    constant = spread <= CONST_TOL
+    if mode is None:
+        return SplitMode.CENTER_CONSTANT if constant else SplitMode.CENTER_NONCONSTANT
+    if mode is SplitMode.CENTER_CONSTANT and not constant:
+        raise ModeMismatchError(
+            f"center varies by {spread:.3e} on sampled feasible points; "
+            "use CenterNonConstant"
+        )
+    if mode is SplitMode.CENTER_NONCONSTANT and constant:
+        raise ModeMismatchError(
+            "center is constant on sampled feasible points; use CenterConstant"
+        )
+    return mode
+
+
+def _verify(
+    prob: Problem,
     p0: Point,
+    mu: Sequence[float],
     directions: Sequence[TangentDirection],
-) -> Optional[HypothesisCheck]:
-    """Width monotonicity along each direction's geodesic; failure gates."""
-    for fn, label in fns_with_labels:
-        for k, x in enumerate(directions):
-            target = exp_map(p0, x)
-            if not width_monotone_along(fn, p0.manifold.geodesic(p0, target)):
-                return HypothesisCheck(
-                    f"{label} width non-decreasing along sampled geodesics",
-                    False,
-                    True,
-                    f"fails along direction {k}",
-                )
-    return None
+    scheme: DerivScheme,
+    tol: float,
+    seed: int,
+    split: bool = False,
+    mode: Optional[SplitMode] = None,
+) -> KktCertificate:
+    """The stationarity pipeline shared by every verifier.
 
+    Stages: precheck, convexity hypotheses, width gate, per-direction
+    residual, strictness.  Unsplit checks test the objective; split checks
+    test the center or width component the mode selects.  The residual is
+    an interval when an interval-valued function enters it, a float
+    otherwise.  Strictness points are drawn once and, on the split path,
+    also decide the mode.
+    """
+    def certificate(residuals, hyp, verdict, reason):
+        return _certificate(
+            prob, p0, J, mu, residuals, hyp, verdict, reason, len(directions), seed
+        )
 
-def _strict_reason(base: str, distinct: bool, what: str) -> str:
-    if distinct:
-        return base + f"; {what} pairwise distinct on sampled feasible points"
-    return base + f"; {what} repeat on sampled feasible points, so strictness is not claimed"
+    def gate(label, where, k, residuals):
+        check = HypothesisCheck(
+            f"{label} width non-decreasing {where}", False, True, f"fails along direction {k}"
+        )
+        return certificate(
+            residuals, hyp + [check], KktVerdict.INCONCLUSIVE, check.name + ": " + check.detail
+        )
+
+    J, slack_reason = _precheck(prob, p0, mu, tol)
+    if slack_reason is not None:
+        return certificate([], [], KktVerdict.INCONCLUSIVE, slack_reason)
+    tested, what, of, points = prob.objective, "objective", "", None
+    if split:
+        points = _feasible_points(prob, p0, STRICT_SAMPLES, seed)
+        if _split_component(prob, points, mode) is SplitMode.CENTER_NONCONSTANT:
+            tested, what = prob.objective.center, "center"
+        else:
+            tested, what = prob.objective.width, "width"
+        of = f" of the {what}"
+    labelled = [(prob.objective, "objective")]
+    labelled += [(prob.constraints[i], prob.constraint_label(i)) for i in J]
+    hyp = _convexity_hypotheses(prob, p0, labelled, seed)
+
+    for fn, label in labelled:
+        if isinstance(fn, IvFn):
+            for k, x in enumerate(directions):
+                if not width_monotone_along(fn, p0.manifold.geodesic(p0, exp_map(p0, x))):
+                    return gate(label, "along sampled geodesics", k, [])
+
+    terms = [(tested, 1.0, "objective")]
+    terms += [(prob.constraints[i], mu[i], prob.constraint_label(i)) for i in J if mu[i] != 0.0]
+    interval_sum = any(isinstance(fn, IvFn) for fn in (tested,) + prob.constraints)
+    residuals = []
+    for k, x in enumerate(directions):
+        total = None
+        for fn, weight, label in terms:
+            if isinstance(fn, IvFn):
+                deriv = gh_dir_deriv(fn, p0, x, scheme)
+                if not deriv.monotone_width_ok:
+                    return gate(label, "on the step ladder", k, residuals)
+                d = deriv.value
+            else:
+                d = dir_deriv(fn, p0, x, scheme)
+            if interval_sum and not isinstance(d, Interval):
+                d = Interval.point(d)
+            if total is None:
+                total = d
+            elif interval_sum:
+                total = combine(1.0, total, weight, d)
+            else:
+                total += weight * d
+        ok = leq_min(ZERO, total) if interval_sum else total >= -RESID_TOL
+        residuals.append(DirectionResidual(k, x, total, ok))
+    bad = next((r for r in residuals if not r.ok), None)
+    if bad is not None:
+        reason = f"stationarity{of} fails along direction {bad.index}"
+        if not split:
+            shown = bad.residual if interval_sum else f"{bad.residual:.3e}"
+            reason += f" (residual {shown})"
+        return certificate(residuals, hyp, KktVerdict.INCONCLUSIVE, reason)
+
+    if points is None:
+        points = _feasible_points(prob, p0, STRICT_SAMPLES, seed)
+    reason = f"stationarity{of} holds on all sampled directions; {what} values"
+    if _pairwise_distinct([tested(q) for q in points]):
+        verdict = KktVerdict.STRICT_OPTIMAL
+        reason += " pairwise distinct on sampled feasible points"
+    else:
+        verdict = KktVerdict.OPTIMAL
+        reason += " repeat on sampled feasible points, so strictness is not claimed"
+    return certificate(residuals, hyp, verdict, reason)
 
 
 def verify_p2(
@@ -425,40 +524,7 @@ def verify_p2(
     """Real objective, real constraints: stationarity over sampled directions."""
     if prob.label != "P2":
         raise ConfigError(f"verify_p2 expects a P2 problem, got {prob.label}")
-    J, slack_reason = _precheck(prob, p0, mu, tol)
-    if slack_reason is not None:
-        return _certificate(
-            prob, p0, J, mu, [], [], KktVerdict.INCONCLUSIVE, slack_reason,
-            len(directions), seed,
-        )
-    hyp = _convexity_hypotheses(prob, p0, J, seed, objective_mode="real")
-    residuals = []
-    bad = None
-    for k, x in enumerate(directions):
-        r = dir_deriv(prob.objective, p0, x, scheme)
-        for i in J:
-            if mu[i] != 0.0:
-                r += mu[i] * dir_deriv(prob.constraints[i], p0, x, scheme)
-        ok = r >= -RESID_TOL
-        residuals.append(DirectionResidual(k, x, r, ok))
-        if not ok and bad is None:
-            bad = k
-    if bad is not None:
-        return _certificate(
-            prob, p0, J, mu, residuals, hyp, KktVerdict.INCONCLUSIVE,
-            f"stationarity fails along direction {bad} "
-            f"(residual {residuals[bad].residual:.3e})",
-            len(directions), seed,
-        )
-    values = [prob.objective(q) for q in _feasible_points(prob, p0, STRICT_SAMPLES, seed)]
-    distinct = _pairwise_distinct(values)
-    verdict = KktVerdict.STRICT_OPTIMAL if distinct else KktVerdict.OPTIMAL
-    reason = _strict_reason(
-        "stationarity holds on all sampled directions", distinct, "objective values"
-    )
-    return _certificate(
-        prob, p0, J, mu, residuals, hyp, verdict, reason, len(directions), seed
-    )
+    return _verify(prob, p0, mu, directions, scheme, tol, seed)
 
 
 def verify_p3(
@@ -480,161 +546,7 @@ def verify_p3(
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3 expects a P3 problem, got {prob.label}")
-    J, slack_reason = _precheck(prob, p0, mu, tol)
-    if slack_reason is not None:
-        return _certificate(
-            prob, p0, J, mu, [], [], KktVerdict.INCONCLUSIVE, slack_reason,
-            len(directions), seed,
-        )
-    hyp = _convexity_hypotheses(prob, p0, J, seed, objective_mode="cw")
-    gate = _width_monotone_gate([(prob.objective, "objective")], p0, directions)
-    if gate is not None:
-        return _certificate(
-            prob, p0, J, mu, [], hyp + [gate], KktVerdict.INCONCLUSIVE,
-            gate.name + ": " + gate.detail, len(directions), seed,
-        )
-    residuals = []
-    bad = None
-    for k, x in enumerate(directions):
-        deriv = gh_dir_deriv(prob.objective, p0, x, scheme)
-        if not deriv.monotone_width_ok:
-            gate = HypothesisCheck(
-                "objective width non-decreasing on the step ladder",
-                False, True, f"fails along direction {k}",
-            )
-            return _certificate(
-                prob, p0, J, mu, residuals, hyp + [gate], KktVerdict.INCONCLUSIVE,
-                gate.name + ": " + gate.detail, len(directions), seed,
-            )
-        total = deriv.value
-        for i in J:
-            if mu[i] != 0.0:
-                d_i = dir_deriv(prob.constraints[i], p0, x, scheme)
-                total = combine(1.0, total, mu[i], Interval.point(d_i))
-        ok = leq_min(ZERO, total)
-        residuals.append(DirectionResidual(k, x, total, ok))
-        if not ok and bad is None:
-            bad = k
-    if bad is not None:
-        return _certificate(
-            prob, p0, J, mu, residuals, hyp, KktVerdict.INCONCLUSIVE,
-            f"stationarity fails along direction {bad} "
-            f"(residual {residuals[bad].residual})",
-            len(directions), seed,
-        )
-    values = [prob.objective(q) for q in _feasible_points(prob, p0, STRICT_SAMPLES, seed)]
-    distinct = _pairwise_distinct(values)
-    verdict = KktVerdict.STRICT_OPTIMAL if distinct else KktVerdict.OPTIMAL
-    reason = _strict_reason(
-        "stationarity holds on all sampled directions", distinct, "objective values"
-    )
-    return _certificate(
-        prob, p0, J, mu, residuals, hyp, verdict, reason, len(directions), seed
-    )
-
-
-def _split_component(prob: Problem, p0: Point, mode: SplitMode, seed: int) -> RealFn:
-    """Pick the component the split mode tests, validating sampled constancy."""
-    centers = [
-        prob.objective.center(q)
-        for q in _feasible_points(prob, p0, STRICT_SAMPLES, seed)
-    ]
-    spread = max(centers) - min(centers) if centers else 0.0
-    constant = spread <= CONST_TOL
-    if mode is SplitMode.CENTER_CONSTANT and not constant:
-        raise ModeMismatchError(
-            f"center varies by {spread:.3e} on sampled feasible points; "
-            "use CenterNonConstant"
-        )
-    if mode is SplitMode.CENTER_NONCONSTANT and constant:
-        raise ModeMismatchError(
-            "center is constant on sampled feasible points; use CenterConstant"
-        )
-    return prob.objective.center if mode is SplitMode.CENTER_NONCONSTANT else prob.objective.width
-
-
-def _verify_component(
-    prob: Problem,
-    p0: Point,
-    mu: Sequence[float],
-    directions: Sequence[TangentDirection],
-    scheme: DerivScheme,
-    tol: float,
-    seed: int,
-    mode: SplitMode,
-    constraint_kind: str,
-) -> KktCertificate:
-    """Shared engine for the split verifiers (components against constraints)."""
-    J, slack_reason = _precheck(prob, p0, mu, tol)
-    if slack_reason is not None:
-        return _certificate(
-            prob, p0, J, mu, [], [], KktVerdict.INCONCLUSIVE, slack_reason,
-            len(directions), seed,
-        )
-    component = _split_component(prob, p0, mode, seed)
-    what = "center" if mode is SplitMode.CENTER_NONCONSTANT else "width"
-    hyp = _convexity_hypotheses(prob, p0, J, seed, objective_mode="cw")
-    gates = [(prob.objective, "objective")]
-    if constraint_kind == "interval":
-        gates += [
-            (prob.constraints[i], prob.constraint_label(i)) for i in J
-        ]
-    gate = _width_monotone_gate(gates, p0, directions)
-    if gate is not None:
-        return _certificate(
-            prob, p0, J, mu, [], hyp + [gate], KktVerdict.INCONCLUSIVE,
-            gate.name + ": " + gate.detail, len(directions), seed,
-        )
-    residuals = []
-    bad = None
-    for k, x in enumerate(directions):
-        base = dir_deriv(component, p0, x, scheme)
-        if constraint_kind == "real":
-            r = base
-            for i in J:
-                if mu[i] != 0.0:
-                    r += mu[i] * dir_deriv(prob.constraints[i], p0, x, scheme)
-            ok = r >= -RESID_TOL
-            residuals.append(DirectionResidual(k, x, r, ok))
-        else:
-            total = Interval.point(base)
-            for i in J:
-                if mu[i] != 0.0:
-                    deriv = gh_dir_deriv(prob.constraints[i], p0, x, scheme)
-                    if not deriv.monotone_width_ok:
-                        gate = HypothesisCheck(
-                            f"{prob.constraint_label(i)} width non-decreasing "
-                            "on the step ladder",
-                            False, True, f"fails along direction {k}",
-                        )
-                        return _certificate(
-                            prob, p0, J, mu, residuals, hyp + [gate],
-                            KktVerdict.INCONCLUSIVE,
-                            gate.name + ": " + gate.detail,
-                            len(directions), seed,
-                        )
-                    total = combine(1.0, total, mu[i], deriv.value)
-            ok = leq_min(ZERO, total)
-            residuals.append(DirectionResidual(k, x, total, ok))
-        if not ok and bad is None:
-            bad = k
-    if bad is not None:
-        return _certificate(
-            prob, p0, J, mu, residuals, hyp, KktVerdict.INCONCLUSIVE,
-            f"stationarity of the {what} fails along direction {bad}",
-            len(directions), seed,
-        )
-    values = [component(q) for q in _feasible_points(prob, p0, STRICT_SAMPLES, seed)]
-    distinct = _pairwise_distinct(values)
-    verdict = KktVerdict.STRICT_OPTIMAL if distinct else KktVerdict.OPTIMAL
-    reason = _strict_reason(
-        f"stationarity of the {what} holds on all sampled directions",
-        distinct,
-        f"{what} values",
-    )
-    return _certificate(
-        prob, p0, J, mu, residuals, hyp, verdict, reason, len(directions), seed
-    )
+    return _verify(prob, p0, mu, directions, scheme, tol, seed)
 
 
 def verify_p3_split(
@@ -656,9 +568,7 @@ def verify_p3_split(
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3_split expects a P3 problem, got {prob.label}")
-    return _verify_component(
-        prob, p0, mu, directions, scheme, tol, seed, mode, constraint_kind="real"
-    )
+    return _verify(prob, p0, mu, directions, scheme, tol, seed, split=True, mode=mode)
 
 
 def verify_p4(
@@ -681,9 +591,7 @@ def verify_p4(
     """
     if prob.label != "P4":
         raise ConfigError(f"verify_p4 expects a P4 problem, got {prob.label}")
-    return _verify_component(
-        prob, p0, mu, directions, scheme, tol, seed, mode, constraint_kind="interval"
-    )
+    return _verify(prob, p0, mu, directions, scheme, tol, seed, split=True, mode=mode)
 
 
 def reduce_p4(prob: Problem, pfix: Optional[Point] = None, tol: float = ACTIVE_TOL) -> Problem:

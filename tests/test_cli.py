@@ -49,6 +49,34 @@ def concave_file(tmp_path):
     return str(path)
 
 
+E2_QUAD = "(x1 - 1)^2 + (x2 - 1)^2"
+
+
+def p4_cfg(center: str, width: str, name: str) -> dict:
+    """A P4 problem on the plane whose candidate (0.5, 0.5) is optimal."""
+    return {
+        "manifold": {"kind": "euclidean", "dim": 2},
+        "objective": {"center": center, "width": width},
+        "constraints": [{"center": "x1 + x2 - 1", "width": "0.1*(x1 + x2 - 1)^2"}],
+        "candidate": [0.5, 0.5],
+        "name": name,
+    }
+
+
+@pytest.fixture
+def p4_files(tmp_path):
+    """Center-nonconstant and center-constant P4 problem files."""
+    paths = {}
+    for key, center, width in (
+        ("nonconstant", E2_QUAD, f"0.5*({E2_QUAD}) + 0.25"),
+        ("constant", "3", f"{E2_QUAD} + 0.5"),
+    ):
+        path = tmp_path / f"p4_{key}.json"
+        path.write_text(json.dumps(p4_cfg(center, width, key)), encoding="utf-8")
+        paths[key] = str(path)
+    return paths
+
+
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("IVOPT_SEED", raising=False)
@@ -167,6 +195,52 @@ class TestCheckKkt:
         rc = main(["check-kkt", "--problem", pstar_file, "--mu", "0,1,0",
                    "--deriv-levels", "0"])
         assert rc == 1
+
+
+class TestCheckKktSplitMode:
+    ARGS = ["--directions", "8", "--seed", "2", "--json"]
+
+    def _run(self, path, capsys, *extra):
+        rc = main(["check-kkt", "--problem", path, *self.ARGS, *extra])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("key, mode, component", [
+        ("nonconstant", "CenterNonConstant", "center"),
+        ("constant", "CenterConstant", "width"),
+    ])
+    def test_mode_defaults_to_the_sampled_center(self, p4_files, key, mode, component, capsys):
+        rc, out, _ = self._run(p4_files[key], capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["label"] == "P4"
+        assert payload["verdict"] == "StrictOptimal"
+        assert payload["reason"].startswith(f"stationarity of the {component} holds")
+        assert self._run(p4_files[key], capsys, "--mode", mode) == (rc, out, "")
+
+    @pytest.mark.parametrize("key, wrong, hint, fix", [
+        ("nonconstant", "CenterConstant", "center varies by", "use CenterNonConstant"),
+        ("constant", "CenterNonConstant", "center is constant", "use CenterConstant"),
+    ])
+    def test_mode_mismatch_is_an_error(self, p4_files, key, wrong, hint, fix, capsys):
+        rc, out, err = self._run(p4_files[key], capsys, "--mode", wrong)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: {hint}")
+        assert err.rstrip().endswith(fix)
+
+    def test_feasible_points_drawn_once(self, p4_files, monkeypatch, capsys):
+        from ivopt import kkt
+
+        calls = []
+        original = kkt._feasible_points
+        monkeypatch.setattr(
+            kkt, "_feasible_points", lambda *a, **k: calls.append(a) or original(*a, **k)
+        )
+        for key in ("nonconstant", "constant"):
+            calls.clear()
+            assert self._run(p4_files[key], capsys)[0] == 0
+            assert len(calls) == 1
 
 
 class TestRepro:

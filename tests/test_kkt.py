@@ -1,18 +1,23 @@
 """First-order optimality verifiers: active sets, multipliers, certificates."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ivopt import kkt
 from ivopt.errors import (
     ConfigError,
     InfeasibleCandidateError,
+    IvoptError,
     ModeMismatchError,
 )
 from ivopt.functions import (
     CIRCLE,
     EUCLIDEAN1,
+    EUCLIDEAN2,
     SPD2,
     IvFn,
     RealFn,
@@ -502,3 +507,192 @@ class TestCertificateShape:
         assert len(blob["residuals"]) == 4
         assert all(set(r) == {"index", "direction", "residual", "ok"}
                    for r in blob["residuals"])
+
+
+# -- pinned certificates ---------------------------------------------------
+
+PINNED_PATH = Path(__file__).parent / "data" / "kkt_pinned_certificates.json"
+E2_QUAD = "(x1 - 1)^2 + (x2 - 1)^2"  # (0.5, 0.5) is its minimiser on x1 + x2 <= 1
+
+
+def _pinned_cases() -> dict:
+    """Verifier runs with given multipliers on circle and Euclidean problems.
+
+    name -> (verifier, problem, candidate, multipliers, keyword arguments).
+    """
+    circle = lambda objective, constraints=(): Problem(
+        CIRCLE, objective, constraints, circle_domain()
+    )
+    plane = lambda objective, constraints: Problem(
+        EUCLIDEAN2, objective, constraints, euclidean_box_domain(EUCLIDEAN2)
+    )
+    iv_circle = lambda c, w: IvFn.from_expressions(c, w, CIRCLE)
+    iv_plane = lambda c, w: IvFn.from_expressions(c, w, EUCLIDEAN2)
+    half_arc, pi_pt = CIRCLE.point(HALF_PI), CIRCLE.point(math.pi)
+    corner = EUCLIDEAN2.point([0.5, 0.5])
+    halfspace = (RealFn.from_expression("x1 + x2 - 1", EUCLIDEAN2),)
+    iv_halfspace = (iv_plane("x1 + x2 - 1", "0.1*(x1 + x2 - 1)^2"),)
+    iv_arc_cap = (iv_circle("theta - 2.5", "0.3*(theta - 2.5)^2"),)
+    recast = iv_circle("(theta - pi/2)^2", "0")
+    flat_center = iv_circle("5", "(theta - pi/2)^2 + 1")
+    bowl = iv_circle("(theta - pi/2)^2", "(theta - pi/2)^2 + 1")
+    cap = CIRCLE.point(2.5)
+    cnc, cc = {"mode": SplitMode.CENTER_NONCONSTANT}, {"mode": SplitMode.CENTER_CONSTANT}
+    return {
+        "p2-circle-half-arc": (verify_p2, PSTAR.problem, PSTAR.candidate, (0.0, 1.0, 0.0), {}),
+        "p2-circle-slackness": (verify_p2, PSTAR.problem, PSTAR.candidate, (0.0, 0.0, 1.0), {}),
+        "p2-circle-descent": (
+            verify_p2, circle(RealFn.from_expression("theta^2", CIRCLE)), half_arc, (), {}),
+        "p2-euclid-halfspace": (
+            verify_p2, plane(RealFn.from_expression(E2_QUAD, EUCLIDEAN2), halfspace),
+            corner, (1.0,), {}),
+        "p3-circle-bowl": (
+            verify_p3, circle(bowl, circle_real_constraints()), half_arc, (0.0, 1.0, 0.0), {}),
+        "p3-circle-descent": (
+            verify_p3, circle(iv_circle("theta", "1")), pi_pt, (), {}),
+        "p3-circle-decreasing-width": (
+            verify_p3, circle(iv_circle("(theta - pi)^2", "2*pi - theta")), pi_pt, (), {}),
+        "p3-euclid-halfspace": (
+            verify_p3, plane(iv_plane(E2_QUAD, f"0.5*({E2_QUAD}) + 0.25"), halfspace),
+            corner, (1.0,), {}),
+        "p3_split-circle-center": (
+            verify_p3_split, circle(recast, circle_real_constraints()), half_arc,
+            (0.0, 1.0, 0.0), cnc),
+        "p3_split-circle-width": (
+            verify_p3_split, circle(flat_center, circle_real_constraints()), half_arc,
+            (0.0, 1.0, 0.0), cc),
+        "p3_split-circle-mismatch": (
+            verify_p3_split, circle(recast, circle_real_constraints()), half_arc,
+            (0.0, 1.0, 0.0), cc),
+        "p3_split-circle-flat": (
+            verify_p3_split, circle(iv_circle("5", "1"), circle_real_constraints()), half_arc,
+            (0.0, 0.0, 0.0), cc),
+        "p3_split-euclid-center": (
+            verify_p3_split, plane(iv_plane(E2_QUAD, "0.25"), halfspace), corner, (1.0,), cnc),
+        "p3_split-euclid-width": (
+            verify_p3_split, plane(iv_plane("3", f"{E2_QUAD} + 1"), halfspace),
+            corner, (1.0,), cc),
+        "p4-circle-center": (
+            verify_p4, circle(iv_circle("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2"), iv_arc_cap),
+            cap, (3.0,), cnc),
+        "p4-circle-center-zero-multiplier": (
+            verify_p4, circle(iv_circle("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2"), iv_arc_cap),
+            cap, (0.0,), cnc),
+        "p4-circle-interior": (
+            verify_p4, circle(iv_circle("(theta - 4)^2", "0.5*(theta - 2)^2 + 0.2"), iv_arc_cap),
+            CIRCLE.point(2.0), (0.0,), cnc),
+        "p4-circle-constraint-width-gate": (
+            verify_p4,
+            circle(iv_circle("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2"),
+                   (iv_circle("theta - 2.5", "((theta - 2.5)*(theta - 1.5))^2"),)),
+            cap, (3.0,), cnc),
+        "p4-circle-width": (
+            verify_p4, circle(iv_circle("2", "(theta - 4)^2 + 0.2"), iv_arc_cap),
+            cap, (3.0,), cc),
+        "p4-euclid-center": (
+            verify_p4, plane(iv_plane(E2_QUAD, f"0.5*({E2_QUAD}) + 0.25"), iv_halfspace),
+            corner, (1.0,), cnc),
+        "p4-euclid-width": (
+            verify_p4, plane(iv_plane("3", f"{E2_QUAD} + 0.5"), iv_halfspace),
+            corner, (1.0,), cc),
+        "p4-euclid-mismatch": (
+            verify_p4, plane(iv_plane(E2_QUAD, "0.25"), iv_halfspace), corner, (1.0,), cc),
+    }
+
+
+def pinned_certificates() -> dict:
+    """Certificate JSON, or the error text, of every pinned case.
+
+    The fixture at PINNED_PATH holds this output as captured before the
+    verifiers were folded into one pipeline; regenerate it only for an
+    intended change of verifier output.
+    """
+    out = {}
+    for name, (verify, prob, p0, mu, kwargs) in _pinned_cases().items():
+        directions = direction_samples(prob, p0, 8, seed=3)
+        try:
+            out[name] = verify(prob, p0, mu, directions, seed=3, **kwargs).to_json()
+        except IvoptError as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+PINNED = json.loads(PINNED_PATH.read_text(encoding="utf-8"))
+
+
+class TestPinnedCertificates:
+    @pytest.fixture(scope="class")
+    def current(self):
+        return pinned_certificates()
+
+    def test_cases_match_the_fixture(self, current):
+        assert sorted(current) == sorted(PINNED)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_certificate_matches(self, name, current):
+        got, want = current[name], PINNED[name]
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert set(got) == set(want)
+        for key in want:
+            if key != "residuals":
+                assert got[key] == want[key], key
+        assert len(got["residuals"]) == len(want["residuals"])
+        for g, w in zip(got["residuals"], want["residuals"]):
+            assert (g["index"], g["ok"]) == (w["index"], w["ok"])
+            for part in ("direction", "residual"):
+                assert np.allclose(g[part], w[part], rtol=0.0, atol=1e-12), part
+
+    def test_fixture_covers_every_verdict_and_mode(self):
+        verdicts = {c["verdict"] for c in PINNED.values() if isinstance(c, dict)}
+        assert verdicts == {"Optimal", "StrictOptimal", "Inconclusive"}
+        reasons = " | ".join(c["reason"] for c in PINNED.values() if isinstance(c, dict))
+        for text in ("(residual [", "(residual -", "stationarity of the center fails",
+                     "stationarity of the width", "along sampled geodesics",
+                     "complementary slackness", "repeat on sampled feasible points"):
+            assert text in reasons
+        errors = [c for c in PINNED.values() if isinstance(c, str)]
+        assert errors and all(e.startswith("ModeMismatchError: ") for e in errors)
+
+
+class TestOnePipeline:
+    def _count_draws(self, monkeypatch):
+        calls = []
+        original = kkt._feasible_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kkt, "_feasible_points", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", [
+        "p3_split-circle-center", "p3_split-euclid-width",
+        "p4-circle-center", "p4-euclid-width", "p4-euclid-mismatch",
+    ])
+    def test_split_verifiers_draw_feasible_points_once(self, name, monkeypatch):
+        calls = self._count_draws(monkeypatch)
+        verify, prob, p0, mu, kwargs = _pinned_cases()[name]
+        directions = direction_samples(prob, p0, 4, seed=3)
+        try:
+            verify(prob, p0, mu, directions, seed=3, **kwargs)
+        except ModeMismatchError:
+            pass
+        assert len(calls) == 1
+
+    def test_unsplit_failure_draws_nothing(self, monkeypatch):
+        calls = self._count_draws(monkeypatch)
+        verify, prob, p0, mu, kwargs = _pinned_cases()["p2-circle-descent"]
+        cert = verify(prob, p0, mu, direction_samples(prob, p0, 4, seed=3), seed=3)
+        assert cert.verdict is KktVerdict.INCONCLUSIVE
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["p4-circle-center", "p4-euclid-width",
+                                      "p3_split-circle-width"])
+    def test_mode_none_picks_the_sampled_mode(self, name):
+        verify, prob, p0, mu, kwargs = _pinned_cases()[name]
+        directions = direction_samples(prob, p0, 8, seed=3)
+        picked = verify(prob, p0, mu, directions, mode=None, seed=3)
+        assert picked.to_json() == verify(prob, p0, mu, directions, seed=3, **kwargs).to_json()
