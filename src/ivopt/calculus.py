@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotConvergedError
-from .functions import IvFn, RealFn
+from .functions import IvFn, RealFn, values_along
 from .interval import Interval
 from .manifolds import Geodesic, Point, TangentDirection, exp_map
 
@@ -130,8 +130,7 @@ def width_monotone_along(f: IvFn, geod: Geodesic, grid: int = 33) -> bool:
         raise ValueError("grid must contain at least two points")
     svals = [j / (grid - 1) for j in range(grid)]
     previous = None
-    for pt in geod.start.manifold.geodesic_points(geod.start, geod.end, svals):
-        w = f.width(pt)
+    for w in values_along(f.width, geod.start, geod.end, svals):
         if previous is not None and w < previous - MONOTONE_SLACK:
             return False
         previous = w

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import DEFAULT_SCHEME, DerivScheme, dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
-from .functions import IvFn, RealFn
+from .functions import IvFn, RealFn, values_along
 from .interval import (
     Interval,
     OrderOutcome,
@@ -58,7 +58,12 @@ class DomainSampler:
             candidate = self.sample(rng)
             if not self.membership(candidate):
                 continue
-            if apart_from is not None and distance(apart_from, candidate) < min_dist:
+            # a distance is never negative, so min_dist <= 0 rejects nothing
+            if (
+                min_dist > 0.0
+                and apart_from is not None
+                and distance(apart_from, candidate) < min_dist
+            ):
                 continue
             return candidate
         raise SamplerExhaustedError(
@@ -193,16 +198,14 @@ def _segment_check(
     path: str,
 ) -> list:
     """Return (severity, s, lhs, rhs) violations along one segment."""
-    manifold = p.manifold
     vp, vq = f(p), f(q)
     svals = _grid_values(grid, interior=strict)
     if path == "chord":
-        points = (manifold.chord_point(p, q, s) for s in svals)
+        values = (f(p.manifold.chord_point(p, q, s)) for s in svals)
     else:
-        points = manifold.geodesic_points(p, q, svals)
+        values = values_along(f, p, q, svals)
     out = []
-    for s, pt in zip(svals, points):
-        lhs = f(pt)
+    for s, lhs in zip(svals, values):
         rhs = _mix(f, vp, vq, s)
         severity = (
             _strict_violation(lhs, rhs, margin)
@@ -317,8 +320,7 @@ def check_affine(
         vp, vq = f(p), f(q)
         used += 1
         svals = _grid_values(grid, interior=False)
-        for s, pt in zip(svals, p.manifold.geodesic_points(p, q, svals)):
-            lhs = f(pt)
+        for s, lhs in zip(svals, values_along(f, p, q, svals)):
             rhs = _mix(f, vp, vq, s)
             if isinstance(lhs, Interval):
                 gap = max(abs(lhs.lb - rhs.lb), abs(lhs.ub - rhs.ub))

@@ -14,6 +14,17 @@ minus, so "-2^2" is -(2^2) = -4 and "2^3^2" is 2^(3^2) = 512.
 Identifiers resolve to the constants pi and e, to one of the supported
 functions (ln, exp, sin, cos, sqrt, abs) when called, or otherwise to a
 manifold feature whose validity is checked at binding time.
+
+``eval_node`` evaluates a tree at one point.  ``compile_node`` turns a tree
+into its array form: a closure that takes a dict of equal-length float64
+feature arrays and returns the values ``eval_node`` gives at each entry, bit
+for bit.  ``+ - * /`` and negation are float64 numpy operations, which round
+as Python floats do; ``ln exp sin cos sqrt`` and ``^`` apply the same
+``math`` functions entry by entry, since numpy's vectorised ones can differ
+by an ulp.  The closure defers, returning None, wherever ``eval_node`` could
+raise at some entry: a zero divisor, an argument outside a function's domain,
+an error from ``math``, or a non-finite result.  A caller that gets None
+evaluates point by point and meets the exception there.
 """
 
 from __future__ import annotations
@@ -21,6 +32,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, NonFiniteError, UnknownFunctionError
 
@@ -262,6 +277,82 @@ def _apply(fn: str, x: float) -> float:
     except OverflowError:
         raise NonFiniteError(f"{fn}({x}) overflows") from None
     raise UnknownFunctionError(fn, 0)
+
+
+class _Defer(Exception):
+    """Raised inside a compiled closure where eval_node could raise."""
+
+
+def compile_node(node: Node) -> Callable[[dict], Optional[np.ndarray]]:
+    """The array form of ``eval_node(node, ...)``; see the module docstring."""
+    body = _compile(node)
+
+    def run(features: dict) -> Optional[np.ndarray]:
+        n = len(next(iter(features.values())))
+        try:
+            with np.errstate(all="ignore"):
+                values = body(features)
+        except _Defer:
+            return None
+        values = np.broadcast_to(values, (n,))
+        return values if np.isfinite(values).all() else None
+
+    return run
+
+
+def _compile(node: Node):
+    if isinstance(node, (Num, Const)):
+        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        return lambda features: value
+    if isinstance(node, Feature):
+        name = node.name  # bound at RealFn.from_expression, so always present
+        return lambda features: features[name]
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda features: -operand(features)
+    if isinstance(node, Call):
+        apply, arg = _ARRAY_CALLS[node.fn], _compile(node.args[0])
+        return lambda features: apply(arg(features))
+    if isinstance(node, BinOp):
+        op, left, right = _ARRAY_OPS[node.op], _compile(node.left), _compile(node.right)
+        return lambda features: op(left(features), right(features))
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def _entrywise(fn, *args):
+    """fn on each entry as a Python float, as eval_node applies it."""
+    try:
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return fn(*args)
+        columns = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
+        return np.array([fn(*entry) for entry in zip(*columns)])
+    except (ValueError, OverflowError):
+        raise _Defer from None
+
+
+def _divide(left, right):
+    if np.any(right == 0.0):
+        raise _Defer
+    return left / right
+
+
+_ARRAY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _divide,
+    "^": lambda a, b: _entrywise(math.pow, a, b),
+}
+# math.log and math.sqrt raise ValueError wherever _apply raises DomainError,
+# so _entrywise defers on their domain edges too
+_ARRAY_CALLS = {
+    "ln": lambda x: _entrywise(math.log, x),
+    "exp": lambda x: _entrywise(math.exp, x),
+    "sin": lambda x: _entrywise(math.sin, x),
+    "cos": lambda x: _entrywise(math.cos, x),
+    "sqrt": lambda x: _entrywise(math.sqrt, x),
+    "abs": abs,
+}
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -5,13 +5,21 @@ nonnegative width function.  Functions are built either from expression
 text bound to a manifold's features or from the named builtin registry
 (which includes the piecewise-by-branch family that the expression grammar
 cannot express).
+
+``values_along`` evaluates a function on a whole geodesic grid.  When every
+component is compiled from an expression, it takes one array pass: the
+manifold's ``geodesic_features`` for the grid, then each compiled closure
+(see ``expr``).  Any other function, a grid the manifold cannot give as
+arrays, and a closure that defers all go point by point instead, so the
+values, and any exception with the grid point it is raised at, are those of
+evaluating the function at each point of ``geodesic_points``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +49,9 @@ class RealFn:
     manifold: Manifold
     fn: Callable[[Point], float]
     name: str = ""
+    # fn's array form over a dict of feature arrays (``expr.compile_node``),
+    # for functions built from an expression; None for any other callable
+    compiled: Optional[Callable[[dict], Optional[np.ndarray]]] = None
 
     def __call__(self, p: Point) -> float:
         if p.manifold != self.manifold:
@@ -64,7 +75,9 @@ class RealFn:
         def fn(p: Point) -> float:
             return expr_mod.eval_node(tree, manifold.features(p))
 
-        return cls(manifold, fn, name if name is not None else text)
+        return cls(
+            manifold, fn, name if name is not None else text, expr_mod.compile_node(tree)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +122,36 @@ class IvFn:
         """Evaluate the width at n sampled points, raising on a negative value."""
         for _ in range(n):
             self(sample(rng))
+
+
+def values_along(
+    f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float]
+) -> Iterable:
+    """f at each point of ``p.manifold.geodesic_points(p, q, svals)``, in order.
+
+    The result is a list when the whole grid evaluates on the array path;
+    otherwise the points are evaluated lazily, so an exception is raised
+    when the caller reaches the grid point that raises it.
+    """
+    manifold = p.manifold
+    parts = (f.center, f.width) if isinstance(f, IvFn) else (f,)
+    if (
+        len(svals) > 0
+        and all(part.compiled is not None for part in parts)
+        and f.manifold == manifold == q.manifold
+    ):
+        features = manifold.geodesic_features(p, q, svals)
+        columns = [] if features is None else [part.compiled(features) for part in parts]
+        if columns and all(c is not None for c in columns):
+            if len(columns) == 1:
+                return columns[0].tolist()
+            centers, widths = columns
+            if (widths >= WIDTH_FLOOR).all():
+                return [
+                    Interval.from_center_width(c, max(w, 0.0))
+                    for c, w in zip(centers.tolist(), widths.tolist())
+                ]
+    return (f(pt) for pt in manifold.geodesic_points(p, q, svals))
 
 
 def lift_real(fn: RealFn) -> IvFn:

@@ -33,7 +33,6 @@ from enum import Enum
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .calculus import (
     DEFAULT_SCHEME,
@@ -42,7 +41,7 @@ from .calculus import (
     gh_dir_deriv,
     width_monotone_along,
 )
-from .convexity import DomainSampler, check_convex_at, check_cw_convex_at
+from .convexity import STRICT_MARGIN, DomainSampler, _worst_on_segments
 from .errors import ConfigError, InfeasibleCandidateError, ModeMismatchError
 from .functions import IvFn, RealFn
 from .interval import Interval, OrderOutcome, OrderRelation, ZERO, combine, compare, hausdorff, leq_min
@@ -57,6 +56,8 @@ SLACK_TOL = 1e-12
 DISTINCT_TOL = 1e-12
 CONST_TOL = 1e-9
 STRICT_SAMPLES = 32
+HYPOTHESIS_TARGETS = 16
+HYPOTHESIS_GRID = 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +160,17 @@ def direction_samples(
 
 def _center_fn(f: Fn) -> RealFn:
     return f.center if isinstance(f, IvFn) else f
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use.
+
+    Importing scipy.optimize costs most of ``import ivopt``, and only the
+    multiplier search needs it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _solve_multiplier_lp(df: np.ndarray, dg: np.ndarray) -> Optional[np.ndarray]:
@@ -368,20 +380,39 @@ def _convexity_hypotheses(
 ) -> List[HypothesisCheck]:
     """Convexity-at-candidate checks for the objective and active constraints.
 
-    Interval-valued functions are checked componentwise.  These are
+    Interval-valued functions are checked componentwise: the width only
+    when the center holds, as ``check_cw_convex_at`` does.  Every check
+    runs on the same segments from p0, to the targets ``check_convex_at``
+    draws with this seed; they are drawn once, on first use.  These are
     reported but do not gate the verdict: the worked scenarios require
     positive verdicts even where a sampled convexity check fails, so
     failures surface as warnings in the certificate instead.
     """
     dom = prob.feasible_sampler()
+    rng = np.random.default_rng(seed)
+    targets = []
+
+    def convex_at(fn: RealFn):
+        def segments():
+            for k in range(HYPOTHESIS_TARGETS):
+                if k == len(targets):
+                    targets.append(dom.draw_one(rng))
+                yield p0, targets[k]
+
+        return _worst_on_segments(
+            fn, segments(), HYPOTHESIS_GRID, False, STRICT_MARGIN, "geodesic"
+        )
+
     checks = []
     for fn, label in labelled:
         if isinstance(fn, IvFn):
-            report = check_cw_convex_at(fn, p0, dom, targets=16, grid=17, seed=seed)
+            report = convex_at(fn.center)
+            if report.holds():
+                report = convex_at(fn.width)
             if label == "objective":
                 label = "objective (componentwise)"
         else:
-            report = check_convex_at(fn, p0, dom, targets=16, grid=17, seed=seed)
+            report = convex_at(fn)
         detail = ""
         if not report.holds() and report.counterexample is not None:
             detail = f"violated at s={report.counterexample.s:.6g}"

@@ -13,6 +13,12 @@ every caller a fresh copy.  ``geodesic_points`` builds a whole parameter
 grid along one geodesic; on ``Spd`` it does each eigendecomposition of the
 geodesic formula once per segment and validates the grid as one stack,
 with the same checks and errors as ``Spd.point``.
+
+``geodesic_features`` is the array form of that grid: each feature as one
+float64 array over the grid, equal bit for bit to the features of the points
+``geodesic_points`` builds, with no ``Point`` built.  It returns None when
+any grid point would fail validation, so that a caller falls back to the
+points and meets the error where ``geodesic_point`` raises it.
 """
 
 from __future__ import annotations
@@ -150,6 +156,14 @@ class Manifold:
         for s in svals:
             yield self.geodesic_point(p, q, s)
 
+    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+        """Feature name -> array over a non-empty grid, or None if a point is invalid.
+
+        Entry j equals ``features`` of the j-th point of ``geodesic_points``.
+        Geometries without an array form return None.
+        """
+        return None
+
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         """Interpolation in ambient coordinates (straight-line mixing)."""
         raise NotImplementedError
@@ -228,6 +242,15 @@ class Euclidean(Manifold):
         self._check(q)
         return self.point((1.0 - s) * p.value + s * q.value)
 
+    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+        self._check(p)
+        self._check(q)
+        s = np.asarray(svals, dtype=float)[:, None]
+        coords = (1.0 - s) * p.value + s * q.value
+        if not np.isfinite(coords).all():
+            return None
+        return dict(zip(self.feature_names, coords.T))
+
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
 
@@ -295,6 +318,21 @@ class Circle(Manifold):
         self._check(p)
         self._check(q)
         return self.point((1.0 - s) * p.value + s * q.value)
+
+    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+        self._check(p)
+        self._check(q)
+        s = np.asarray(svals, dtype=float)
+        theta = (1.0 - s) * p.value + s * q.value
+        if not (
+            np.isfinite(theta).all()
+            and (theta >= -ANGLE_SLACK).all()
+            and (theta <= TWO_PI + ANGLE_SLACK).all()
+        ):
+            return None
+        # point's clamp min(max(theta, 0.0), TWO_PI), signed zeros included
+        theta = np.where(0.0 > theta, 0.0, theta)
+        return {"theta": np.where(TWO_PI < theta, TWO_PI, theta)}
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
@@ -397,6 +435,29 @@ class Spd(Manifold):
         """
         if len(svals) == 0:
             return
+        raw, sym, signs, logdets, traces = self._grid_stack(p, q, svals)
+        for value, sign, logdet, trace in zip(
+            sym, signs.tolist(), logdets.tolist(), traces.tolist()
+        ):
+            pt = Point(self, value)
+            if sign > 0:
+                object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
+            yield pt
+        for j in range(len(sym), len(raw)):
+            yield self.point(raw[j])
+
+    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+        """The stacked logdet and trace of ``geodesic_points``, or None when a
+        point fails validation or has a non-positive determinant sign."""
+        raw, sym, signs, logdets, traces = self._grid_stack(p, q, svals)
+        if len(sym) < len(raw) or not (signs > 0).all():
+            return None
+        return {"logdet": logdets, "trace": traces}
+
+    def _grid_stack(self, p: Point, q: Point, svals: Sequence[float]):
+        """The raw grid stack, its leading run that passes ``point``'s checks
+        (symmetrized, read-only), and that run's slogdet signs, logdets and
+        traces."""
         self._check(p)
         self._check(q)
         half, inv_half = self._roots(p)
@@ -415,16 +476,7 @@ class Spd(Manifold):
         sym = sym[:good]
         sym.setflags(write=False)
         signs, logdets = np.linalg.slogdet(sym)
-        traces = np.trace(sym, axis1=1, axis2=2)
-        for value, sign, logdet, trace in zip(
-            sym, signs.tolist(), logdets.tolist(), traces.tolist()
-        ):
-            pt = Point(self, value)
-            if sign > 0:
-                object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
-            yield pt
-        for j in range(good, len(raw)):
-            yield self.point(raw[j])
+        return raw, sym, signs, logdets, np.trace(sym, axis1=1, axis2=2)
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)

@@ -270,6 +270,22 @@ class TestDomainSampler:
         q = dom.draw_one(rng, apart_from=anchor, min_dist=0.25)
         assert abs(q.value - 0.5) >= 0.25
 
+    def test_zero_min_dist_computes_no_distance(self, monkeypatch):
+        calls = []
+        original = type(SPD2).distance
+
+        def spy(manifold, p, q):
+            calls.append((p, q))
+            return original(manifold, p, q)
+
+        monkeypatch.setattr(type(SPD2), "distance", spy)
+        anchor = SPD2.point(I2)
+        drawn = SPD_DOM.draw_one(np.random.default_rng(0), apart_from=anchor, min_dist=0.0)
+        assert calls == []
+        again = SPD_DOM.draw_one(np.random.default_rng(0), apart_from=anchor, min_dist=1e-8)
+        assert len(calls) == 1
+        assert np.array_equal(drawn.value, again.value)
+
     def test_restrict_narrows_membership_and_keeps_anchor(self):
         dom = circle_domain()
         dom = DomainSampler(dom.membership, dom.sample, anchor=CIRCLE.point(0.2))

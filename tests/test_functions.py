@@ -1,10 +1,12 @@
 """Real and interval-valued function wrappers and the builtin registry."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from ivopt import expr
 from ivopt.errors import (
     ConfigError,
     DomainError,
@@ -29,8 +31,10 @@ from ivopt.functions import (
     smooth_registry,
     two_branch_classify,
     two_branch_membership,
+    values_along,
 )
 from ivopt.interval import Interval
+from ivopt.manifolds import Circle, Euclidean, Spd
 
 I2 = np.eye(2)
 LN2 = math.log(2.0)
@@ -214,3 +218,139 @@ class TestRegistry:
         for name, fn in reg.items():
             p = fn.manifold.random_point(rng)
             assert math.isfinite(fn(p)), name
+
+
+# -- values_along: the array path against the point-by-point loop ---------
+
+PARITY_MANIFOLDS = (CIRCLE, EUCLIDEAN2, Euclidean(3), SPD2, Spd(3))
+
+
+def _random_expression(rng: random.Random, names: tuple, depth: int) -> str:
+    """Random text over the whole grammar; some of it leaves a domain."""
+    if depth == 0 or rng.random() < 0.25:
+        pick = rng.random()
+        if pick < 0.6:
+            return rng.choice(names)
+        if pick < 0.9:
+            return repr(round(rng.uniform(-3.0, 3.0), rng.choice((0, 1, 3))))
+        return rng.choice(("pi", "e"))
+    pick = rng.random()
+    sub = lambda: _random_expression(rng, names, depth - 1)
+    if pick < 0.45:
+        return f"({sub()} {rng.choice('+-*/')} {sub()})"
+    if pick < 0.6:
+        exponent = rng.choice(("2", "3", "0.5", "-1", None))
+        return f"({sub()})^{exponent or '(' + sub() + ')'}"
+    if pick < 0.9:
+        return f"{rng.choice(expr.FUNCTIONS)}({sub()})"
+    return f"-{sub()}"
+
+
+def _outcome(values):
+    """Bits of the values produced before any exception, and that exception."""
+    got = []
+    try:
+        for v in values:
+            parts = (v.lb, v.ub) if isinstance(v, Interval) else (v,)
+            got.append(tuple(float(x).hex() for x in parts))
+    except Exception as exc:  # the parity is on whatever the scalar path raises
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def _point_by_point(f, p, q, svals):
+    return (f(pt) for pt in p.manifold.geodesic_points(p, q, svals))
+
+
+class TestValuesAlong:
+    @pytest.mark.parametrize("manifold", PARITY_MANIFOLDS, ids=str)
+    def test_random_expressions_match_the_scalar_loop_bitwise(self, manifold):
+        rng = random.Random(str(manifold))
+        np_rng = np.random.default_rng(rng.randrange(2**31))
+        names = manifold.feature_names
+        array_path = 0
+        for _ in range(60):
+            f = RealFn.from_expression(_random_expression(rng, names, 4), manifold)
+            p, q = manifold.random_point(np_rng), manifold.random_point(np_rng)
+            svals = [j / 16 for j in range(17)]
+            want = _outcome(_point_by_point(f, p, q, svals))
+            assert _outcome(values_along(f, p, q, svals)) == want, f.name
+            if want[1] is None:
+                # every point evaluates, so the array path must not defer
+                assert f.compiled(manifold.geodesic_features(p, q, svals)) is not None, f.name
+                array_path += 1
+        assert array_path >= 20
+
+    @pytest.mark.parametrize("manifold", PARITY_MANIFOLDS, ids=str)
+    def test_interval_functions_match_the_scalar_loop(self, manifold):
+        rng = random.Random(str(manifold) + "iv")
+        np_rng = np.random.default_rng(rng.randrange(2**31))
+        names = manifold.feature_names
+        for _ in range(30):
+            center = _random_expression(rng, names, 3)
+            width = f"({_random_expression(rng, names, 2)})^2"
+            f = IvFn.from_expressions(center, width, manifold)
+            p, q = manifold.random_point(np_rng), manifold.random_point(np_rng)
+            svals = [j / 8 for j in range(1, 8)]
+            assert _outcome(values_along(f, p, q, svals)) == _outcome(
+                _point_by_point(f, p, q, svals)), f.name
+
+    # theta runs 0.5, 0.75, 1.0, 1.25, 1.5 on this grid
+    EDGE_P, EDGE_Q, EDGE_S = 0.5, 1.5, [j / 4 for j in range(5)]
+
+    @pytest.mark.parametrize("center, width, error, at", [
+        ("ln(1 - theta)", None, DomainError, 2),
+        ("sqrt(1 - theta)", None, DomainError, 3),
+        ("1/(theta - 1)", None, DomainError, 2),
+        ("(1 - theta)^0.5", None, DomainError, 3),
+        ("exp(-1/(theta - 1)^2)", None, DomainError, 2),
+        ("exp(1000*theta)", None, NonFiniteError, 1),
+        ("theta*1e308*1.5", None, NonFiniteError, 3),
+        ("sin(theta*1e308*1.5)", None, ValueError, 3),
+        ("theta", "1 - theta", NegativeWidthError, 3),
+    ])
+    def test_domain_edge_midway_raises_where_the_scalar_loop_does(
+            self, center, width, error, at):
+        if width is None:
+            f = RealFn.from_expression(center, CIRCLE)
+        else:
+            f = IvFn.from_expressions(center, width, CIRCLE)
+        p, q = CIRCLE.point(self.EDGE_P), CIRCLE.point(self.EDGE_Q)
+        want = _outcome(_point_by_point(f, p, q, self.EDGE_S))
+        assert want[1] is not None and want[1][0] is error and len(want[0]) == at
+        assert _outcome(values_along(f, p, q, self.EDGE_S)) == want
+
+    def test_a_caller_stopping_early_never_meets_a_later_failure(self):
+        f = RealFn.from_expression("ln(1 - theta)", CIRCLE)
+        values = values_along(f, CIRCLE.point(self.EDGE_P), CIRCLE.point(self.EDGE_Q),
+                              self.EDGE_S)
+        assert next(iter(values)) == math.log(0.5)
+
+    def test_opaque_callables_run_point_by_point(self, monkeypatch):
+        def no_arrays(*args):
+            raise AssertionError("an opaque function must not ask for feature arrays")
+
+        monkeypatch.setattr(Circle, "geodesic_features", no_arrays)
+        seen = []
+        opaque = RealFn(CIRCLE, lambda pt: seen.append(pt) or pt.value**2, name="opaque")
+        p, q = CIRCLE.point(0.5), CIRCLE.point(2.0)
+        svals = [j / 8 for j in range(9)]
+        assert list(values_along(opaque, p, q, svals)) == [
+            opaque(pt) for pt in CIRCLE.geodesic_points(p, q, svals)]
+        assert len(seen) == 2 * len(svals)
+        g = RealFn.from_expression("theta^2", CIRCLE)
+        for f in (linear_combination(1.0, g, 2.0, g), lift_real(g)):
+            assert _outcome(values_along(f, p, q, svals)) == _outcome(
+                _point_by_point(f, p, q, svals))
+
+    def test_builtins_run_point_by_point(self):
+        f = builtin_iv("two_branch_objective")
+        p, q = SPD2.point(I2), SPD2.point(np.diag([2.0, 2.0]))
+        svals = [j / 4 for j in range(5)]
+        assert f.center.compiled is None
+        assert _outcome(values_along(f, p, q, svals)) == _outcome(
+            _point_by_point(f, p, q, svals))
+
+    def test_empty_grid(self):
+        f = RealFn.from_expression("theta", CIRCLE)
+        assert list(values_along(f, CIRCLE.point(0.5), CIRCLE.point(1.0), [])) == []

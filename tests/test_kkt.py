@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ivopt import kkt
+from ivopt.convexity import DomainSampler
 from ivopt.errors import (
     ConfigError,
     InfeasibleCandidateError,
@@ -696,3 +697,22 @@ class TestOnePipeline:
         directions = direction_samples(prob, p0, 8, seed=3)
         picked = verify(prob, p0, mu, directions, mode=None, seed=3)
         assert picked.to_json() == verify(prob, p0, mu, directions, seed=3, **kwargs).to_json()
+
+    def test_hypotheses_draw_their_targets_once(self, monkeypatch):
+        # objective and one active constraint, both interval-valued and
+        # checked componentwise: 16 hypothesis targets plus 32 strictness
+        # points (four 16-target redraws plus 32 before the targets were shared)
+        verify, prob, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+        directions = direction_samples(prob, p0, 4, seed=3)
+        draws = []
+        original = DomainSampler.draw_one
+
+        def counting(sampler, *args, **kwargs):
+            draws.append(args)
+            return original(sampler, *args, **kwargs)
+
+        monkeypatch.setattr(DomainSampler, "draw_one", counting)
+        cert = verify(prob, p0, mu, directions, seed=3, **kwargs)
+        assert cert.active_set == (0,)
+        assert len(cert.hypothesis_report) == 2
+        assert len(draws) == 48

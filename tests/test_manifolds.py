@@ -267,6 +267,45 @@ class TestSpdGeodesicGrid:
             check_star_shaped(everything, p, targets=1, grid=9)
 
 
+class TestGeodesicFeatures:
+    @pytest.mark.parametrize("manifold", [S1, E2, Euclidean(3), SPD, Spd(3)], ids=str)
+    def test_arrays_match_grid_point_features_bitwise(self, manifold):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            p, q = manifold.random_point(rng), manifold.random_point(rng)
+            for svals in (_grid(2, False), _grid(9, True), _grid(33, False)):
+                arrays = manifold.geodesic_features(p, q, svals)
+                assert sorted(arrays) == sorted(manifold.feature_names)
+                for j, pt in enumerate(manifold.geodesic_points(p, q, svals)):
+                    for name, value in manifold.features(pt).items():
+                        assert float(arrays[name][j]).hex() == float(value).hex(), (name, j)
+
+    def test_circle_clamps_like_point_and_rejects_like_point(self):
+        p, q = S1.point(0.0), S1.point(TWO_PI)
+        svals = [-1e-11, 1.0 + 1e-11]  # inside ANGLE_SLACK of the chart ends
+        arrays = S1.geodesic_features(p, q, svals)
+        assert arrays["theta"].tolist() == [pt.value for pt in S1.geodesic_points(p, q, svals)]
+        assert arrays["theta"].tolist() == [0.0, TWO_PI]
+        assert S1.geodesic_features(p, q, [0.5, 1.5]) is None
+        with pytest.raises(DomainError):
+            S1.geodesic_point(p, q, 1.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_euclidean_non_finite_grid_point_gives_none(self):
+        p, q = E2.point([1e308, 0.0]), E2.point([-1e308, 0.0])
+        assert E2.geodesic_features(p, q, [0.0, 3.0]) is None
+        with pytest.raises(DomainError):
+            E2.geodesic_point(p, q, 3.0)
+
+    def test_spd_failing_grid_point_gives_none(self, monkeypatch):
+        grid = TestSpdGeodesicGrid()
+        p, q = SPD.point(grid.P_HALF), SPD.point(grid.Q_SKEW)
+        assert SPD.geodesic_features(p, q, grid.SVALS) is not None
+        grid._floor_between_points(monkeypatch)
+        assert SPD.geodesic_features(p, q, grid.SVALS) is None
+        assert SPD.geodesic_features(p, q, grid.SVALS[: grid.FAIL_AT]) is not None
+
+
 class TestFeatureMemo:
     @pytest.mark.parametrize(
         "manifold, raw",
