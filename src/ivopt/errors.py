@@ -26,7 +26,7 @@ class NegativeWidthError(IvoptError):
 
 
 class NotConvergedError(IvoptError):
-    """The extrapolated difference-quotient ladder did not settle within tolerance."""
+    """An iteration did not settle: the difference-quotient ladder, or LP simplex pivots."""
 
 
 class InfeasibleCandidateError(IvoptError):

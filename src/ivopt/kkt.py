@@ -24,13 +24,20 @@ objective; the same feasible points decide that choice and strictness.
 Verdicts are Optimal, StrictOptimal, or Inconclusive and are always
 relative to the recorded samples; the conditions are sufficient only, so
 no verdict ever asserts non-optimality.
+
+find_multipliers searches the multipliers with one small linear program
+over the sampled directions.  linprog solves it exactly without scipy: by
+vertex enumeration while the vertex count is small, with the same
+tie-break every time, else by a two-phase simplex with Bland's rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from itertools import combinations
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +49,7 @@ from .calculus import (
     width_monotone_along,
 )
 from .convexity import STRICT_MARGIN, DomainSampler, _worst_on_segments
-from .errors import ConfigError, InfeasibleCandidateError, ModeMismatchError
+from .errors import ConfigError, InfeasibleCandidateError, ModeMismatchError, NotConvergedError
 from .functions import IvFn, RealFn
 from .interval import Interval, OrderOutcome, OrderRelation, ZERO, combine, compare, hausdorff, leq_min
 from .manifolds import Manifold, Point, TangentDirection, exp_map, log_map, distance
@@ -58,6 +65,9 @@ CONST_TOL = 1e-9
 STRICT_SAMPLES = 32
 HYPOTHESIS_TARGETS = 16
 HYPOTHESIS_GRID = 17
+LP_VERTEX_CAP = 4096  # largest C(m + n, n) that linprog enumerates
+LP_FEAS_TOL = 1e-9  # row slack per unit of the row's term sizes
+LP_PIVOT_TOL = 1e-11  # smallest reduced cost and pivot the simplex acts on
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,35 +172,176 @@ def _center_fn(f: Fn) -> RealFn:
     return f.center if isinstance(f, IvFn) else f
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use.
+class LpResult(NamedTuple):
+    x: Optional[np.ndarray]
+    success: bool
 
-    Importing scipy.optimize costs most of ``import ivopt``, and only the
-    multiplier search needs it.
+
+def _feasible_rows(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Which rows x of X are finite, nonnegative and satisfy A x <= b.
+
+    Row k may exceed b_k by LP_FEAS_TOL times the size of its terms,
+    |b_k| + sum_j |A_kj x_j|: the rounding a solve leaves in a tight row.
     """
-    from scipy.optimize import linprog as scipy_linprog
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = np.abs(X[:, None, :] * A[None, :, :]).sum(axis=2) + np.abs(b)
+        ok = (X @ A.T - b <= LP_FEAS_TOL * terms).all(axis=1)
+    return ok & np.isfinite(X).all(axis=1) & (X >= 0.0).all(axis=1)
 
-    return scipy_linprog(*args, **kwargs)
+
+def _solve_stack(M: np.ndarray, rhs: np.ndarray):
+    """np.linalg.solve over a stack of k x k systems, and which were regular.
+
+    A system is singular when numpy's matrix_rank would call it rank
+    deficient (smallest singular value <= k * eps * largest): the solve of
+    a nearly singular one returns rounding noise of size 1/eps.
+    """
+    s = np.linalg.svd(M, compute_uv=False)
+    regular = s[:, -1] > s[:, 0] * M.shape[-1] * np.finfo(float).eps
+    sol = np.zeros(rhs.shape)
+    try:
+        sol[regular] = np.linalg.solve(M[regular], rhs[regular][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(regular):
+            try:
+                sol[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                regular[i] = False
+    return sol, regular
+
+
+def _best_vertex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """The optimal vertex of min c.x, A x <= b, x >= 0 by enumeration.
+
+    A vertex holds n of the m + n constraints tight: k rows of A and the
+    bounds of the n - k variables outside a k-subset, so each is one
+    k x k solve.  Among the feasible vertices the smallest c.x wins, then
+    the lexicographically smallest x.  Exact only when the LP is bounded.
+    """
+    m, n = A.shape
+    found = [np.zeros((1, n))]
+    for k in range(1, min(m, n) + 1):
+        rows = np.array(list(combinations(range(m), k)))
+        cols = np.array(list(combinations(range(n), k)))
+        r = np.repeat(rows, len(cols), axis=0)
+        j = np.tile(cols, (len(rows), 1))
+        sol, regular = _solve_stack(A[r[:, :, None], j[:, None, :]], b[r])
+        X = np.zeros((len(r), n))
+        np.put_along_axis(X, j, sol, axis=1)
+        found.append(X[regular])
+    X = np.concatenate(found)
+    X = X[_feasible_rows(A, b, X)]
+    if not len(X):
+        return None
+    return X[np.lexsort(tuple(X.T[::-1]) + (X @ c,))[0]]
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def _bland(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: int) -> bool:
+    """Pivot T to an optimal basis for cost with Bland's rule; False if unbounded.
+
+    The entering column is the lowest-indexed one (below allowed) with a
+    negative reduced cost, the leaving row the one with the lowest basic
+    index among the smallest ratios.  Bland's rule never revisits a basis,
+    so a repeat can only come from rounding and raises.
+    """
+    seen = set()
+    while True:
+        key = tuple(sorted(basis))
+        if key in seen:
+            raise NotConvergedError("multiplier LP: simplex pivots revisited a basis")
+        seen.add(key)
+        reduced = cost[:allowed] - cost[basis] @ T[:, :allowed]
+        entering = np.flatnonzero(reduced < -LP_PIVOT_TOL)
+        if not len(entering):
+            return True
+        col = entering[0]
+        rows = np.flatnonzero(T[:, col] > LP_PIVOT_TOL)
+        if not len(rows):
+            return False
+        ratios = T[rows, -1] / T[rows, col]
+        ties = rows[ratios <= ratios.min() + LP_PIVOT_TOL * (1.0 + abs(ratios.min()))]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], col)
+
+
+def _simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Dense two-phase tableau simplex for min c.x, A x <= b, x >= 0.
+
+    Columns are x, then one slack per row, then one artificial per row with
+    b_k < 0 (that row is negated so its right-hand side is nonnegative).
+    Phase 1 minimises the artificials; phase 2 never lets them enter.
+    Returns None when the LP is infeasible or unbounded.
+    """
+    m, n = A.shape
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    art = np.flatnonzero(b < 0.0)
+    width = n + m + len(art)
+    T = np.zeros((m, width + 1))
+    T[:, :n] = A * sign[:, None]
+    T[:, n:n + m] = np.diag(sign)
+    T[art, n + m + np.arange(len(art))] = 1.0
+    T[:, -1] = b * sign
+    basis = np.arange(n, n + m)
+    basis[art] = n + m + np.arange(len(art))
+    if len(art):
+        _bland(T, basis, np.repeat([0.0, 1.0], [n + m, len(art)]), width)
+        if T[basis >= n + m, -1].sum() > LP_FEAS_TOL * (1.0 + np.abs(b).sum()):
+            return None
+        for row in np.flatnonzero(basis >= n + m):
+            cols = np.flatnonzero(np.abs(T[row, :n + m]) > LP_PIVOT_TOL)
+            if len(cols):
+                _pivot(T, basis, row, cols[0])
+    if not _bland(T, basis, np.concatenate([c, np.zeros(m + len(art))]), n + m):
+        return None
+    x = np.zeros(width)
+    x[basis] = T[:, -1]
+    return np.maximum(x[:n], 0.0)
+
+
+def linprog(c, A_ub, b_ub) -> LpResult:
+    """Exact small LP: min c.x subject to A_ub x <= b_ub and x >= 0.
+
+    While C(m + n, n) <= LP_VERTEX_CAP and c >= 0 (so the LP is bounded),
+    every vertex is enumerated (_best_vertex) and ties are broken the same
+    way every time; otherwise a two-phase simplex with Bland's rule solves
+    it.  ``success`` is False exactly when no feasible x is found (or the
+    LP is unbounded), and then ``x`` is None.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    if math.comb(A.shape[0] + len(c), len(c)) <= LP_VERTEX_CAP and np.all(c >= 0.0):
+        x = _best_vertex(c, A, b)
+    else:
+        x = _simplex(c, A, b)
+        if x is not None and not _feasible_rows(A, b, x[None])[0]:
+            x = None
+    return LpResult(x, x is not None)
 
 
 def _solve_multiplier_lp(df: np.ndarray, dg: np.ndarray) -> Optional[np.ndarray]:
     """Smallest nonnegative mu with df_k + sum_j mu_j dg_kj >= -RESID_TOL for all k.
 
     df has one entry per direction; dg has one column per free multiplier.
-    Returns None when the system is infeasible over the sampled directions.
+    Returns None when the system is infeasible over the sampled directions,
+    and raises ValueError when free multipliers meet a non-finite df or dg.
     """
     df = np.asarray(df, dtype=float)
     dg = np.asarray(dg, dtype=float)
     n_free = dg.shape[1] if dg.ndim == 2 else 0
     if n_free == 0:
         return np.zeros(0) if np.all(df >= -RESID_TOL) else None
-    res = linprog(
-        c=np.ones(n_free),
-        A_ub=-dg,
-        b_ub=df + RESID_TOL,
-        bounds=[(0.0, None)] * n_free,
-        method="highs",
-    )
+    for name, value in (("df", df), ("dg", dg)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"multiplier LP: {name} must not contain inf or nan")
+    res = linprog(c=np.ones(n_free), A_ub=-dg, b_ub=df + RESID_TOL)
     return res.x if res.success else None
 
 
@@ -203,9 +354,10 @@ def find_multipliers(
 ) -> Optional[tuple]:
     """Feasible multipliers over the sampled directions, or None.
 
-    Only the center parts enter the linear program; the width tie-break of
-    the minimization order is re-checked by the verifiers.  Multipliers off
-    the active set are fixed at zero.
+    The free multipliers are the smallest-sum solution of one linear program
+    (_solve_multiplier_lp).  Only the center parts enter it; the width
+    tie-break of the minimization order is re-checked by the verifiers.
+    Multipliers off the active set are fixed at zero.
     """
     J = tuple(J)
     obj_c = _center_fn(prob.objective)

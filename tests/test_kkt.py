@@ -56,6 +56,12 @@ HALF_PI = math.pi / 2.0
 PSTAR = pstar_problem()
 PSTARSTAR = pstarstar_problem()
 
+# Every multiplier LP (inputs and HiGHS's answer) of kkt-flat find_multipliers
+# at seeds 1-3 and of run_repro for every scenario at seed 0, captured when
+# scipy's HiGHS solved them; floats are written by repr.
+PINNED_LPS = json.loads(
+    (Path(__file__).parent / "data" / "multiplier_lps.json").read_text(encoding="utf-8"))
+
 
 def pstar_directions(n=12, seed=0):
     return direction_samples(PSTAR.problem, PSTAR.candidate, n, seed=seed)
@@ -179,6 +185,26 @@ class TestMultiplierSearch:
     def test_lp_no_free_variables_feasible(self):
         out = _solve_multiplier_lp(np.array([0.0, 2.0]), np.zeros((2, 0)))
         assert out is not None and out.size == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_lp_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="df must not contain inf or nan"):
+            _solve_multiplier_lp(np.array([1.0, bad]), np.array([[1.0], [2.0]]))
+        with pytest.raises(ValueError, match="dg must not contain inf or nan"):
+            _solve_multiplier_lp(np.array([1.0, 2.0]), np.array([[1.0], [bad]]))
+        # without free multipliers no LP is solved and nothing raises
+        out = _solve_multiplier_lp(np.array([1.0, bad]), np.zeros((2, 0)))
+        assert (out is None) == (not bad >= 0.0)
+
+    def test_lp_reproduces_the_pinned_highs_answers(self):
+        assert len(PINNED_LPS) == 331
+        differ = []
+        for i, lp in enumerate(PINNED_LPS):
+            out = _solve_multiplier_lp(np.array(lp["df"]), np.array(lp["dg"]))
+            got = None if out is None else [float(v) for v in out]
+            if repr(got) != repr(lp["mu"]):
+                differ.append((i, lp["source"], got, lp["mu"]))
+        assert not differ
 
     def test_find_multipliers_half_arc(self):
         directions = pstar_directions()

@@ -1,10 +1,13 @@
 """The package namespace: what ``from ivopt import *`` exports."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ivopt
 
@@ -63,6 +66,47 @@ def test_import_and_order_leave_scipy_optimize_unloaded():
     assert "scipy.optimize" not in loaded
 
 
-def test_multiplier_search_imports_scipy_optimize_on_first_use():
-    assert "scipy.optimize" in _modules_after(
-        "from ivopt import kkt\nkkt._solve_multiplier_lp([1.0], [[1.0]])")
+# Pstar as a problem file: g1 and g2 are active at the candidate, so
+# check-kkt without --mu solves a multiplier LP with two free multipliers.
+P2_ACTIVE_CFG = {
+    "manifold": {"kind": "circle"},
+    "objective": {"real": "(theta - pi/2)^2"},
+    "constraints": [
+        {"real": "theta - pi/2"},
+        {"real": "exp(-(theta - pi/2)^2) - 1"},
+        {"real": "(2*theta/pi - 1) - (theta - pi/2)^2 - 1"},
+    ],
+    "candidate": {"theta": 1.5707963267948966},
+}
+
+# Runs the commands in one process and fails unless each exits 0 and
+# kkt.linprog solved the LPs with free multipliers.
+NO_SCIPY_RUN = """
+import contextlib, io, sys
+{block}
+from ivopt import kkt
+from ivopt.cli import main
+solved = []
+solve = kkt.linprog
+kkt.linprog = lambda *args, **kwargs: solved.append(1) or solve(*args, **kwargs)
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert len(solved) >= 2, solved  # check-kkt's search and Pstar's, at least
+"""
+
+
+@pytest.mark.parametrize("block", ["", 'sys.modules["scipy"] = None'],
+                         ids=["scipy-installed", "scipy-blocked"])
+def test_no_command_loads_scipy(block, tmp_path):
+    problem = tmp_path / "p2.json"
+    problem.write_text(json.dumps(P2_ACTIVE_CFG), encoding="utf-8")
+    commands = [
+        ["order", "[1,4]", "[2,3]"],
+        ["check-kkt", "--problem", str(problem), "--json"],
+        ["repro", "--all", "--json"],
+    ]
+    loaded = _modules_after(NO_SCIPY_RUN.format(block=block, commands=commands))
+    assert "ivopt.kkt" in loaded
+    # a blocked import leaves None under "scipy" in sys.modules
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == ({"scipy"} if block else set())
