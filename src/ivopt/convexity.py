@@ -6,13 +6,18 @@ either HoldsOnSamples or CounterexampleFound with a witness that
 re-evaluates to a violation.  Verdicts are statements about the samples,
 never proofs; strict verdicts additionally require a fixed margin at
 interior grid points.
+
+``DomainSampler.draw_one`` is the reference rejection sampler.  A sampler
+with a bulk proposer can also be drawn through ``ProposalStream``, which
+tests proposals a batch at a time and hands out exactly the points, and
+raises exactly the errors, of ``draw_one`` called in a loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .interval import (
     default_center_eps,
     gh_diff,
 )
-from .manifolds import Point, distance, log_map
+from .manifolds import Manifold, Point, distance, log_map
 
 STRICT_MARGIN = 1e-10
 EQ_TOL = 1e-9
@@ -38,14 +43,35 @@ Fn = Union[RealFn, IvFn]
 Value = Union[float, Interval]
 
 
+class Proposals(NamedTuple):
+    """k proposals of a bulk proposer, in the order ``sample`` draws them.
+
+    ``point(i)`` is the point the i-th call of ``sample`` would return.
+    ``member[i]`` is ``membership(point(i))`` and ``features`` holds each
+    feature as one array over the proposals.  Both are None when the batch
+    has no array form; its proposals are then tested point by point.
+    """
+
+    manifold: Manifold
+    features: Optional[dict]
+    member: Optional[np.ndarray]
+    point: Callable[[int], Point]
+
+
 @dataclass
 class DomainSampler:
-    """Membership predicate plus proposal sampler for a region of a manifold."""
+    """Membership predicate plus proposal sampler for a region of a manifold.
+
+    ``propose(rng, k)``, when set, draws k proposals at once from the same
+    generator stream as k calls of ``sample`` and returns them as
+    ``Proposals``; ``ProposalStream`` uses it to test a whole batch at once.
+    """
 
     membership: Callable[[Point], bool]
     sample: Callable[[np.random.Generator], Point]
     anchor: Optional[Point] = None
     name: str = ""
+    propose: Optional[Callable[[np.random.Generator, int], Proposals]] = None
 
     def draw_one(
         self,
@@ -66,7 +92,10 @@ class DomainSampler:
             ):
                 continue
             return candidate
-        raise SamplerExhaustedError(
+        raise self.exhausted(max_tries)
+
+    def exhausted(self, max_tries: int) -> SamplerExhaustedError:
+        return SamplerExhaustedError(
             f"sampler {self.name or '<anonymous>'} found no admissible point "
             f"in {max_tries} proposals"
         )
@@ -77,12 +106,124 @@ class DomainSampler:
     def restrict(self, extra: Callable[[Point], bool], name: str = "") -> "DomainSampler":
         base_membership = self.membership
         anchor = self.anchor if (self.anchor is not None and extra(self.anchor)) else None
+        # no bulk proposer: extra is an opaque predicate with no array form
         return DomainSampler(
             membership=lambda p: base_membership(p) and extra(p),
             sample=self.sample,
             anchor=anchor,
             name=name or (self.name + "|restricted"),
+            propose=None,
         )
+
+
+class ProposalStream:
+    """The points successive ``draw_one`` calls return, drawn in bulk.
+
+    Proposals come k at a time from the sampler's ``propose`` and are tested
+    as one batch; the accepted ones are handed out in draw order, and so are
+    the rejections that ``max_tries`` counts across batches, with ``min_dist``
+    checked by the scalar ``distance`` on each proposal that passed
+    membership.  A batch without an array form replays its own proposals
+    through ``membership``, so an exception is raised at the proposal that
+    raises it.  Points and errors are exactly those of ``draw_one`` in a loop
+    on the same generator, provided nothing else draws from it while the
+    stream lives; unused proposals are dropped with the stream.  A sampler
+    without ``propose`` is served by ``draw_one`` itself.  An exception ends
+    the stream.
+    """
+
+    def __init__(
+        self,
+        sampler: DomainSampler,
+        rng: np.random.Generator,
+        apart_from: Optional[Point] = None,
+        min_dist: float = 0.0,
+        max_tries: int = 1000,
+    ):
+        self.sampler, self.rng = sampler, rng
+        self.apart_from, self.min_dist, self.max_tries = apart_from, min_dist, max_tries
+        self._batch: Optional[Proposals] = None
+        self._size = 0
+        self._next = 0  # first proposal of the batch not yet examined
+        self._run = 0  # consecutive rejections since the last accepted point
+        self._pending: Optional[Exception] = None  # met after points were taken
+        self._proposed = self._accepted = 0
+
+    def points(self, n: int) -> list:
+        """The next n points."""
+        out = []
+        while len(out) < n:
+            out += self.take(n - len(out))[0]
+        return out
+
+    def take(self, m: int):
+        """(points, features): between 1 and m accepted points, in order.
+
+        ``features`` holds their features as arrays, or is None when they
+        were tested point by point.  Fewer than m points come back at the
+        end of a batch, or when the next point raises; the next call then
+        raises that exception.
+        """
+        if self._pending is not None:
+            raise self._pending
+        sampler = self.sampler
+        if sampler.propose is None:
+            q = sampler.draw_one(self.rng, self.max_tries, self.apart_from, self.min_dist)
+            return [q], None
+        points, rows = [], []
+        try:
+            while not points:
+                if self._next == self._size:
+                    self._refill(m)
+                self._scan(m, points, rows)
+        except Exception as exc:
+            if not points:
+                raise
+            self._pending = exc
+        self._accepted += len(points)
+        batch = self._batch
+        if batch.features is None:
+            return points, None
+        return points, {name: column[rows] for name, column in batch.features.items()}
+
+    def _refill(self, m: int) -> None:
+        # enough proposals for m acceptances at the rate seen so far
+        rate = (self._accepted + 1) / (self._proposed + 2)
+        k = min(max(int(1.25 * m / rate) + 8, 16), 4096)
+        self._batch = self.sampler.propose(self.rng, k)
+        self._size, self._next = k, 0
+        self._proposed += k
+
+    def _reject(self, count: int) -> None:
+        self._run += count
+        if self._run >= self.max_tries:
+            raise self.sampler.exhausted(self.max_tries)
+
+    def _scan(self, m: int, points: list, rows: list) -> None:
+        """Examine proposals of the batch in order until m points are taken."""
+        batch, start = self._batch, self._next
+        if batch.member is None:
+            candidates = range(start, self._size)
+        else:
+            candidates = (np.flatnonzero(batch.member[start:]) + start).tolist()
+        for i in candidates:
+            self._reject(i - self._next)  # the members test rejected these
+            self._next = i + 1
+            q = batch.point(i)
+            if (batch.member is None and not self.sampler.membership(q)) or (
+                self.min_dist > 0.0
+                and self.apart_from is not None
+                and distance(self.apart_from, q) < self.min_dist
+            ):
+                self._reject(1)
+                continue
+            self._run = 0
+            points.append(q)
+            rows.append(i)
+            if len(points) >= m:
+                return
+        self._reject(self._size - self._next)
+        self._next = self._size
 
 
 class Verdict(Enum):

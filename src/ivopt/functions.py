@@ -13,6 +13,8 @@ manifold's ``geodesic_features`` for the grid, then each compiled closure
 arrays, and a closure that defers all go point by point instead, so the
 values, and any exception with the grid point it is raised at, are those of
 evaluating the function at each point of ``geodesic_points``.
+``bounds_on`` is the same array pass over any batch of feature arrays, such
+as a batch of sampler proposals, with the endpoints as arrays.
 """
 
 from __future__ import annotations
@@ -134,24 +136,47 @@ def values_along(
     when the caller reaches the grid point that raises it.
     """
     manifold = p.manifold
-    parts = (f.center, f.width) if isinstance(f, IvFn) else (f,)
-    if (
-        len(svals) > 0
-        and all(part.compiled is not None for part in parts)
-        and f.manifold == manifold == q.manifold
-    ):
+    if len(svals) > 0 and has_array_form(f) and f.manifold == manifold == q.manifold:
         features = manifold.geodesic_features(p, q, svals)
-        columns = [] if features is None else [part.compiled(features) for part in parts]
-        if columns and all(c is not None for c in columns):
-            if len(columns) == 1:
-                return columns[0].tolist()
-            centers, widths = columns
-            if (widths >= WIDTH_FLOOR).all():
-                return [
-                    Interval.from_center_width(c, max(w, 0.0))
-                    for c, w in zip(centers.tolist(), widths.tolist())
-                ]
+        bounds = None if features is None else bounds_on(f, manifold, features)
+        if bounds is not None:
+            if isinstance(f, RealFn):
+                return bounds[0].tolist()
+            return [Interval(lb, ub) for lb, ub in zip(*(b.tolist() for b in bounds))]
     return (f(pt) for pt in manifold.geodesic_points(p, q, svals))
+
+
+def has_array_form(f: Union[RealFn, IvFn]) -> bool:
+    """Whether every component of f has an array form."""
+    if isinstance(f, IvFn):
+        return f.center.compiled is not None and f.width.compiled is not None
+    return f.compiled is not None
+
+
+def bounds_on(f: Union[RealFn, IvFn], manifold: Manifold, features: dict) -> Optional[tuple]:
+    """f over a batch of feature arrays of ``manifold`` points, as (lb, ub) arrays.
+
+    Entry j holds the endpoints of f at the j-th point bit for bit, a real
+    value v as [v, v].  None when f has no array form there: it lives on
+    another manifold, a component is not compiled or its closure defers, a
+    width is below WIDTH_FLOOR, or an endpoint is not finite; evaluating f
+    point by point then raises where it raises.
+    """
+    if f.manifold != manifold or not has_array_form(f):
+        return None
+    if isinstance(f, RealFn):
+        values = f.compiled(features)
+        return None if values is None else (values, values)
+    centers = f.center.compiled(features)
+    widths = None if centers is None else f.width.compiled(features)
+    if widths is None or not (widths >= WIDTH_FLOOR).all():
+        return None
+    # Interval.from_center_width(c, max(w, 0.0)), signed zeros included
+    half = np.where(0.0 > widths, 0.0, widths)
+    lb, ub = centers - half, centers + half
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+        return None
+    return lb, ub
 
 
 def lift_real(fn: RealFn) -> IvFn:

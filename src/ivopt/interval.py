@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class OrderRelation(Enum):
     MIN = "min"
@@ -175,6 +177,20 @@ def compare(
     if w1 > w2:
         return OrderOutcome.GREATER if rel is OrderRelation.MIN else OrderOutcome.LESS
     return OrderOutcome.EQUAL
+
+
+def compare_min_arrays(c1, w1, c2, w2, eps_c=None) -> tuple:
+    """``compare(t1, t2, MIN, eps_c)`` entry by entry over numpy arrays of
+    centers and halfwidths (t2's may be scalars): the LESS and GREATER
+    masks; every other entry is EQUAL.  The same float tests on the same
+    bits, so each entry is what ``compare`` returns for the intervals it
+    stands for."""
+    if eps_c is None:  # default_center_eps(c1, c2) entry by entry
+        eps_c = 1e-9 * np.maximum(np.maximum(1.0, np.abs(c1)), np.abs(c2))
+    less = c1 < c2 - eps_c
+    greater = ~less & (c2 < c1 - eps_c)
+    tied = ~(less | greater)
+    return less | (tied & (w1 < w2)), greater | (tied & (w1 > w2))
 
 
 def leq_min(t1: Interval, t2: Interval, eps_c: float | None = None) -> bool:

@@ -25,6 +25,14 @@ Verdicts are Optimal, StrictOptimal, or Inconclusive and are always
 relative to the recorded samples; the conditions are sufficient only, so
 no verdict ever asserts non-optimality.
 
+Feasible points (directions, strictness points, hypothesis targets and
+brute-force candidates) come from a ``ProposalStream`` over
+``Problem.feasible_sampler()``: proposals are drawn in bulk and a batch is
+tested with one compiled pass per constraint (``feasible_mask``), and
+``brute_force_improvement`` compares the objective on a batch's accepted
+points in one pass too.  An opaque or deferring function sends its batch
+point by point, so the points and errors are those of ``draw_one`` in a loop.
+
 find_multipliers searches the multipliers with one small linear program
 over the sampled directions.  linprog solves it exactly without scipy: by
 vertex enumeration while the vertex count is small, with the same
@@ -48,10 +56,26 @@ from .calculus import (
     gh_dir_deriv,
     width_monotone_along,
 )
-from .convexity import STRICT_MARGIN, DomainSampler, _worst_on_segments
+from .convexity import (
+    STRICT_MARGIN,
+    DomainSampler,
+    Proposals,
+    ProposalStream,
+    _worst_on_segments,
+)
 from .errors import ConfigError, InfeasibleCandidateError, ModeMismatchError, NotConvergedError
-from .functions import IvFn, RealFn
-from .interval import Interval, OrderOutcome, OrderRelation, ZERO, combine, compare, hausdorff, leq_min
+from .functions import IvFn, RealFn, bounds_on
+from .interval import (
+    ZERO,
+    Interval,
+    OrderOutcome,
+    OrderRelation,
+    combine,
+    compare,
+    compare_min_arrays,
+    hausdorff,
+    leq_min,
+)
 from .manifolds import Manifold, Point, TangentDirection, exp_map, log_map, distance
 
 Fn = Union[RealFn, IvFn]
@@ -121,15 +145,63 @@ class Problem:
         return out
 
     def feasible_sampler(self) -> DomainSampler:
-        anchor = self.domain.anchor
+        """The domain sampler restricted to feasible points.
+
+        With a bulk proposer on the domain, a batch's membership mask is the
+        domain's ANDed with ``feasible_mask``; a batch that has no mask goes
+        point by point through ``membership``.
+        """
+        domain = self.domain
+        anchor = domain.anchor
         if anchor is not None and not self.is_feasible(anchor):
             anchor = None
+        propose = None
+        if domain.propose is not None:
+
+            def propose(rng: np.random.Generator, k: int) -> Proposals:
+                batch = domain.propose(rng, k)
+                member = None if batch.member is None else self.feasible_mask(batch)
+                if member is None:
+                    return batch._replace(features=None, member=None)
+                return batch._replace(member=member)
+
         return DomainSampler(
-            membership=lambda p: self.domain.membership(p) and self.is_feasible(p),
-            sample=self.domain.sample,
+            membership=lambda p: domain.membership(p) and self.is_feasible(p),
+            sample=domain.sample,
             anchor=anchor,
             name=(self.name or "problem") + "|feasible",
+            propose=propose,
         )
+
+    def feasible_mask(self, batch: Proposals) -> Optional[np.ndarray]:
+        """``is_feasible`` on each domain member of a batch, False elsewhere.
+
+        One compiled pass per constraint over the members' features: a real
+        constraint holds where its value is not above FEAS_TOL, an interval
+        one where ``leq_min(value, ZERO)`` holds with the default center
+        tolerance.  None when some constraint has no array form there
+        (``bounds_on``), so that the batch goes point by point.
+        """
+        member = batch.member
+        if not (self.constraints and member.any()):
+            return member
+        features = batch.features
+        if not member.all():
+            features = {name: column[member] for name, column in features.items()}
+        ok = True
+        for g in self.constraints:
+            bounds = bounds_on(g, batch.manifold, features)
+            if bounds is None:
+                return None
+            lb, ub = bounds
+            if isinstance(g, IvFn):
+                _, greater = compare_min_arrays(0.5 * (lb + ub), 0.5 * (ub - lb), 0.0, 0.0)
+                ok = ok & ~greater
+            else:
+                ok = ok & ~(lb > FEAS_TOL)
+        out = member.copy()
+        out[member] = ok
+        return out
 
 
 def active_set(prob: Problem, p0: Point, tol: float = ACTIVE_TOL) -> tuple:
@@ -159,12 +231,12 @@ def direction_samples(
     min_dist: float = 1e-8,
 ) -> List[TangentDirection]:
     """Tangent directions from p0 toward n sampled distinct feasible points."""
-    rng = np.random.default_rng(seed)
-    sampler = prob.feasible_sampler()
+    stream = ProposalStream(
+        prob.feasible_sampler(), np.random.default_rng(seed), apart_from=p0, min_dist=min_dist
+    )
     out = []
-    for _ in range(n):
-        q = sampler.draw_one(rng, apart_from=p0, min_dist=min_dist)
-        out.append(log_map(p0, q))
+    while len(out) < n:
+        out += [log_map(p0, q) for q in stream.take(n - len(out))[0]]
     return out
 
 
@@ -331,16 +403,16 @@ def _solve_multiplier_lp(df: np.ndarray, dg: np.ndarray) -> Optional[np.ndarray]
 
     df has one entry per direction; dg has one column per free multiplier.
     Returns None when the system is infeasible over the sampled directions,
-    and raises ValueError when free multipliers meet a non-finite df or dg.
+    and raises ValueError on a non-finite df or dg.
     """
     df = np.asarray(df, dtype=float)
     dg = np.asarray(dg, dtype=float)
-    n_free = dg.shape[1] if dg.ndim == 2 else 0
-    if n_free == 0:
-        return np.zeros(0) if np.all(df >= -RESID_TOL) else None
     for name, value in (("df", df), ("dg", dg)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"multiplier LP: {name} must not contain inf or nan")
+    n_free = dg.shape[1] if dg.ndim == 2 else 0
+    if n_free == 0:
+        return np.zeros(0) if np.all(df >= -RESID_TOL) else None
     res = linprog(c=np.ones(n_free), A_ub=-dg, b_ub=df + RESID_TOL)
     return res.x if res.success else None
 
@@ -509,8 +581,7 @@ def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
 
 
 def _feasible_points(prob: Problem, p0: Point, n: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    return prob.feasible_sampler().draw(rng, n)
+    return ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed)).points(n)
 
 
 def _pairwise_distinct(values, tol: float = DISTINCT_TOL) -> bool:
@@ -540,15 +611,14 @@ def _convexity_hypotheses(
     positive verdicts even where a sampled convexity check fails, so
     failures surface as warnings in the certificate instead.
     """
-    dom = prob.feasible_sampler()
-    rng = np.random.default_rng(seed)
+    stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed))
     targets = []
 
     def convex_at(fn: RealFn):
         def segments():
             for k in range(HYPOTHESIS_TARGETS):
                 if k == len(targets):
-                    targets.append(dom.draw_one(rng))
+                    targets.extend(stream.take(HYPOTHESIS_TARGETS - k)[0])
                 yield p0, targets[k]
 
         return _worst_on_segments(
@@ -825,19 +895,33 @@ def brute_force_improvement(
     strict=True any distinct point tying the candidate value also counts,
     matching what a strict-optimality claim rules out.
     """
-    rng = np.random.default_rng(seed)
-    sampler = prob.feasible_sampler()
-    v0 = prob.objective(p0)
-    if not isinstance(v0, Interval):
-        v0 = Interval.point(v0)
-    for _ in range(n):
-        q = sampler.draw_one(rng)
-        value = prob.objective(q)
-        if not isinstance(value, Interval):
-            value = Interval.point(value)
-        outcome = compare(value, v0, OrderRelation.MIN, eps_c=0.0)
-        if outcome is OrderOutcome.LESS:
-            return q
-        if strict and outcome is OrderOutcome.EQUAL and distance(p0, q) > 1e-8:
-            return q
+    stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed))
+    v0 = _as_interval(prob.objective(p0))
+    drawn = 0
+    while drawn < n:
+        points, features = stream.take(n - drawn)
+        drawn += len(points)
+        bounds = None
+        if features is not None:
+            bounds = bounds_on(prob.objective, points[0].manifold, features)
+        if bounds is None:
+            for q in points:
+                outcome = compare(_as_interval(prob.objective(q)), v0, OrderRelation.MIN, 0.0)
+                if outcome is OrderOutcome.LESS or (
+                    strict and outcome is OrderOutcome.EQUAL and distance(p0, q) > 1e-8
+                ):
+                    return q
+            continue
+        lb, ub = bounds
+        less, greater = compare_min_arrays(
+            0.5 * (lb + ub), 0.5 * (ub - lb), v0.center, v0.halfwidth, 0.0
+        )
+        # the first LESS, or with strict the first EQUAL at a distinct point
+        for j in np.flatnonzero(less | (strict & ~greater)).tolist():
+            if less[j] or distance(p0, points[j]) > 1e-8:
+                return points[j]
     return None
+
+
+def _as_interval(value: Union[float, Interval]) -> Interval:
+    return value if isinstance(value, Interval) else Interval.point(value)

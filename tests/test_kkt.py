@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ivopt import kkt
-from ivopt.convexity import DomainSampler
+from ivopt.convexity import ProposalStream
 from ivopt.errors import (
     ConfigError,
     InfeasibleCandidateError,
@@ -192,9 +192,9 @@ class TestMultiplierSearch:
             _solve_multiplier_lp(np.array([1.0, bad]), np.array([[1.0], [2.0]]))
         with pytest.raises(ValueError, match="dg must not contain inf or nan"):
             _solve_multiplier_lp(np.array([1.0, 2.0]), np.array([[1.0], [bad]]))
-        # without free multipliers no LP is solved and nothing raises
-        out = _solve_multiplier_lp(np.array([1.0, bad]), np.zeros((2, 0)))
-        assert (out is None) == (not bad >= 0.0)
+        # without free multipliers no LP is solved, and the input is still checked
+        with pytest.raises(ValueError, match="df must not contain inf or nan"):
+            _solve_multiplier_lp(np.array([1.0, bad]), np.zeros((2, 0)))
 
     def test_lp_reproduces_the_pinned_highs_answers(self):
         assert len(PINNED_LPS) == 331
@@ -727,17 +727,19 @@ class TestOnePipeline:
     def test_hypotheses_draw_their_targets_once(self, monkeypatch):
         # objective and one active constraint, both interval-valued and
         # checked componentwise: 16 hypothesis targets plus 32 strictness
-        # points (four 16-target redraws plus 32 before the targets were shared)
+        # points (four 16-target redraws plus 32 before the targets were shared),
+        # counted as the points the proposal streams hand out
         verify, prob, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
         directions = direction_samples(prob, p0, 4, seed=3)
         draws = []
-        original = DomainSampler.draw_one
+        original = ProposalStream.take
 
-        def counting(sampler, *args, **kwargs):
-            draws.append(args)
-            return original(sampler, *args, **kwargs)
+        def counting(stream, m):
+            points, features = original(stream, m)
+            draws.extend(points)
+            return points, features
 
-        monkeypatch.setattr(DomainSampler, "draw_one", counting)
+        monkeypatch.setattr(ProposalStream, "take", counting)
         cert = verify(prob, p0, mu, directions, seed=3, **kwargs)
         assert cert.active_set == (0,)
         assert len(cert.hypothesis_report) == 2
