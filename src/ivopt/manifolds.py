@@ -33,14 +33,6 @@ from .errors import DomainError, ManifoldMismatchError, NonPositiveDefiniteError
 
 SYM_TOL = 1e-8
 EIG_FLOOR = 1e-12
-# Spd.random_point rebuilds vecs * exp(vals) @ vecs.T from eigh.  The
-# eigenvalues eigvalsh then returns differ from exp(vals) by a small multiple
-# of n^2 * eps * max(exp(vals)): the product rounds each entry by about n eps,
-# eigh's vectors are orthogonal to about n eps, and eigvalsh's backward error
-# is about n eps of the norm.  RANDOM_EIG_MARGIN * n^2 * max(exp(vals)) bounds
-# that difference with room to spare: over 60,000 draws on Spd(1..6) the
-# largest seen was under eps * n^2 * max(exp(vals)).
-RANDOM_EIG_MARGIN = 64 * np.finfo(float).eps
 ANGLE_SLACK = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -535,22 +527,8 @@ class Spd(Manifold):
         return dict(p._features)
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
-        """``point(sym_exp(0.5 * (raw + raw.T)))`` for a normal raw matrix.
-
-        The eigenvalues of the result are exp(vals) up to rounding.  When
-        the smallest clears EIG_FLOOR by more than RANDOM_EIG_MARGIN times
-        the largest, ``point``'s eigvalsh check must pass and is skipped;
-        the finiteness and symmetry checks and the symmetrize still run, so
-        the stored bits are ``point``'s.  Otherwise ``point`` checks it all.
-        """
         raw = rng.normal(0.0, scale, size=(self.dim, self.dim))
-        vals, vecs = np.linalg.eigh(symmetrize(0.5 * (raw + raw.T)))
-        exps = np.exp(vals)
-        mat = (vecs * exps) @ vecs.T
-        margin = RANDOM_EIG_MARGIN * self.dim**2 * exps.max()
-        if np.isfinite(mat).all() and exps.min() > EIG_FLOOR + margin:
-            return Point(self, _readonly(symmetrize(mat)))
-        return self.point(mat)
+        return self.point(sym_exp(0.5 * (raw + raw.T)))
 
     def point_to_json(self, p: Point):
         return [[float(v) for v in row] for row in p.value]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ivopt import kkt
-from ivopt.convexity import ProposalStream
+from ivopt.convexity import DomainSampler, ProposalStream
 from ivopt.errors import (
     ConfigError,
     InfeasibleCandidateError,
@@ -728,18 +728,30 @@ class TestOnePipeline:
         # objective and one active constraint, both interval-valued and
         # checked componentwise: 16 hypothesis targets plus 32 strictness
         # points (four 16-target redraws plus 32 before the targets were shared),
-        # counted as the points the proposal streams hand out
+        # counted as the points the proposal streams hand out plus any
+        # draw_one call made outside a stream
         verify, prob, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
         directions = direction_samples(prob, p0, 4, seed=3)
-        draws = []
-        original = ProposalStream.take
+        draws, in_stream = [], []
+        take, draw_one = ProposalStream.take, DomainSampler.draw_one
 
-        def counting(stream, m):
-            points, features = original(stream, m)
+        def counting_take(stream, m):
+            in_stream.append(True)
+            try:
+                points, features = take(stream, m)
+            finally:
+                in_stream.pop()
             draws.extend(points)
             return points, features
 
-        monkeypatch.setattr(ProposalStream, "take", counting)
+        def counting_draw_one(sampler, *args, **kwargs):
+            q = draw_one(sampler, *args, **kwargs)
+            if not in_stream:
+                draws.append(q)
+            return q
+
+        monkeypatch.setattr(ProposalStream, "take", counting_take)
+        monkeypatch.setattr(DomainSampler, "draw_one", counting_draw_one)
         cert = verify(prob, p0, mu, directions, seed=3, **kwargs)
         assert cert.active_set == (0,)
         assert len(cert.hypothesis_report) == 2

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ivopt.convexity import DomainSampler, ProposalStream
-from ivopt.errors import NonPositiveDefiniteError
 from ivopt.functions import CIRCLE, IvFn, RealFn, lift_real
 from ivopt.kkt import (
     Problem,
@@ -22,8 +21,8 @@ from ivopt.kkt import (
     direction_samples,
     reduce_p4,
 )
-from ivopt.manifolds import Euclidean, Spd, sym_exp
-from ivopt.problems import build_problem, circle_domain, euclidean_box_domain, spd_domain
+from ivopt.manifolds import Euclidean
+from ivopt.problems import build_problem, circle_domain, euclidean_box_domain
 
 
 def scalar_only(prob: Problem) -> Problem:
@@ -389,38 +388,3 @@ def test_restricted_sampler_draws_point_by_point(monkeypatch):
     points, features = ProposalStream(level, np.random.default_rng(0)).take(5)
     assert features is None and len(points) == 1 and len(calls) == 1
     assert points[0].value[0] <= -1.0
-
-
-# -- Spd.random_point -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_spd_draws_equal_point_of_sym_exp(dim, monkeypatch):
-    manifold = Spd(dim)
-    dom = spd_domain(manifold)
-    expected = []
-    for seed in range(300):
-        raw = np.random.default_rng(seed).normal(0.0, 0.7, size=(dim, dim))
-        expected.append(manifold.point(sym_exp(0.5 * (raw + raw.T))).value.tobytes())
-    eigvalsh = []
-    original = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: eigvalsh.append(a) or original(*a))
-    got = [dom.sample(np.random.default_rng(seed)) for seed in range(300)]
-    assert [q.value.tobytes() for q in got] == expected
-    assert not any(q.value.flags.writeable for q in got)
-    assert eigvalsh == []  # the stated bound let every draw skip point's check
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_spd_draw_errors_match_point(dim):
-    manifold = Spd(dim)
-    seen = set()
-    for scale in (8.0, 12.0, 20.0, 400.0):
-        for seed in range(60):
-            raw = np.random.default_rng(seed).normal(0.0, scale, size=(dim, dim))
-            with np.errstate(over="ignore"):  # exp overflows at scale 400
-                want = outcome(lambda: manifold.point(sym_exp(0.5 * (raw + raw.T))))
-                got = outcome(lambda: manifold.random_point(np.random.default_rng(seed), scale))
-            assert got == want
-            seen.add(got[1] if got[0] == "raised" else "ok")
-    assert {"ok", "DomainError", NonPositiveDefiniteError.__name__} <= seen
