@@ -93,6 +93,8 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_check_convexity(args) -> int:
+    if args.at is not None and args.path == "chord":
+        raise ConfigError("--at checks geodesics from the point only; drop --path chord")
     loaded = load_problem(args.problem)
     prob = loaded.problem
     seed = _resolve_seed(args.seed, loaded.seed)
@@ -279,7 +281,7 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--strict", action="store_true",
                         help="require a strict margin at interior grid points")
     p_conv.add_argument("--path", choices=["geodesic", "chord"], default="geodesic",
-                        help="mix along geodesics or straight chords")
+                        help="mix along geodesics or straight chords (not with --at)")
     p_conv.add_argument("--seed", type=int, default=None, help="sampling seed")
     p_conv.add_argument("--json", action="store_true", help="emit a JSON report")
     p_conv.set_defaults(handler=_cmd_check_convexity)

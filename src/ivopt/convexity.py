@@ -7,6 +7,13 @@ re-evaluates to a violation.  Verdicts are statements about the samples,
 never proofs; strict verdicts additionally require a fixed margin at
 interior grid points.
 
+Every check on function values runs on one segment loop,
+``_worst_on_segments``: it takes each segment's path values as (lb, ub)
+arrays, judges them with one array test, ``_violations``, that holds the
+non-strict, strict and affine measures, and rebuilds the witness from the
+winning grid index.  ``check_star_shaped`` tests membership, not values,
+and keeps its own loop.
+
 ``DomainSampler.draw_one`` is the reference rejection sampler.  A sampler
 with a bulk proposer can also be drawn through ``ProposalStream``, which
 tests proposals a batch at a time and hands out exactly the points, and
@@ -23,16 +30,8 @@ import numpy as np
 
 from .calculus import DEFAULT_SCHEME, DerivScheme, dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
-from .functions import IvFn, RealFn, values_along
-from .interval import (
-    Interval,
-    OrderOutcome,
-    OrderRelation,
-    combine,
-    compare,
-    default_center_eps,
-    gh_diff,
-)
+from .functions import IvFn, RealFn, bounds_along
+from .interval import Interval, compare_min_arrays, gh_diff
 from .manifolds import Manifold, Point, distance, log_map
 
 STRICT_MARGIN = 1e-10
@@ -281,50 +280,6 @@ class ConvexityReport:
         }
 
 
-def _is_interval_fn(f: Fn) -> bool:
-    return isinstance(f, IvFn)
-
-
-def _mix(f: Fn, vp: Value, vq: Value, s: float) -> Value:
-    if isinstance(vp, Interval):
-        return combine(1.0 - s, vp, s, vq)
-    return (1.0 - s) * vp + s * vq
-
-
-def _nonstrict_violation(lhs: Value, rhs: Value) -> Optional[float]:
-    """Severity of a violation of lhs <= rhs, or None when it holds.
-
-    Violations whose magnitude stays below the STRICT_MARGIN floor are
-    treated as numerical ties, not counterexamples.
-    """
-    if isinstance(lhs, Interval):
-        outcome = compare(lhs, rhs, OrderRelation.MIN)
-        if outcome is not OrderOutcome.GREATER:
-            return None
-        dc = lhs.center - rhs.center
-        if abs(dc) > default_center_eps(lhs.center, rhs.center):
-            return dc
-        gap = lhs.halfwidth - rhs.halfwidth
-        return gap if gap > STRICT_MARGIN else None
-    gap = lhs - rhs
-    tol = EQ_TOL * max(1.0, abs(rhs))
-    return gap if gap > tol else None
-
-
-def _strict_violation(lhs: Value, rhs: Value, margin: float) -> Optional[float]:
-    """Severity of a failure of lhs < rhs with the given margin."""
-    if isinstance(lhs, Interval):
-        tie = max(margin, default_center_eps(lhs.center, rhs.center))
-        dc = rhs.center - lhs.center
-        if dc > tie:
-            return None
-        if abs(dc) <= tie and rhs.halfwidth - lhs.halfwidth > margin:
-            return None
-        return margin - min(dc, rhs.halfwidth - lhs.halfwidth)
-    gap = rhs - lhs
-    return None if gap > margin else margin - gap
-
-
 def _grid_values(grid: int, interior: bool):
     if grid < 2:
         raise ValueError("grid must contain at least two points")
@@ -332,33 +287,75 @@ def _grid_values(grid: int, interior: bool):
     return [j / (grid - 1) for j in range(first, last)]
 
 
-def _segment_check(
-    f: Fn,
-    p: Point,
-    q: Point,
-    grid: int,
-    strict: bool,
-    margin: float,
-    path: str,
-) -> list:
-    """Return (severity, s, lhs, rhs) violations along one segment."""
-    vp, vq = f(p), f(q)
-    svals = _grid_values(grid, interior=strict)
-    if path == "chord":
-        values = (f(p.manifold.chord_point(p, q, s)) for s in svals)
+def _bounds(v: Value) -> tuple:
+    """(lb, ub) of a value, a real v as (v, v)."""
+    return (v.lb, v.ub) if isinstance(v, Interval) else (v, v)
+
+
+def _path_bounds(f: Fn, p: Point, q: Point, svals: list, path: str) -> tuple:
+    """f on the path from p to q at svals as (lb, ub) arrays: one array pass on
+    geodesics where f has one, else point by point, raising at its point."""
+    bounds = bounds_along(f, p, q, svals) if path == "geodesic" else None
+    if bounds is not None:
+        return bounds
+    manifold = p.manifold
+    if path == "geodesic":
+        points = manifold.geodesic_points(p, q, svals)
     else:
-        values = values_along(f, p, q, svals)
-    out = []
-    for s, lhs in zip(svals, values):
-        rhs = _mix(f, vp, vq, s)
-        severity = (
-            _strict_violation(lhs, rhs, margin)
-            if strict
-            else _nonstrict_violation(lhs, rhs)
-        )
-        if severity is not None:
-            out.append((severity, s, lhs, rhs))
-    return out
+        points = (manifold.chord_point(p, q, s) for s in svals)
+    lb, ub = np.empty(len(svals)), np.empty(len(svals))
+    for j, pt in enumerate(points):
+        lb[j], ub[j] = _bounds(f(pt))
+    return lb, ub
+
+
+def _violations(kind: str, bound: float, interval: bool, lhs: tuple, rhs: tuple):
+    """(failing mask, severity) of lhs against rhs at each grid point, for the
+    measure ``kind``: "convex" (lhs above rhs: reals beyond EQ_TOL * max(1,
+    |rhs|), intervals in the min order with width gaps up to STRICT_MARGIN
+    as ties), "strict" (lhs not below rhs by ``bound``) or "affine" (an
+    endpoint gap above ``bound``).  A mask is the complement of the holding
+    condition, so a NaN severity (an overflowing center) fails as it does
+    in scalar code."""
+    (llb, lub), (rlb, rub) = lhs, rhs
+    if kind == "affine":
+        gap, ugap = np.abs(llb - rlb), np.abs(lub - rub)
+        gap = np.where(ugap > gap, ugap, gap)
+        return gap > bound, gap
+    if not interval:
+        if kind == "strict":
+            gap = rlb - llb
+            return ~(gap > bound), bound - gap
+        gap = llb - rlb
+        return gap > EQ_TOL * np.maximum(1.0, np.abs(rlb)), gap
+    lc, rc = 0.5 * (llb + lub), 0.5 * (rlb + rub)
+    lw, rw = 0.5 * (lub - llb), 0.5 * (rub - rlb)
+    eps = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lc)), np.abs(rc))  # default_center_eps
+    if kind == "strict":
+        tie = np.maximum(bound, eps)
+        dc, dw = rc - lc, rw - lw
+        holds = (dc > tie) | ((np.abs(dc) <= tie) & (dw > bound))
+        return ~holds, bound - np.where(dw < dc, dw, dc)
+    greater = compare_min_arrays(lc, lw, rc, rw, eps)[1]
+    dc, dw = lc - rc, lw - rw
+    by_center = np.abs(dc) > eps
+    return greater & (by_center | (dw > STRICT_MARGIN)), np.where(by_center, dc, dw)
+
+
+def _replacing(worst, fail: np.ndarray, severity: np.ndarray) -> Optional[int]:
+    """The failing grid index that a scan in grid order makes the witness, or
+    None: with no witness yet the first failure is taken, and a later one
+    replaces it only if strictly more severe, so a NaN severity never
+    replaces a witness and is never replaced."""
+    idx = np.flatnonzero(fail)
+    if idx.size == 0:
+        return None
+    sev = severity[idx]
+    nan = np.isnan(sev)
+    top = int(np.argmax(np.where(nan, -np.inf, sev)))
+    if worst is None:
+        return int(idx[0] if nan[0] else idx[top])
+    return int(idx[top]) if sev[top] > worst[0] else None
 
 
 def _report(worst, used: int, skipped: int = 0) -> ConvexityReport:
@@ -368,18 +365,43 @@ def _report(worst, used: int, skipped: int = 0) -> ConvexityReport:
     return ConvexityReport(Verdict.COUNTEREXAMPLE, worst[1], used, skipped)
 
 
-def _worst_on_segments(
-    f: Fn, segments, grid: int, strict: bool, margin: float, path: str
-) -> ConvexityReport:
-    """Worst convexity violation over (p, q) segments, drawn lazily in order."""
-    worst = None
-    used = 0
+def _worst_on_segments(f: Fn, segments, grid: int, kind: str = "convex",
+                       bound: float = STRICT_MARGIN, path: str = "geodesic") -> ConvexityReport:
+    """Worst violation of the measure ``kind`` (see ``_violations``) over
+    (p, q) segments, drawn lazily in order; "strict" skips the grid's ends.
+    Segments in a row that share their base point evaluate f there once."""
+    interval = isinstance(f, IvFn)
+    worst, used, base, svals = None, 0, None, None
     for p, q in segments:
         used += 1
-        for severity, s, lhs, rhs in _segment_check(f, p, q, grid, strict, margin, path):
-            if worst is None or severity > worst[0]:
-                worst = (severity, Counterexample(p, q, s, lhs, rhs))
+        if base is None or base[0] is not p:
+            base = (p, f(p))
+        vp, vq = base[1], f(q)
+        if svals is None:
+            svals = _grid_values(grid, interior=kind == "strict")
+            s = np.array(svals)
+        lhs = _path_bounds(f, p, q, svals, path)
+        (plb, pub), (qlb, qub) = _bounds(vp), _bounds(vq)
+        with np.errstate(all="ignore"):
+            rlb = (1.0 - s) * plb + s * qlb
+            rhs = (rlb, (1.0 - s) * pub + s * qub) if interval else (rlb, rlb)
+            fail, severity = _violations(kind, bound, interval, lhs, rhs)
+        j = _replacing(worst, fail, severity)
+        if j is not None:
+            if interval:
+                lhs_j, rhs_j = Interval(lhs[0][j], lhs[1][j]), Interval(rhs[0][j], rhs[1][j])
+            else:
+                lhs_j, rhs_j = float(lhs[0][j]), float(rhs[0][j])
+            worst = (float(severity[j]), Counterexample(p, q, svals[j], lhs_j, rhs_j))
     return _report(worst, used)
+
+
+def _drawn_pairs(dom: DomainSampler, pairs: int, seed: int, min_dist: float):
+    """``pairs`` sampled (p, q) pairs, q at least ``min_dist`` from p."""
+    rng = np.random.default_rng(seed)
+    for _ in range(pairs):
+        p = dom.draw_one(rng)
+        yield p, dom.draw_one(rng, apart_from=p, min_dist=min_dist)
 
 
 def check_convex(
@@ -399,14 +421,8 @@ def check_convex(
     """
     if path not in ("geodesic", "chord"):
         raise ValueError(f"unknown path kind {path!r}")
-    rng = np.random.default_rng(seed)
-
-    def drawn_pairs():
-        for _ in range(pairs):
-            p = dom.draw_one(rng)
-            yield p, dom.draw_one(rng, apart_from=p, min_dist=1e-8 if strict else 0.0)
-
-    return _worst_on_segments(f, drawn_pairs(), grid, strict, margin, path)
+    segments = _drawn_pairs(dom, pairs, seed, 1e-8 if strict else 0.0)
+    return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", margin, path)
 
 
 def check_convex_at(
@@ -425,7 +441,7 @@ def check_convex_at(
         (p0, dom.draw_one(rng, apart_from=p0, min_dist=1e-8 if strict else 0.0))
         for _ in range(targets)
     )
-    return _worst_on_segments(f, segments, grid, strict, margin, "geodesic")
+    return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", margin)
 
 
 def check_cw_convex_at(
@@ -455,24 +471,7 @@ def check_affine(
     tol: float = EQ_TOL,
 ) -> ConvexityReport:
     """Test equality between path values and mixed endpoint values."""
-    rng = np.random.default_rng(seed)
-    worst = None
-    used = 0
-    for _ in range(pairs):
-        p = dom.draw_one(rng)
-        q = dom.draw_one(rng)
-        vp, vq = f(p), f(q)
-        used += 1
-        svals = _grid_values(grid, interior=False)
-        for s, lhs in zip(svals, values_along(f, p, q, svals)):
-            rhs = _mix(f, vp, vq, s)
-            if isinstance(lhs, Interval):
-                gap = max(abs(lhs.lb - rhs.lb), abs(lhs.ub - rhs.ub))
-            else:
-                gap = abs(lhs - rhs)
-            if gap > tol and (worst is None or gap > worst[0]):
-                worst = (gap, Counterexample(p, q, s, lhs, rhs))
-    return _report(worst, used)
+    return _worst_on_segments(f, _drawn_pairs(dom, pairs, seed, 0.0), grid, "affine", tol)
 
 
 def check_star_shaped(
@@ -541,7 +540,7 @@ def check_gradient_inequality(
     for _ in range(targets):
         q = dom.draw_one(rng, apart_from=p0, min_dist=1e-8)
         x = log_map(p0, q)
-        if _is_interval_fn(f):
+        if isinstance(f, IvFn):
             if not width_monotone_along(f, p0.manifold.geodesic(p0, q)):
                 skipped += 1
                 continue
@@ -603,7 +602,7 @@ def check_local_min(
     """
     rng = np.random.default_rng(seed)
     cw_report = None
-    if _is_interval_fn(f):
+    if isinstance(f, IvFn):
         cw_report = check_cw_convex_at(f, p0, dom, targets=min(targets, 16), seed=seed)
     else:
         cw_report = check_convex_at(f, p0, dom, targets=min(targets, 16), seed=seed)
@@ -612,7 +611,7 @@ def check_local_min(
         q = dom.draw_one(rng, apart_from=p0, min_dist=1e-8)
         x = log_map(p0, q)
         used += 1
-        if _is_interval_fn(f):
+        if isinstance(f, IvFn):
             deriv = gh_dir_deriv(f, p0, x, scheme)
             if deriv.center_part < -DERIV_EPS:
                 return LocalMinReport(

@@ -13,6 +13,7 @@ manifold's ``geodesic_features`` for the grid, then each compiled closure
 arrays, and a closure that defers all go point by point instead, so the
 values, and any exception with the grid point it is raised at, are those of
 evaluating the function at each point of ``geodesic_points``.
+``bounds_along`` is that array pass alone, giving (lb, ub) arrays or None.
 ``bounds_on`` is the same array pass over any batch of feature arrays, such
 as a batch of sampler proposals, with the endpoints as arrays.
 """
@@ -126,6 +127,23 @@ class IvFn:
             self(sample(rng))
 
 
+def bounds_along(
+    f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float]
+) -> Optional[tuple]:
+    """f at each point of ``p.manifold.geodesic_points(p, q, svals)``, as
+    (lb, ub) arrays from one array pass (see ``bounds_on``), or None.
+
+    None when the grid is empty, a component of f has no array form, the
+    manifold cannot give the grid's features as arrays, or ``bounds_on``
+    declines; evaluating f point by point then raises where it raises.
+    """
+    manifold = p.manifold
+    if len(svals) == 0 or not has_array_form(f) or not f.manifold == manifold == q.manifold:
+        return None
+    features = manifold.geodesic_features(p, q, svals)
+    return None if features is None else bounds_on(f, manifold, features)
+
+
 def values_along(
     f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float]
 ) -> Iterable:
@@ -135,15 +153,12 @@ def values_along(
     otherwise the points are evaluated lazily, so an exception is raised
     when the caller reaches the grid point that raises it.
     """
-    manifold = p.manifold
-    if len(svals) > 0 and has_array_form(f) and f.manifold == manifold == q.manifold:
-        features = manifold.geodesic_features(p, q, svals)
-        bounds = None if features is None else bounds_on(f, manifold, features)
-        if bounds is not None:
-            if isinstance(f, RealFn):
-                return bounds[0].tolist()
-            return [Interval(lb, ub) for lb, ub in zip(*(b.tolist() for b in bounds))]
-    return (f(pt) for pt in manifold.geodesic_points(p, q, svals))
+    bounds = bounds_along(f, p, q, svals)
+    if bounds is None:
+        return (f(pt) for pt in p.manifold.geodesic_points(p, q, svals))
+    if isinstance(f, RealFn):
+        return bounds[0].tolist()
+    return [Interval(lb, ub) for lb, ub in zip(*(b.tolist() for b in bounds))]
 
 
 def has_array_form(f: Union[RealFn, IvFn]) -> bool:
@@ -240,8 +255,27 @@ def two_branch_membership(p: Point) -> bool:
     return True
 
 
-def _two_branch_real(name: str, on_iso: Callable[[float], float],
-                     on_axis: Callable[[float], float]) -> RealFn:
+# name -> (on_iso, on_axis): the function's value on the isotropic and on the
+# single-axis branch, each as a function of u = logdet
+_TWO_BRANCH: dict = {
+    "two_branch_center": (lambda u: u, lambda u: 0.0),
+    "two_branch_width": (lambda u: 1.0, lambda u: 1.0),
+    "two_branch_g1": (lambda u: -u, lambda u: 0.0),
+    "two_branch_g2": (lambda u: -(u * u) - 1.0, lambda u: -1.0),
+    "two_branch_g3": (lambda u: u - 1.0, lambda u: -1.0),
+}
+# the interval builtin: two_branch_center with two_branch_width
+_TWO_BRANCH_IV = "two_branch_objective"
+
+
+def builtin_real(name: str) -> RealFn:
+    try:
+        on_iso, on_axis = _TWO_BRANCH[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown builtin {name!r}; available: {sorted(_TWO_BRANCH)}"
+        ) from None
+
     def fn(p: Point) -> float:
         branch = two_branch_classify(p)
         u = SPD2.features(p)["logdet"]
@@ -250,65 +284,23 @@ def _two_branch_real(name: str, on_iso: Callable[[float], float],
     return RealFn(SPD2, fn, name=name)
 
 
-def _build_two_branch_center() -> RealFn:
-    return _two_branch_real("two_branch_center", lambda u: u, lambda u: 0.0)
-
-
-def _build_two_branch_width() -> RealFn:
-    return _two_branch_real("two_branch_width", lambda u: 1.0, lambda u: 1.0)
-
-
-def _build_two_branch_g1() -> RealFn:
-    return _two_branch_real("two_branch_g1", lambda u: -u, lambda u: 0.0)
-
-
-def _build_two_branch_g2() -> RealFn:
-    return _two_branch_real("two_branch_g2", lambda u: -(u * u) - 1.0, lambda u: -1.0)
-
-
-def _build_two_branch_g3() -> RealFn:
-    return _two_branch_real("two_branch_g3", lambda u: u - 1.0, lambda u: -1.0)
-
-
-_REAL_BUILTINS: dict = {
-    "two_branch_center": _build_two_branch_center,
-    "two_branch_width": _build_two_branch_width,
-    "two_branch_g1": _build_two_branch_g1,
-    "two_branch_g2": _build_two_branch_g2,
-    "two_branch_g3": _build_two_branch_g3,
-}
-
-
-def _build_two_branch_objective() -> IvFn:
-    return IvFn(_build_two_branch_center(), _build_two_branch_width(),
-                name="two_branch_objective")
-
-
-_IV_BUILTINS: dict = {
-    "two_branch_objective": _build_two_branch_objective,
-}
-
-
-def builtin_real(name: str) -> RealFn:
-    try:
-        return _REAL_BUILTINS[name]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown builtin {name!r}; available: {sorted(_REAL_BUILTINS)}"
-        ) from None
-
-
 def builtin_iv(name: str) -> IvFn:
-    try:
-        return _IV_BUILTINS[name]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown builtin {name!r}; available: {sorted(_IV_BUILTINS)}"
-        ) from None
+    if name != _TWO_BRANCH_IV:
+        raise ConfigError(f"unknown builtin {name!r}; available: {[_TWO_BRANCH_IV]}")
+    return IvFn(builtin_real("two_branch_center"), builtin_real("two_branch_width"), name=name)
+
+
+def builtin(name: str) -> Union[RealFn, IvFn]:
+    """The real or interval builtin of that name."""
+    if name == _TWO_BRANCH_IV:
+        return builtin_iv(name)
+    if name in _TWO_BRANCH:
+        return builtin_real(name)
+    raise ConfigError(f"unknown builtin {name!r}; available: {list(builtin_names())}")
 
 
 def builtin_names() -> tuple:
-    return tuple(sorted(_REAL_BUILTINS)) + tuple(sorted(_IV_BUILTINS))
+    return tuple(sorted(_TWO_BRANCH)) + (_TWO_BRANCH_IV,)
 
 
 # -- registry of smooth named functions ----------------------------------

@@ -57,7 +57,6 @@ from .calculus import (
     width_monotone_along,
 )
 from .convexity import (
-    STRICT_MARGIN,
     DomainSampler,
     Proposals,
     ProposalStream,
@@ -621,9 +620,7 @@ def _convexity_hypotheses(
                     targets.extend(stream.take(HYPOTHESIS_TARGETS - k)[0])
                 yield p0, targets[k]
 
-        return _worst_on_segments(
-            fn, segments(), HYPOTHESIS_GRID, False, STRICT_MARGIN, "geodesic"
-        )
+        return _worst_on_segments(fn, segments(), HYPOTHESIS_GRID)
 
     checks = []
     for fn, label in labelled:

@@ -43,12 +43,10 @@ from .functions import (
     SPD2,
     IvFn,
     RealFn,
-    builtin_names,
+    builtin,
     builtin_iv,
     builtin_real,
     two_branch_membership,
-    _IV_BUILTINS,
-    _REAL_BUILTINS,
 )
 from .interval import Interval, OrderRelation, combine, compare
 from .kkt import (
@@ -249,14 +247,7 @@ def _parse_fn(spec, manifold: Manifold, where: str) -> Union[RealFn, IvFn]:
     if "builtin" in spec:
         name = str(spec.pop("builtin"))
         _reject_unknown(spec, where)
-        if name in _REAL_BUILTINS:
-            fn = builtin_real(name)
-        elif name in _IV_BUILTINS:
-            fn = builtin_iv(name)
-        else:
-            raise ConfigError(
-                f"unknown builtin {name!r}; available: {list(builtin_names())}"
-            )
+        fn = builtin(name)
         if fn.manifold != manifold:
             raise ConfigError(
                 f"builtin {name!r} lives on {fn.manifold.name}, not {manifold.name}"

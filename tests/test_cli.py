@@ -145,6 +145,16 @@ class TestCheckConvexity:
         assert payload["seed"] == 4
         assert payload["path"] == "geodesic"
 
+    def test_at_point_has_no_chord_path(self, convex_file, capsys):
+        # checks at a point run on geodesics; a chord request must not be
+        # reported as checked
+        rc = main(["check-convexity", "--problem", convex_file, "--at", "3.0",
+                   "--path", "chord", "--json", "--pairs", "4"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "--at" in captured.err and "--path chord" in captured.err
+
     def test_missing_problem_file(self, tmp_path, capsys):
         rc = main(["check-convexity", "--problem", str(tmp_path / "nope.json")])
         assert rc == 1

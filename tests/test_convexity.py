@@ -1,6 +1,10 @@
 """Sampled convexity certifiers: verdicts, witnesses, and hypothesis plumbing."""
 
+import json
 import math
+import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +19,32 @@ from ivopt.convexity import (
     check_gradient_inequality,
     check_local_min,
     check_star_shaped,
+    _replacing,
+    _worst_on_segments,
 )
 from ivopt.errors import SamplerExhaustedError
 from ivopt.functions import (
     CIRCLE,
     EUCLIDEAN1,
+    EUCLIDEAN2,
     SPD2,
     IvFn,
     RealFn,
     builtin_iv,
+    builtin_real,
     lift_real,
+    linear_combination,
 )
-from ivopt.interval import Interval, OrderOutcome, OrderRelation, combine, compare
+from ivopt.interval import (
+    Interval,
+    OrderOutcome,
+    OrderRelation,
+    combine,
+    compare,
+    default_center_eps,
+)
+from ivopt.kkt import Problem, _convexity_hypotheses
+from ivopt.manifolds import Spd
 from ivopt.problems import (
     circle_domain,
     euclidean_box_domain,
@@ -309,3 +327,278 @@ class TestDomainSampler:
         assert blob["verdict"] == "HoldsOnSamples"
         assert blob["counterexample"] is None
         assert blob["samples_used"] == 2
+
+
+# -- the one violation test ---------------------------------------------------
+
+
+def _tabled(values: dict, interval_widths: dict = None):
+    """An opaque function on Euclidean(1) given by its value at x = 0, 1, 2, ...
+
+    With ``interval_widths`` it is interval-valued, with those halfwidths.
+    """
+    real = RealFn(EUCLIDEAN1, lambda pt: values[float(pt.value[0])], name="tabled")
+    if interval_widths is None:
+        return real
+    width = RealFn(EUCLIDEAN1, lambda pt: interval_widths[float(pt.value[0])], name="w")
+    return IvFn(real, width, name="tabled")
+
+
+def _line(a: float, b: float):
+    return EUCLIDEAN1.point([a]), EUCLIDEAN1.point([b])
+
+
+class TestViolationCore:
+    def test_ties_within_a_segment_go_to_the_first_point(self):
+        # gaps 1, 0.5, 1 at s = 0.25, 0.5, 0.75
+        f = _tabled({0.0: 0.0, 1.0: 1.0, 2.0: 0.5, 3.0: 1.0, 4.0: 0.0})
+        report = _worst_on_segments(f, [_line(0.0, 4.0)], 5)
+        assert report.counterexample.s == 0.25
+        assert report.counterexample.lhs == 1.0 and report.counterexample.rhs == 0.0
+
+    def test_ties_across_segments_go_to_the_first_segment(self):
+        f = _tabled({0.0: 0.0, 1.0: 1.0, 2.0: 0.5, 3.0: 1.0, 4.0: 0.0})
+        first, second = _line(0.0, 4.0), _line(0.0, 4.0)
+        report = _worst_on_segments(f, [first, second], 5)
+        assert report.counterexample.p is first[0]
+        assert report.samples_used == 2
+        # a strictly worse later segment does replace the witness
+        g = _tabled({0.0: 0.0, 1.0: 3.0, 2.0: 1.0, 4.0: 0.0})  # gaps 1, then 2.5
+        report = _worst_on_segments(g, [_line(0.0, 4.0), _line(0.0, 2.0)], 3)
+        assert report.counterexample.q.value[0] == 2.0 and report.counterexample.s == 0.5
+
+    @pytest.mark.parametrize("excess, verdict", [
+        (5e-7, Verdict.HOLDS),  # inside EQ_TOL * |rhs| = 1e-6
+        (2e-6, Verdict.COUNTEREXAMPLE),
+    ])
+    def test_real_tolerance_band_scales_with_the_mixed_value(self, excess, verdict):
+        f = _tabled({0.0: 1000.0, 1.0: 1000.0 + excess, 2.0: 1000.0})
+        report = _worst_on_segments(f, [_line(0.0, 2.0)], 3)
+        assert report.verdict is verdict
+
+    @pytest.mark.parametrize("halfwidth, verdict", [
+        (0.0, Verdict.HOLDS),
+        (1e-9, Verdict.COUNTEREXAMPLE),
+    ])
+    def test_a_center_win_inside_the_tie_band_leaves_it_to_the_widths(self, halfwidth, verdict):
+        # compare() calls the midpoint GREATER on centers, yet after rounding
+        # the center gap is no larger than the tie band
+        c1 = math.nextafter(1e-9, 1.0)
+        c2 = 0.75 * (c1 - 1e-9)
+        f = _tabled({0.0: c2, 1.0: c1, 2.0: c2}, {0.0: 0.0, 1.0: halfwidth, 2.0: 0.0})
+        p, q = _line(0.0, 2.0)
+        lhs, rhs = f(EUCLIDEAN1.point([1.0])), combine(0.5, f(p), 0.5, f(q))
+        assert compare(lhs, rhs, OrderRelation.MIN) is OrderOutcome.GREATER
+        assert abs(lhs.center - rhs.center) <= default_center_eps(lhs.center, rhs.center)
+        report = _worst_on_segments(f, [(p, q)], 3)
+        assert report.verdict is verdict
+
+    @pytest.mark.parametrize("interval", [False, True])
+    def test_strict_equality_is_a_counterexample_of_severity_zero(self, interval):
+        values = {float(x): 2.0 for x in range(5)}
+        f = _tabled(values, {x: 0.5 for x in values} if interval else None)
+        # severity 0 - 0 at each interior point: the first one is the witness
+        report = _worst_on_segments(f, [_line(0.0, 4.0)], 5, "strict", 0.0)
+        assert report.verdict is Verdict.COUNTEREXAMPLE
+        assert report.counterexample.s == 0.25
+
+    def test_an_overflowing_center_still_fails_strictly(self):
+        # the center 0.5 * (lb + ub) is inf on both sides, so the severity is NaN
+        f = IvFn.from_expressions(FLOAT_MAX, "0", CIRCLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_convex(f, circle_domain(), pairs=3, strict=True)
+            assert report.verdict is Verdict.COUNTEREXAMPLE
+            assert report.counterexample.s == 0.03125
+            for strict in (False, True):
+                for g in (f, RealFn.from_expression(FLOAT_MAX, CIRCLE)):
+                    check_convex(g, circle_domain(), pairs=3, grid=9, strict=strict)
+                    check_affine(g, circle_domain(), pairs=3, grid=9)
+
+    def test_nan_keeps_its_place_in_the_scan(self):
+        nan = float("nan")
+        fail = np.array([False, True, True, True])
+        # no witness yet: a NaN first failure is kept
+        assert _replacing(None, fail, np.array([0.0, nan, 5.0, 5.0])) == 1
+        # otherwise NaN is skipped and the first of the largest wins
+        assert _replacing(None, fail, np.array([0.0, 1.0, nan, 1.0])) == 1
+        assert _replacing((1.0, None), fail, np.array([0.0, nan, 2.0, 2.0])) == 2
+        assert _replacing((2.0, None), fail, np.array([0.0, nan, 2.0, 1.0])) is None
+        # a NaN witness is never replaced
+        assert _replacing((nan, None), fail, np.array([0.0, 1.0, 2.0, 3.0])) is None
+
+    def test_a_shared_base_point_is_evaluated_once(self):
+        p0 = CIRCLE.point(1.0)
+        seen = []
+        f = RealFn(CIRCLE, lambda pt: seen.append(pt) or pt.value**2, name="recorded")
+        check_convex_at(f, p0, CIRCLE_DOM, targets=16, grid=5)
+        assert sum(pt is p0 for pt in seen) == 1
+
+    def test_hypotheses_evaluate_each_function_once_at_the_candidate(self):
+        p0 = CIRCLE.point(1.0)
+        seen = {}
+
+        def recorded(text):
+            inner = RealFn.from_expression(text, CIRCLE)
+            seen[text] = []
+            return RealFn(CIRCLE, lambda pt: seen[text].append(pt) or inner(pt), name=text)
+
+        objective = IvFn(recorded("(theta - 1)^2"), recorded("theta"), name="objective")
+        constraint = recorded("theta - 3")
+        prob = Problem(CIRCLE, objective, (constraint,), circle_domain())
+        _convexity_hypotheses(prob, p0, [(objective, "objective"), (constraint, "g1")], 0)
+        assert {text: sum(pt is p0 for pt in pts) for text, pts in seen.items()} == {
+            "(theta - 1)^2": 1, "theta": 1, "theta - 3": 1}
+
+
+# -- pinned reports ----------------------------------------------------------
+
+PINNED_REPORTS_PATH = Path(__file__).parent / "data" / "convexity_reports.json"
+PINNED_GRIDS = (2, 9, 17, 33)
+FLOAT_MAX = "1.7976931348623157e308"
+
+
+def _fixed_domain(points) -> DomainSampler:
+    """A sampler that picks among a few fixed points, so that grid points of
+    its segments land exactly where a function leaves its domain."""
+    return DomainSampler(lambda p: True, lambda rng: points[int(rng.integers(len(points)))],
+                         name="fixed")
+
+
+def _report_cases() -> dict:
+    """name -> thunk returning a ConvexityReport, over every check on each geometry.
+
+    Real and interval functions, compiled and opaque, convex and not, some
+    that leave their domain midway along a segment, and the float-limit
+    constant whose centers overflow.
+    """
+    spd3 = Spd(3)
+    circle_fns = {
+        "sq": RealFn.from_expression("(theta - pi/2)^2", CIRCLE),
+        "sin": RealFn.from_expression("sin(theta)", CIRCLE),
+        "iv-bowl": IvFn.from_expressions("(theta - pi/2)^2", "0.1*theta", CIRCLE),
+        "iv-cap": IvFn.from_expressions("-theta^2", "theta", CIRCLE),
+        "iv-flat-center": IvFn.from_expressions("2", "(theta - 3)^2", CIRCLE),
+        "lift-sin": lift_real(RealFn.from_expression("sin(theta)", CIRCLE)),
+        "combo": linear_combination(
+            1.0, RealFn.from_expression("theta^2", CIRCLE),
+            -3.0, RealFn.from_expression("theta", CIRCLE)),
+        "max-real": RealFn.from_expression(FLOAT_MAX, CIRCLE),
+        "max-iv": IvFn.from_expressions(FLOAT_MAX, "0", CIRCLE),
+    }
+    plane_fns = {
+        "quad": RealFn.from_expression("x1^2 + x2^2", EUCLIDEAN2),
+        "saddle": RealFn.from_expression("x1*x2", EUCLIDEAN2),
+        "linear": RealFn.from_expression("2*x1 - x2 + 1", EUCLIDEAN2),
+        "iv-quad": IvFn.from_expressions("x1^2 + x2^2", "0.5*x1^2 + 0.1", EUCLIDEAN2),
+        "iv-saddle": IvFn.from_expressions("x1*x2", "x1^2", EUCLIDEAN2),
+        "iv-linear": IvFn.from_expressions("x1 + x2", "0.25", EUCLIDEAN2),
+    }
+    spd_fns = lambda m: {
+        "logdet": RealFn.from_expression("logdet", m),
+        "neg-trace": RealFn.from_expression("-trace", m),
+        "iv-logdet-pair": IvFn.from_expressions("logdet", "logdet^2", m),
+        "iv-concave": IvFn.from_expressions("-logdet^2", "0.2*trace", m),
+        "lift-trace": lift_real(RealFn.from_expression("trace", m)),
+    }
+    edge = _fixed_domain([CIRCLE.point(0.5), CIRCLE.point(1.5)])
+    # valid at theta = 0.5 and 1.5 but not at theta = 1, the midpoint between
+    edge_fns = {
+        "ln-edge": RealFn.from_expression("ln(abs(theta - 1))", CIRCLE),
+        "sqrt-edge": RealFn.from_expression("sqrt((theta - 1)^2 - 0.01)", CIRCLE),
+        "zero-divisor": RealFn.from_expression("1/(theta - 1)", CIRCLE),
+        "negative-width": IvFn.from_expressions("theta", "(theta - 1)^2 - 0.01", CIRCLE),
+        "iv-ln-edge": IvFn.from_expressions("theta^2", "ln(abs(theta - 1)) + 5", CIRCLE),
+        "endpoint": RealFn.from_expression("ln(1 - theta)", CIRCLE),
+    }
+    settings = (
+        ("circle", circle_domain(), CIRCLE.point(1.0), circle_fns),
+        ("e2", euclidean_box_domain(EUCLIDEAN2), EUCLIDEAN2.point([0.3, -0.4]), plane_fns),
+        ("spd2", spd_domain(SPD2), SPD2.point(np.diag([1.0, 2.0])), spd_fns(SPD2)),
+        ("spd3", spd_domain(spd3), spd3.point(np.diag([1.0, 2.0, 0.5])), spd_fns(spd3)),
+        ("edge", edge, CIRCLE.point(0.5), edge_fns),
+        ("two-branch", two_branch_domain(), SPD2.point(I2), {
+            "objective": builtin_iv("two_branch_objective"),
+            "g2": builtin_real("two_branch_g2"),
+        }),
+    )
+    cases = {}
+    for where, dom, base, fns in settings:
+        for k, (fname, f) in enumerate(fns.items()):
+            for grid in PINNED_GRIDS:
+                seed = 7 * k + grid
+                tag = f"{where}/{fname}/{grid}"
+                cases[f"convex/{tag}"] = partial(check_convex, f, dom, 3, grid, seed=seed)
+                cases[f"strict/{tag}"] = partial(
+                    check_convex, f, dom, 3, grid, strict=True, seed=seed)
+                cases[f"chord/{tag}"] = partial(
+                    check_convex, f, dom, 3, grid, seed=seed, path="chord")
+                cases[f"at/{tag}"] = partial(check_convex_at, f, base, dom, 3, grid, seed=seed)
+                cases[f"at-strict/{tag}"] = partial(
+                    check_convex_at, f, base, dom, 3, grid, strict=True, seed=seed)
+                cases[f"affine/{tag}"] = partial(check_affine, f, dom, 3, grid, seed=seed)
+                if isinstance(f, IvFn):
+                    cases[f"cw/{tag}"] = partial(check_cw_convex_at, f, base, dom, 3, grid,
+                                                 seed=seed)
+    box = euclidean_box_domain(EUCLIDEAN1, [(-4.0, 4.0)])
+    split = box.restrict(lambda p: abs(p.value[0]) >= 1.0, name="split")
+    shells = {
+        "box": (box, EUCLIDEAN1.point([0.5])),
+        "split": (split, EUCLIDEAN1.point([2.0])),
+        "two-branch": (two_branch_domain(), SPD2.point(I2)),
+        "arc": (circle_domain(0.5, 2.5).restrict(lambda p: abs(p.value - 1.5) > 0.2),
+                CIRCLE.point(0.7)),
+    }
+    for name, (dom, base) in shells.items():
+        for grid in PINNED_GRIDS:
+            cases[f"star/{name}/{grid}"] = partial(check_star_shaped, dom, base, 4, grid,
+                                                   seed=grid)
+    cases["strict/circle/max-iv/33/pairs-3/seed-0"] = partial(
+        check_convex, circle_fns["max-iv"], circle_domain(), pairs=3, strict=True)
+    return cases
+
+
+def pinned_reports() -> dict:
+    """The JSON of every pinned report, or its error as "Type: text".
+
+    The fixture at PINNED_REPORTS_PATH holds this output as captured before
+    the convexity checks were moved onto one segment loop; regenerate it only
+    for an intended change of report output.
+    """
+    out = {}
+    for name, run in _report_cases().items():
+        try:
+            out[name] = run().to_json()
+        except Exception as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+class TestPinnedReports:
+    @pytest.fixture(scope="class")
+    def current(self):
+        return pinned_reports()
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINNED_REPORTS_PATH.read_text(encoding="utf-8"))
+
+    def test_cases_match_the_fixture(self, current, pinned):
+        assert sorted(current) == sorted(pinned)
+
+    def test_reports_match_exactly(self, current, pinned):
+        # compared as JSON text, so bits, signed zeros and NaN all count
+        text = lambda blob: json.dumps(blob, sort_keys=True)
+        assert [name for name in sorted(pinned)
+                if text(current[name]) != text(pinned[name])] == []
+
+    def test_fixture_covers_verdicts_witnesses_and_errors(self, pinned):
+        reports = [r for r in pinned.values() if isinstance(r, dict)]
+        errors = " | ".join(r for r in pinned.values() if isinstance(r, str))
+        verdicts = {r["verdict"] for r in reports}
+        assert verdicts == {"HoldsOnSamples", "CounterexampleFound"}
+        witnesses = [r["counterexample"] for r in reports if r["counterexample"]]
+        assert {type(w["lhs"]) for w in witnesses} == {float, list, type(None)}
+        for text in ("DomainError", "NegativeWidthError"):
+            assert text in errors
+        assert pinned["strict/circle/max-iv/33/pairs-3/seed-0"]["counterexample"]["s"] == 0.03125

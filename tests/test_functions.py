@@ -22,6 +22,7 @@ from ivopt.functions import (
     SPD2,
     IvFn,
     RealFn,
+    builtin,
     builtin_iv,
     builtin_names,
     builtin_real,
@@ -199,12 +200,33 @@ class TestTwoBranchSet:
         assert g3(axis) == -1.0
 
 
+BUILTIN_NAMES = ("two_branch_center", "two_branch_g1", "two_branch_g2", "two_branch_g3",
+                 "two_branch_width", "two_branch_objective")
+
+
 class TestRegistry:
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
             builtin_real("nope")
         with pytest.raises(ConfigError):
             builtin_iv("nope")
+
+    def test_names_order_and_error_texts(self):
+        assert builtin_names() == BUILTIN_NAMES
+        reals = list(BUILTIN_NAMES[:-1])
+        for get, available in ((builtin_real, reals), (builtin_iv, ["two_branch_objective"]),
+                               (builtin, list(BUILTIN_NAMES))):
+            with pytest.raises(ConfigError) as err:
+                get("two_branch_nope")
+            assert str(err.value) == (
+                f"unknown builtin 'two_branch_nope'; available: {available}")
+        assert builtin_iv("two_branch_objective").name == "two_branch_objective"
+        for name in reals:
+            assert builtin_real(name).name == builtin(name).name == name
+        with pytest.raises(ConfigError):
+            builtin_real("two_branch_objective")
+        with pytest.raises(ConfigError):
+            builtin_iv("two_branch_center")
 
     def test_builtin_names_listed(self):
         names = builtin_names()
