@@ -70,7 +70,6 @@ class DomainSampler:
 
     membership: Callable[[Point], bool]
     sample: Callable[[np.random.Generator], Point]
-    anchor: Optional[Point] = None
     name: str = ""
     propose: Optional[Callable[[np.random.Generator, int], Proposals]] = None
 
@@ -106,12 +105,10 @@ class DomainSampler:
 
     def restrict(self, extra: Callable[[Point], bool], name: str = "") -> "DomainSampler":
         base_membership = self.membership
-        anchor = self.anchor if (self.anchor is not None and extra(self.anchor)) else None
         # no bulk proposer: extra is an opaque predicate with no array form
         return DomainSampler(
             membership=lambda p: base_membership(p) and extra(p),
             sample=self.sample,
-            anchor=anchor,
             name=name or (self.name + "|restricted"),
             propose=None,
         )
@@ -412,7 +409,6 @@ def check_convex(
     strict: bool = False,
     seed: int = 0,
     path: str = "geodesic",
-    margin: float = STRICT_MARGIN,
 ) -> ConvexityReport:
     """Test the convexity inequality on sampled pairs joined by geodesics.
 
@@ -422,7 +418,7 @@ def check_convex(
     if path not in ("geodesic", "chord"):
         raise ValueError(f"unknown path kind {path!r}")
     segments = _drawn_pairs(dom, pairs, seed, 1e-8 if strict else 0.0)
-    return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", margin, path)
+    return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", path=path)
 
 
 def check_convex_at(
@@ -433,7 +429,6 @@ def check_convex_at(
     grid: int = 33,
     strict: bool = False,
     seed: int = 0,
-    margin: float = STRICT_MARGIN,
 ) -> ConvexityReport:
     """Test the convexity inequality on geodesics from a fixed base point."""
     rng = np.random.default_rng(seed)
@@ -441,7 +436,7 @@ def check_convex_at(
         (p0, dom.draw_one(rng, apart_from=p0, min_dist=1e-8 if strict else 0.0))
         for _ in range(targets)
     )
-    return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", margin)
+    return _worst_on_segments(f, segments, grid, "strict" if strict else "convex")
 
 
 def check_cw_convex_at(
@@ -468,10 +463,9 @@ def check_affine(
     pairs: int = 64,
     grid: int = 33,
     seed: int = 0,
-    tol: float = EQ_TOL,
 ) -> ConvexityReport:
     """Test equality between path values and mixed endpoint values."""
-    return _worst_on_segments(f, _drawn_pairs(dom, pairs, seed, 0.0), grid, "affine", tol)
+    return _worst_on_segments(f, _drawn_pairs(dom, pairs, seed, 0.0), grid, "affine", EQ_TOL)
 
 
 def check_star_shaped(

@@ -129,17 +129,17 @@ class Problem:
     def constraint_label(self, i: int) -> str:
         return f"g{i + 1}"
 
-    def is_feasible(self, p: Point, tol: float = FEAS_TOL) -> bool:
-        return not self.feasibility_violations(p, tol)
+    def is_feasible(self, p: Point) -> bool:
+        return not self.feasibility_violations(p)
 
-    def feasibility_violations(self, p: Point, tol: float = FEAS_TOL) -> list:
+    def feasibility_violations(self, p: Point) -> list:
         out = []
         for i, g in enumerate(self.constraints):
             value = g(p)
             if isinstance(value, Interval):
                 if not leq_min(value, ZERO):
                     out.append((i, value))
-            elif value > tol:
+            elif value > FEAS_TOL:
                 out.append((i, value))
         return out
 
@@ -151,9 +151,6 @@ class Problem:
         point by point through ``membership``.
         """
         domain = self.domain
-        anchor = domain.anchor
-        if anchor is not None and not self.is_feasible(anchor):
-            anchor = None
         propose = None
         if domain.propose is not None:
 
@@ -167,7 +164,6 @@ class Problem:
         return DomainSampler(
             membership=lambda p: domain.membership(p) and self.is_feasible(p),
             sample=domain.sample,
-            anchor=anchor,
             name=(self.name or "problem") + "|feasible",
             propose=propose,
         )
@@ -532,34 +528,6 @@ class KktCertificate:
         }
 
 
-def _certificate(
-    prob: Problem,
-    p0: Point,
-    J: tuple,
-    mu: Sequence[float],
-    residuals: Sequence[DirectionResidual],
-    hyp: Sequence[HypothesisCheck],
-    verdict: KktVerdict,
-    reason: str,
-    n_directions: int,
-    seed: int,
-) -> KktCertificate:
-    return KktCertificate(
-        problem_name=prob.name,
-        label=prob.label,
-        candidate=p0,
-        active_set=J,
-        multipliers=tuple(float(m) for m in mu),
-        residuals=tuple(residuals),
-        hypothesis_report=tuple(hyp),
-        verdict=verdict,
-        reason=reason,
-        value=prob.objective(p0),
-        n_directions=n_directions,
-        seed=seed,
-    )
-
-
 def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
     """Validate multipliers, feasibility, and structural slackness."""
     if len(mu) != len(prob.constraints):
@@ -583,16 +551,13 @@ def _feasible_points(prob: Problem, p0: Point, n: int, seed: int) -> list:
     return ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed)).points(n)
 
 
-def _pairwise_distinct(values, tol: float = DISTINCT_TOL) -> bool:
-    """True when every pair of values differs by more than tol."""
+def _pairwise_distinct(values) -> bool:
+    """True when every pair of values differs by more than DISTINCT_TOL."""
     for a_idx in range(len(values)):
         for b_idx in range(a_idx + 1, len(values)):
             a, b = values[a_idx], values[b_idx]
-            if isinstance(a, Interval):
-                gap = max(abs(a.lb - b.lb), abs(a.ub - b.ub))
-            else:
-                gap = abs(a - b)
-            if gap <= tol:
+            gap = hausdorff(a, b) if isinstance(a, Interval) else abs(a - b)
+            if gap <= DISTINCT_TOL:
                 return False
     return True
 
@@ -685,8 +650,19 @@ def _verify(
     also decide the mode.
     """
     def certificate(residuals, hyp, verdict, reason):
-        return _certificate(
-            prob, p0, J, mu, residuals, hyp, verdict, reason, len(directions), seed
+        return KktCertificate(
+            problem_name=prob.name,
+            label=prob.label,
+            candidate=p0,
+            active_set=J,
+            multipliers=tuple(float(m) for m in mu),
+            residuals=tuple(residuals),
+            hypothesis_report=tuple(hyp),
+            verdict=verdict,
+            reason=reason,
+            value=prob.objective(p0),
+            n_directions=len(directions),
+            seed=seed,
         )
 
     def gate(label, where, k, residuals):
@@ -844,7 +820,7 @@ def verify_p4(
     return _verify(prob, p0, mu, directions, scheme, tol, seed, split=True, mode=mode)
 
 
-def reduce_p4(prob: Problem, pfix: Optional[Point] = None, tol: float = ACTIVE_TOL) -> Problem:
+def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:
     """Rewrite interval constraints as real ones, pointwise by center size.
 
     At each evaluation point, a constraint whose center is away from zero
@@ -859,14 +835,14 @@ def reduce_p4(prob: Problem, pfix: Optional[Point] = None, tol: float = ACTIVE_T
     reduced = []
     for g in prob.constraints:
         if pfix is not None:
-            chosen = g.center if abs(g.center(pfix)) > tol else g.width
+            chosen = g.center if abs(g.center(pfix)) > ACTIVE_TOL else g.width
             reduced.append(
                 RealFn(prob.manifold, chosen.fn, name=f"reduced[{g.name}]")
             )
         else:
             def fn(p: Point, g=g) -> float:
                 c = g.center(p)
-                return c if abs(c) > tol else g.width(p)
+                return c if abs(c) > ACTIVE_TOL else g.width(p)
 
             reduced.append(RealFn(prob.manifold, fn, name=f"reduced[{g.name}]"))
     return Problem(

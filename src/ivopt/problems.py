@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -78,11 +78,9 @@ def circle_domain(lo: float = 0.0, hi: float = TWO_PI) -> DomainSampler:
         return CIRCLE.point(rng.uniform(lo, hi))
 
     def propose(rng: np.random.Generator, k: int) -> Proposals:
-        # k scalar uniform(lo, hi) draws, bit for bit
-        raw = rng.uniform(lo, hi, k)
-        theta = CIRCLE.angles(raw)
-        if theta is None:
-            return Proposals(CIRCLE, None, None, lambda i: CIRCLE.point(raw[i]))
+        # k scalar uniform(lo, hi) draws, bit for bit; the arc lies in the
+        # chart range, so every draw passes the range check
+        theta = CIRCLE.angles(rng.uniform(lo, hi, k))
         member = (lo - 1e-12 <= theta) & (theta <= hi + 1e-12)
         return Proposals(
             CIRCLE, {"theta": theta}, member, lambda i: Point(CIRCLE, float(theta[i]))
@@ -99,6 +97,10 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if len(bounds) != manifold.dim or any(lo >= hi for lo, hi in bounds):
         raise ConfigError("box bounds must give one (lo, hi) pair per coordinate")
+    # uniform(lo, hi) overflows unless hi - lo is finite, which also rules
+    # out nan and infinite bounds; every draw is then finite
+    if not all(math.isfinite(hi - lo) for lo, hi in bounds):
+        raise ConfigError(f"domain.box bounds must be finite with a finite width, got {bounds}")
 
     def membership(p: Point) -> bool:
         return p.manifold == manifold and all(
@@ -113,8 +115,6 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
     def propose(rng: np.random.Generator, k: int) -> Proposals:
         # the k * dim scalar uniform draws of k samples, row by row, bit for bit
         values = rng.uniform(lows, highs, (k, manifold.dim))
-        if not np.isfinite(values).all():
-            return Proposals(manifold, None, None, lambda i: manifold.point(values[i]))
         values.setflags(write=False)
         member = ((lows - 1e-12 <= values) & (values <= highs + 1e-12)).all(axis=1)
         features = dict(zip(manifold.feature_names, values.T))
@@ -125,8 +125,8 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
 
 def spd_domain(manifold: Spd, scale: float = 0.7) -> DomainSampler:
     """Log-normal style sampler over the whole SPD manifold."""
-    if scale <= 0.0:
-        raise ConfigError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"domain.scale must be a finite positive number, got {scale}")
 
     def membership(p: Point) -> bool:
         return p.manifold == manifold
@@ -146,9 +146,7 @@ def two_branch_domain() -> DomainSampler:
             return SPD2.point(np.diag([2.0**s, 2.0**s]))
         return SPD2.point(np.diag([1.0, 2.0**s]))
 
-    anchor = SPD2.point(np.eye(2))
-    return DomainSampler(two_branch_membership, sample, anchor=anchor,
-                         name="two-branch union")
+    return DomainSampler(two_branch_membership, sample, name="two-branch union")
 
 
 def default_domain(manifold: Manifold, spec: Optional[dict] = None) -> DomainSampler:
@@ -307,11 +305,7 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     else:
         domain = default_domain(manifold, domain_spec)
 
-    candidate = None
-    if candidate_spec is not None:
-        candidate = parse_point(manifold, candidate_spec)
-        if candidate is not None and domain.anchor is None:
-            domain = replace(domain, anchor=candidate)
+    candidate = None if candidate_spec is None else parse_point(manifold, candidate_spec)
 
     problem = Problem(manifold, objective, constraints, domain, name=str(name))
 

@@ -6,6 +6,9 @@ import math
 import pytest
 
 from ivopt.cli import main
+from ivopt.kkt import direction_samples, verify_p3
+from ivopt.problems import load_problem
+from test_problems import BAD_DOMAIN_CASES, OUTSIDE_CANDIDATE, bad_domain_config
 
 PSTAR_CFG = {
     "manifold": {"kind": "circle"},
@@ -205,6 +208,50 @@ class TestCheckKkt:
         rc = main(["check-kkt", "--problem", pstar_file, "--mu", "0,1,0",
                    "--deriv-levels", "0"])
         assert rc == 1
+
+    def test_feasible_point_when_the_file_candidate_is_outside_the_domain(
+            self, tmp_path, capsys):
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(OUTSIDE_CANDIDATE), encoding="utf-8")
+        rc = main(["check-kkt", "--problem", str(path), "--point", "2.0"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.startswith("StrictOptimal: ")
+
+    def test_p3_file_gets_the_library_certificate(self, tmp_path, capsys):
+        cfg = {
+            "manifold": {"kind": "circle"},
+            "objective": {"center": "(theta - 2)^2", "width": "0.5*(theta - 2)^2 + 0.1"},
+            "constraints": [{"real": "theta - 2.5"}],
+            "candidate": 2.0,
+            "options": {"seed": 5},
+        }
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["check-kkt", "--problem", str(path), "--mu", "0", "--json",
+                   "--directions", "8"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        loaded = load_problem(str(path))
+        p0 = loaded.candidate
+        dirs = direction_samples(loaded.problem, p0, 8, seed=5)
+        cert = verify_p3(loaded.problem, p0, (0.0,), dirs, seed=5)
+        assert payload == json.loads(json.dumps(cert.to_json()))
+        assert payload["label"] == "P3" and payload["verdict"] == "StrictOptimal"
+
+
+class TestUnsamplableDomain:
+    @pytest.mark.parametrize("command", ["check-kkt", "check-convexity"])
+    @BAD_DOMAIN_CASES
+    def test_is_an_error_line(self, tmp_path, command, manifold, objective, candidate,
+                              domain, key, capsys):
+        # json.dumps writes NaN and Infinity, which the problem loader reads
+        cfg = bad_domain_config(manifold, objective, candidate, domain)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main([command, "--problem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
 class TestCheckKktSplitMode:

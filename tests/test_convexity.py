@@ -235,6 +235,42 @@ class TestGradientInequality:
                                            targets=8)
         assert report.holds()
 
+    @staticmethod
+    def _targets(p0, dom, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return [dom.draw_one(rng, apart_from=p0, min_dist=1e-8) for _ in range(n)]
+
+    @pytest.mark.parametrize("f", [
+        RealFn.from_expression("-(theta - 1)^2", CIRCLE),
+        # a constant width leaves the center gap to decide
+        IvFn.from_expressions("-(theta - 1)^2", "1", CIRCLE),
+    ])
+    def test_concave_center_yields_the_worst_target(self, f):
+        # at theta0 = 2 the derivative exceeds f(q) - f(p0) by (theta_q - 2)^2
+        p0 = CIRCLE.point(2.0)
+        report = check_gradient_inequality(f, p0, CIRCLE_DOM, targets=8)
+        assert report.verdict is Verdict.COUNTEREXAMPLE and report.samples_used == 8
+        cx = report.counterexample
+        far = max(self._targets(p0, CIRCLE_DOM, 8), key=lambda q: abs(q.value - 2.0))
+        assert cx.q.value == far.value and cx.s == 0.0
+        lhs, rhs = (v.center if isinstance(v, Interval) else v for v in (cx.lhs, cx.rhs))
+        assert lhs == pytest.approx(-2.0 * (far.value - 2.0), abs=1e-6)
+        assert rhs == pytest.approx(1.0 - (far.value - 1.0) ** 2, abs=1e-12)
+
+    def test_width_gap_on_tied_centers(self):
+        # center theta: derivative and difference tie; width ln(theta) grows
+        # along every target, and its rate (theta_q - 1) exceeds ln(theta_q)
+        f = IvFn.from_expressions("theta", "ln(theta)", CIRCLE)
+        p0, dom = CIRCLE.point(1.0), circle_domain(1.0, 3.0)
+        report = check_gradient_inequality(f, p0, dom, targets=8)
+        assert report.verdict is Verdict.COUNTEREXAMPLE and report.skipped == 0
+        cx = report.counterexample
+        far = max(q.value for q in self._targets(p0, dom, 8))
+        assert cx.q.value == far
+        assert cx.lhs.center == pytest.approx(cx.rhs.center, abs=1e-7)
+        assert cx.lhs.halfwidth == pytest.approx(far - 1.0, abs=1e-6)
+        assert cx.rhs.halfwidth == pytest.approx(math.log(far), abs=1e-12)
+
     def test_non_monotone_geodesics_are_skipped_and_counted(self):
         f = IvFn.from_expressions("0", "2*pi - theta", CIRCLE)
         report = check_gradient_inequality(f, CIRCLE.point(math.pi), CIRCLE_DOM,
@@ -268,6 +304,25 @@ class TestLocalMin:
         const = IvFn.from_expressions("4", "1", CIRCLE)
         report = check_local_min(const, CIRCLE.point(2.0), CIRCLE_DOM, targets=8)
         assert report.holds()
+
+    def test_interval_witness_and_its_json(self):
+        f = IvFn.from_expressions("theta^2", "1", CIRCLE)
+        p0 = CIRCLE.point(HALF_PI)
+        report = check_local_min(f, p0, CIRCLE_DOM, targets=16)
+        assert report.verdict == "NotMinimumWitness"
+        # the witness is the first target below theta0, where the center falls
+        rng = np.random.default_rng(0)
+        targets = [CIRCLE_DOM.draw_one(rng, apart_from=p0, min_dist=1e-8) for _ in range(16)]
+        first = next(k for k, q in enumerate(targets) if q.value < HALF_PI)
+        assert report.samples_used == first + 1
+        target, deriv = report.witness["target"], report.witness["derivative"]
+        assert target.value == targets[first].value
+        assert isinstance(deriv, Interval) and deriv.halfwidth == 0.0
+        assert deriv.center == pytest.approx(2.0 * HALF_PI * (target.value - HALF_PI), abs=1e-5)
+        blob = json.loads(json.dumps(report.to_json()))
+        assert blob["witness"] == {"target": {"theta": target.value},
+                                   "derivative": [deriv.lb, deriv.ub]}
+        assert blob["samples_used"] == first + 1
 
     def test_json_shape(self):
         const = IvFn.from_expressions("4", "1", CIRCLE)
@@ -304,16 +359,12 @@ class TestDomainSampler:
         assert len(calls) == 1
         assert np.array_equal(drawn.value, again.value)
 
-    def test_restrict_narrows_membership_and_keeps_anchor(self):
+    def test_restrict_narrows_membership(self):
         dom = circle_domain()
-        dom = DomainSampler(dom.membership, dom.sample, anchor=CIRCLE.point(0.2))
+        dom = DomainSampler(dom.membership, dom.sample)
         narrowed = dom.restrict(lambda p: p.value < 1.0)
-        assert narrowed.anchor is not None
         assert narrowed.membership(CIRCLE.point(0.5))
         assert not narrowed.membership(CIRCLE.point(2.0))
-        # anchor outside the restriction is dropped
-        dropped = dom.restrict(lambda p: p.value > 1.0)
-        assert dropped.anchor is None
 
     def test_exhaustion_raises(self):
         dom = circle_domain().restrict(lambda p: False, name="empty")

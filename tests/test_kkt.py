@@ -42,6 +42,7 @@ from ivopt.kkt import (
     verify_p3_split,
     verify_p4,
 )
+from ivopt.manifolds import log_map
 from ivopt.problems import (
     circle_domain,
     euclidean_box_domain,
@@ -335,6 +336,26 @@ class TestVerifyP3:
         assert cert.verdict is KktVerdict.INCONCLUSIVE
         assert any(h.gating and not h.holds for h in cert.hypothesis_report)
         assert "width" in cert.reason
+
+    def test_width_dip_finer_than_the_grid_gates_on_the_step_ladder(self):
+        # the width falls on [1, 1.001] only: the grid along the geodesic to
+        # theta = 2 steps over the dip, the derivative's step ladder does not
+        prob = Problem(
+            CIRCLE,
+            IvFn.from_expressions("(theta - 1)^2", "(theta - 1.001)^2", CIRCLE),
+            (),
+            circle_domain(),
+        )
+        p0 = CIRCLE.point(1.0)
+        dirs = [log_map(p0, CIRCLE.point(0.5)), log_map(p0, CIRCLE.point(2.0))]
+        cert = verify_p3(prob, p0, (), dirs)
+        assert cert.verdict is KktVerdict.INCONCLUSIVE
+        assert cert.reason == (
+            "objective width non-decreasing on the step ladder: fails along direction 1"
+        )
+        assert [r.index for r in cert.residuals] == [0]
+        gate = cert.hypothesis_report[-1]
+        assert gate.gating and not gate.holds
 
 
 class TestVerifyP3Split:

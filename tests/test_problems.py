@@ -8,6 +8,7 @@ import pytest
 
 from ivopt.errors import ConfigError, NegativeWidthError
 from ivopt.functions import CIRCLE, SPD2
+from ivopt.kkt import brute_force_improvement, direction_samples
 from ivopt.manifolds import Euclidean, Spd, TWO_PI
 from ivopt.problems import (
     build_problem,
@@ -76,7 +77,6 @@ class TestDomainSamplers:
 
     def test_two_branch_domain_samples_stay_on_the_union(self):
         dom = two_branch_domain()
-        assert np.allclose(dom.anchor.value, np.eye(2))
         for _ in range(50):
             p = dom.draw_one(RNG)
             assert dom.membership(p)
@@ -91,6 +91,70 @@ class TestDomainSamplers:
             default_domain(CIRCLE, {"arc": [1.0, 2.0], "oops": 1})
         with pytest.raises(ConfigError):
             default_domain(CIRCLE, {"arc": [1.0]})
+
+
+EUCLID1 = {"kind": "euclidean", "dim": 1}
+SPD_2 = {"kind": "spd", "dim": 2}
+
+# problem files whose domain numbers the default samplers cannot draw from:
+# (manifold, objective, candidate, options.domain, key the error names)
+BAD_DOMAINS = {
+    "box-overflow": (EUCLID1, "x1^2", [0.5], {"box": [[-1e308, 1e308]]}, "domain.box"),
+    "box-nan": (EUCLID1, "x1^2", [0.5], {"box": [[math.nan, 1.0]]}, "domain.box"),
+    "box-inf": (EUCLID1, "x1^2", [0.5], {"box": [[0.0, math.inf]]}, "domain.box"),
+    "box-minus-inf": (EUCLID1, "x1^2", [0.5], {"box": [[-math.inf, 1.0]]}, "domain.box"),
+    "scale-nan": (SPD_2, "logdet^2", [[1.0, 0.0], [0.0, 1.0]], {"scale": math.nan},
+                  "domain.scale"),
+    "scale-inf": (SPD_2, "logdet^2", [[1.0, 0.0], [0.0, 1.0]], {"scale": math.inf},
+                  "domain.scale"),
+    "arc-nan": ({"kind": "circle"}, "theta^2", 0.5, {"arc": [math.nan, 1.0]}, "arc"),
+    "arc-inf": ({"kind": "circle"}, "theta^2", 0.5, {"arc": [0.0, math.inf]}, "arc"),
+}
+BAD_DOMAIN_CASES = pytest.mark.parametrize(
+    "manifold, objective, candidate, domain, key",
+    list(BAD_DOMAINS.values()),
+    ids=list(BAD_DOMAINS),
+)
+
+
+def bad_domain_config(manifold, objective, candidate, domain) -> dict:
+    return {"manifold": manifold, "objective": {"real": objective},
+            "constraints": [], "candidate": candidate, "options": {"domain": domain}}
+
+
+@BAD_DOMAIN_CASES
+def test_unsamplable_domain_numbers_are_rejected(manifold, objective, candidate, domain, key):
+    with pytest.raises(ConfigError, match=key):
+        build_problem(bad_domain_config(manifold, objective, candidate, domain))
+
+
+def test_widest_finite_boxes_draw_finite_points():
+    """A box with a finite width hi - lo only ever proposes finite points, so
+    the bulk proposer needs no point-by-point fallback for overflow."""
+    e1 = Euclidean(1)
+    for bounds in ([(-8.98e307, 8.98e307)], [(0.0, 1.7976931348623157e308)],
+                   [(-1.7976931348623157e308, 0.0)], [(1e308, 1.7976931348623157e308)]):
+        batch = euclidean_box_domain(e1, bounds).propose(np.random.default_rng(0), 4096)
+        assert np.isfinite(batch.features["x1"]).all() and batch.member.all()
+
+
+# The file's candidate 0.5 lies outside the arc, where ln(theta - 1) is not
+# defined; the feasible set is [2, 3].
+OUTSIDE_CANDIDATE = {
+    "manifold": {"kind": "circle"},
+    "objective": {"real": "(theta - 2)^2"},
+    "constraints": [{"real": "-ln(theta - 1)"}],
+    "candidate": 0.5,
+    "options": {"domain": {"arc": [1.5, 3.0]}},
+}
+
+
+def test_a_candidate_outside_the_domain_is_not_evaluated_when_sampling():
+    prob = build_problem(OUTSIDE_CANDIDATE).problem
+    p0 = CIRCLE.point(2.0)
+    assert brute_force_improvement(prob, p0, n=200) is None
+    dirs = direction_samples(prob, p0, 8)
+    assert len(dirs) == 8 and all(0.0 < x.value <= 1.0 for x in dirs)
 
 
 class TestParseManifold:
@@ -143,8 +207,6 @@ class TestBuildProblem:
         assert loaded.problem.name == "half-arc"
         assert loaded.seed == 11
         assert loaded.candidate.value == pytest.approx(math.pi / 2.0)
-        # the candidate becomes the sampler anchor when none was set
-        assert loaded.problem.domain.anchor.value == loaded.candidate.value
 
     def test_interval_objective_config(self):
         cfg = {

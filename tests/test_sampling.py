@@ -371,7 +371,6 @@ def test_loaded_problem_keeps_its_proposer():
            "candidate": [0.5, 0.5]}
     prob = build_problem(cfg).problem
     assert prob.domain.propose is not None
-    assert prob.domain.anchor.value.tolist() == [0.5, 0.5]
     stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(0))
     points, features = stream.take(10)
     assert features is not None and len(points) == len(features["x1"])
