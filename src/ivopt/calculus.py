@@ -18,13 +18,13 @@ from .interval import Interval
 from .manifolds import Geodesic, Point, TangentDirection, exp_map
 
 MONOTONE_SLACK = 1e-10
+RICH_ORDER = 2  # deepest Richardson extrapolant of the step ladder
 
 
 @dataclass(frozen=True)
 class DerivScheme:
     h0: float = 1e-2
     levels: int = 6
-    rich_order: int = 2
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -32,8 +32,6 @@ class DerivScheme:
             raise ValueError("h0 must be positive")
         if self.levels < 2:
             raise ValueError("at least two ladder levels are required")
-        if self.rich_order < 1:
-            raise ValueError("extrapolation order must be at least 1")
         if self.tol <= 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -48,7 +46,7 @@ def _extrapolated_limit(quotient, scheme: DerivScheme, what: str) -> float:
     for k in range(scheme.levels):
         h = scheme.h0 * 0.5**k
         row = [quotient(h)]
-        depth = min(k, scheme.rich_order)
+        depth = min(k, RICH_ORDER)
         for j in range(1, depth + 1):
             factor = 2.0**j
             row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))

@@ -99,7 +99,7 @@ def _cmd_check_convexity(args) -> int:
     prob = loaded.problem
     seed = _resolve_seed(args.seed, loaded.seed)
     if args.at is not None:
-        p0 = parse_point_text(prob.manifold, args.at)
+        p0 = parse_point_text(prob.manifold, args.at, "--at")
         report = check_convex_at(
             prob.objective, p0, prob.domain,
             targets=args.pairs, grid=args.grid, strict=args.strict, seed=seed,
@@ -154,16 +154,13 @@ def _cmd_check_kkt(args) -> int:
     prob = loaded.problem
     seed = _resolve_seed(args.seed, loaded.seed)
     if args.point is not None:
-        p0 = parse_point_text(prob.manifold, args.point)
+        p0 = parse_point_text(prob.manifold, args.point, "--point")
     elif loaded.candidate is not None:
         p0 = loaded.candidate
     else:
         raise ConfigError("no candidate: pass --point or set 'candidate' in the file")
 
-    scheme = DerivScheme(
-        h0=args.deriv_h0, levels=args.deriv_levels,
-        rich_order=DEFAULT_SCHEME.rich_order, tol=args.deriv_tol,
-    )
+    scheme = DerivScheme(h0=args.deriv_h0, levels=args.deriv_levels, tol=args.deriv_tol)
     dirs = direction_samples(prob, p0, args.directions, seed=seed)
 
     found_mu = None

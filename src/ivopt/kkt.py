@@ -34,17 +34,14 @@ points in one pass too.  An opaque or deferring function sends its batch
 point by point, so the points and errors are those of ``draw_one`` in a loop.
 
 find_multipliers searches the multipliers with one small linear program
-over the sampled directions.  linprog solves it exactly without scipy: by
-vertex enumeration while the vertex count is small, with the same
-tie-break every time, else by a two-phase simplex with Bland's rule.
+over the sampled directions.  linprog solves it exactly without scipy, by a
+two-phase simplex with Bland's rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -88,7 +85,6 @@ CONST_TOL = 1e-9
 STRICT_SAMPLES = 32
 HYPOTHESIS_TARGETS = 16
 HYPOTHESIS_GRID = 17
-LP_VERTEX_CAP = 4096  # largest C(m + n, n) that linprog enumerates
 LP_FEAS_TOL = 1e-9  # row slack per unit of the row's term sizes
 LP_PIVOT_TOL = 1e-11  # smallest reduced cost and pivot the simplex acts on
 
@@ -244,63 +240,16 @@ class LpResult(NamedTuple):
     success: bool
 
 
-def _feasible_rows(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Which rows x of X are finite, nonnegative and satisfy A x <= b.
+def _feasible_row(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> bool:
+    """Whether x is finite, nonnegative and satisfies A x <= b.
 
     Row k may exceed b_k by LP_FEAS_TOL times the size of its terms,
     |b_k| + sum_j |A_kj x_j|: the rounding a solve leaves in a tight row.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        terms = np.abs(X[:, None, :] * A[None, :, :]).sum(axis=2) + np.abs(b)
-        ok = (X @ A.T - b <= LP_FEAS_TOL * terms).all(axis=1)
-    return ok & np.isfinite(X).all(axis=1) & (X >= 0.0).all(axis=1)
-
-
-def _solve_stack(M: np.ndarray, rhs: np.ndarray):
-    """np.linalg.solve over a stack of k x k systems, and which were regular.
-
-    A system is singular when numpy's matrix_rank would call it rank
-    deficient (smallest singular value <= k * eps * largest): the solve of
-    a nearly singular one returns rounding noise of size 1/eps.
-    """
-    s = np.linalg.svd(M, compute_uv=False)
-    regular = s[:, -1] > s[:, 0] * M.shape[-1] * np.finfo(float).eps
-    sol = np.zeros(rhs.shape)
-    try:
-        sol[regular] = np.linalg.solve(M[regular], rhs[regular][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for i in np.flatnonzero(regular):
-            try:
-                sol[i] = np.linalg.solve(M[i], rhs[i])
-            except np.linalg.LinAlgError:
-                regular[i] = False
-    return sol, regular
-
-
-def _best_vertex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """The optimal vertex of min c.x, A x <= b, x >= 0 by enumeration.
-
-    A vertex holds n of the m + n constraints tight: k rows of A and the
-    bounds of the n - k variables outside a k-subset, so each is one
-    k x k solve.  Among the feasible vertices the smallest c.x wins, then
-    the lexicographically smallest x.  Exact only when the LP is bounded.
-    """
-    m, n = A.shape
-    found = [np.zeros((1, n))]
-    for k in range(1, min(m, n) + 1):
-        rows = np.array(list(combinations(range(m), k)))
-        cols = np.array(list(combinations(range(n), k)))
-        r = np.repeat(rows, len(cols), axis=0)
-        j = np.tile(cols, (len(rows), 1))
-        sol, regular = _solve_stack(A[r[:, :, None], j[:, None, :]], b[r])
-        X = np.zeros((len(r), n))
-        np.put_along_axis(X, j, sol, axis=1)
-        found.append(X[regular])
-    X = np.concatenate(found)
-    X = X[_feasible_rows(A, b, X)]
-    if not len(X):
-        return None
-    return X[np.lexsort(tuple(X.T[::-1]) + (X @ c,))[0]]
+        terms = np.abs(A * x).sum(axis=1) + np.abs(b)
+        ok = (A @ x - b <= LP_FEAS_TOL * terms).all()
+    return bool(ok and np.isfinite(x).all() and (x >= 0.0).all())
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -338,14 +287,19 @@ def _bland(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: int) -> 
         _pivot(T, basis, ties[np.argmin(basis[ties])], col)
 
 
-def _simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Dense two-phase tableau simplex for min c.x, A x <= b, x >= 0.
+def linprog(c, A_ub, b_ub) -> LpResult:
+    """Exact small LP: min c.x subject to A_ub x <= b_ub and x >= 0.
 
-    Columns are x, then one slack per row, then one artificial per row with
-    b_k < 0 (that row is negated so its right-hand side is nonnegative).
-    Phase 1 minimises the artificials; phase 2 never lets them enter.
-    Returns None when the LP is infeasible or unbounded.
+    A dense two-phase tableau simplex with Bland's rule.  Columns are x,
+    then one slack per row, then one artificial per row with b_k < 0 (that
+    row is negated so its right-hand side is nonnegative).  Phase 1
+    minimises the artificials; phase 2 never lets them enter.  The answer
+    must pass _feasible_row.  ``success`` is False exactly when no feasible
+    x is found (or the LP is unbounded), and then ``x`` is None.
     """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
     m, n = A.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
     art = np.flatnonzero(b < 0.0)
@@ -360,37 +314,18 @@ def _simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray
     if len(art):
         _bland(T, basis, np.repeat([0.0, 1.0], [n + m, len(art)]), width)
         if T[basis >= n + m, -1].sum() > LP_FEAS_TOL * (1.0 + np.abs(b).sum()):
-            return None
+            return LpResult(None, False)
         for row in np.flatnonzero(basis >= n + m):
             cols = np.flatnonzero(np.abs(T[row, :n + m]) > LP_PIVOT_TOL)
             if len(cols):
                 _pivot(T, basis, row, cols[0])
     if not _bland(T, basis, np.concatenate([c, np.zeros(m + len(art))]), n + m):
-        return None
+        return LpResult(None, False)
     x = np.zeros(width)
     x[basis] = T[:, -1]
-    return np.maximum(x[:n], 0.0)
-
-
-def linprog(c, A_ub, b_ub) -> LpResult:
-    """Exact small LP: min c.x subject to A_ub x <= b_ub and x >= 0.
-
-    While C(m + n, n) <= LP_VERTEX_CAP and c >= 0 (so the LP is bounded),
-    every vertex is enumerated (_best_vertex) and ties are broken the same
-    way every time; otherwise a two-phase simplex with Bland's rule solves
-    it.  ``success`` is False exactly when no feasible x is found (or the
-    LP is unbounded), and then ``x`` is None.
-    """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
-    if math.comb(A.shape[0] + len(c), len(c)) <= LP_VERTEX_CAP and np.all(c >= 0.0):
-        x = _best_vertex(c, A, b)
-    else:
-        x = _simplex(c, A, b)
-        if x is not None and not _feasible_rows(A, b, x[None])[0]:
-            x = None
-    return LpResult(x, x is not None)
+    x = np.maximum(x[:n], 0.0)
+    ok = _feasible_row(A, b, x)
+    return LpResult(x if ok else None, ok)
 
 
 def _solve_multiplier_lp(df: np.ndarray, dg: np.ndarray) -> Optional[np.ndarray]:

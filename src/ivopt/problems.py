@@ -36,7 +36,7 @@ from .convexity import (
     check_cw_convex_at,
     check_star_shaped,
 )
-from .errors import ConfigError
+from .errors import ConfigError, IvoptError
 from .functions import (
     CIRCLE,
     EUCLIDEAN1,
@@ -64,6 +64,14 @@ WIDTH_VALIDATION_SAMPLES = 64
 
 
 # -- default domain samplers ----------------------------------------------
+
+
+def _number(value, where: str) -> float:
+    """float(value), or a ConfigError that names where the value came from."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
 def circle_domain(lo: float = 0.0, hi: float = TWO_PI) -> DomainSampler:
@@ -94,13 +102,22 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
     """Uniform sampler over an axis-aligned box (default [-2, 2]^n)."""
     if bounds is None:
         bounds = [(-2.0, 2.0)] * manifold.dim
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if len(bounds) != manifold.dim or any(lo >= hi for lo, hi in bounds):
-        raise ConfigError("box bounds must give one (lo, hi) pair per coordinate")
+    try:
+        pairs = [(float(lo), float(hi)) for lo, hi in bounds]
+    except (TypeError, ValueError):
+        pairs = []
+    if len(pairs) != manifold.dim or any(lo >= hi for lo, hi in pairs):
+        raise ConfigError(
+            "options.domain.box must give one [lo, hi] pair of numbers with lo < hi "
+            f"per coordinate, got {bounds!r}"
+        )
+    bounds = pairs
     # uniform(lo, hi) overflows unless hi - lo is finite, which also rules
     # out nan and infinite bounds; every draw is then finite
     if not all(math.isfinite(hi - lo) for lo, hi in bounds):
-        raise ConfigError(f"domain.box bounds must be finite with a finite width, got {bounds}")
+        raise ConfigError(
+            f"options.domain.box bounds must be finite with a finite width, got {bounds}"
+        )
 
     def membership(p: Point) -> bool:
         return p.manifold == manifold and all(
@@ -124,15 +141,24 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
 
 
 def spd_domain(manifold: Spd, scale: float = 0.7) -> DomainSampler:
-    """Log-normal style sampler over the whole SPD manifold."""
+    """Log-normal style sampler over the whole SPD manifold.
+
+    A draw that fails (a scale so large that the matrix exponential loses
+    positive definiteness) raises a ConfigError that names the scale.
+    """
     if not 0.0 < scale < math.inf:
-        raise ConfigError(f"domain.scale must be a finite positive number, got {scale}")
+        raise ConfigError(f"options.domain.scale must be a finite positive number, got {scale}")
 
     def membership(p: Point) -> bool:
         return p.manifold == manifold
 
     def sample(rng: np.random.Generator) -> Point:
-        return manifold.random_point(rng, scale=scale)
+        try:
+            return manifold.random_point(rng, scale=scale)
+        except IvoptError as exc:
+            raise ConfigError(
+                f"options.domain.scale {scale:g} is too large to sample {manifold.name}: {exc}"
+            ) from exc
 
     return DomainSampler(membership, sample, name=f"spd(scale={scale:.6g})")
 
@@ -155,9 +181,10 @@ def default_domain(manifold: Manifold, spec: Optional[dict] = None) -> DomainSam
     if isinstance(manifold, Circle):
         arc = spec.pop("arc", [0.0, TWO_PI])
         _reject_unknown(spec, "options.domain")
+        where = "options.domain.arc"
         if not (isinstance(arc, (list, tuple)) and len(arc) == 2):
-            raise ConfigError("domain.arc must be [lo, hi]")
-        return circle_domain(float(arc[0]), float(arc[1]))
+            raise ConfigError(f"{where} must be [lo, hi], got {arc!r}")
+        return circle_domain(_number(arc[0], where), _number(arc[1], where))
     if isinstance(manifold, Euclidean):
         box = spec.pop("box", None)
         _reject_unknown(spec, "options.domain")
@@ -165,7 +192,7 @@ def default_domain(manifold: Manifold, spec: Optional[dict] = None) -> DomainSam
     if isinstance(manifold, Spd):
         scale = spec.pop("scale", 0.7)
         _reject_unknown(spec, "options.domain")
-        return spd_domain(manifold, float(scale))
+        return spd_domain(manifold, _number(scale, "options.domain.scale"))
     raise ConfigError(f"no default domain for manifold {manifold.name}")
 
 
@@ -200,22 +227,27 @@ def parse_manifold(spec) -> Manifold:
     raise ConfigError(f"unknown manifold kind {kind!r}")
 
 
-def parse_point(manifold: Manifold, raw) -> Point:
+def parse_point(manifold: Manifold, raw, where: str = "candidate") -> Point:
+    """A point from its JSON form; errors name ``where`` it came from."""
     if isinstance(manifold, Circle):
         if isinstance(raw, dict):
             raw = dict(raw)
             theta = raw.pop("theta", None)
-            _reject_unknown(raw, "point")
+            _reject_unknown(raw, where)
             if theta is None:
-                raise ConfigError("circle point object needs a 'theta'")
-            return manifold.point(float(theta))
-        return manifold.point(float(raw))
+                raise ConfigError(f"{where}: circle point object needs a 'theta'")
+            return manifold.point(_number(theta, f"{where}.theta"))
+        return manifold.point(_number(raw, where))
     if isinstance(manifold, (Euclidean, Spd)):
-        return manifold.point(raw)
+        try:
+            value = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where} must be an array of numbers, got {raw!r}") from None
+        return manifold.point(value)
     raise ConfigError(f"cannot parse a point for manifold {manifold.name}")
 
 
-def parse_point_text(manifold: Manifold, text: str) -> Point:
+def parse_point_text(manifold: Manifold, text: str, where: str = "point") -> Point:
     """Parse a command-line point: a bare number or a JSON literal."""
     try:
         raw = json.loads(text)
@@ -223,8 +255,8 @@ def parse_point_text(manifold: Manifold, text: str) -> Point:
         try:
             raw = float(text)
         except ValueError:
-            raise ConfigError(f"cannot parse point {text!r}") from None
-    return parse_point(manifold, raw)
+            raise ConfigError(f"{where}: cannot parse point {text!r}") from None
+    return parse_point(manifold, raw, where)
 
 
 def _parse_fn(spec, manifold: Manifold, where: str) -> Union[RealFn, IvFn]:

@@ -38,7 +38,6 @@ class TestScheme:
     def test_defaults(self):
         assert DEFAULT_SCHEME.h0 == 1e-2
         assert DEFAULT_SCHEME.levels == 6
-        assert DEFAULT_SCHEME.rich_order == 2
         assert DEFAULT_SCHEME.tol == 1e-6
 
     def test_validation(self):
@@ -46,8 +45,6 @@ class TestScheme:
             DerivScheme(h0=0.0)
         with pytest.raises(ValueError):
             DerivScheme(levels=1)
-        with pytest.raises(ValueError):
-            DerivScheme(rich_order=0)
         with pytest.raises(ValueError):
             DerivScheme(tol=-1.0)
 

@@ -8,7 +8,13 @@ import pytest
 from ivopt.cli import main
 from ivopt.kkt import direction_samples, verify_p3
 from ivopt.problems import load_problem
-from test_problems import BAD_DOMAIN_CASES, OUTSIDE_CANDIDATE, bad_domain_config
+from test_problems import (
+    BAD_DOMAIN_CASES,
+    MALFORMED_NUMBER_CASES,
+    OUTSIDE_CANDIDATE,
+    SPD_I,
+    bad_domain_config,
+)
 
 PSTAR_CFG = {
     "manifold": {"kind": "circle"},
@@ -27,6 +33,14 @@ PSTAR_CFG = {
 def pstar_file(tmp_path):
     path = tmp_path / "pstar.json"
     path.write_text(json.dumps(PSTAR_CFG), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def spd_file(tmp_path):
+    cfg = {"manifold": {"kind": "spd", "dim": 2}, "objective": {"real": "logdet^2"}}
+    path = tmp_path / "spd.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
 
 
@@ -189,6 +203,23 @@ class TestCheckKkt:
         assert rc == 2
         assert "Inconclusive" in out
 
+    def test_no_multipliers_json(self, pstar_file, capsys):
+        rc = main(["check-kkt", "--problem", pstar_file, "--point", "0.3", "--json",
+                   "--directions", "8", "--seed", "0"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "Inconclusive",
+            "reason": "no feasible multipliers over the sampled directions",
+            "seed": 0,
+        }
+
+    def test_no_candidate_is_an_error(self, convex_file, capsys):
+        assert main(["check-kkt", "--problem", convex_file, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no candidate: pass --point or set 'candidate' in the file\n")
+
     def test_mu_and_find_mu_conflict(self, pstar_file, capsys):
         rc = main(["check-kkt", "--problem", pstar_file,
                    "--mu", "0,1,0", "--find-mu"])
@@ -254,6 +285,40 @@ class TestUnsamplableDomain:
         assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("command", ["check-kkt", "check-convexity"])
+    @MALFORMED_NUMBER_CASES
+    def test_is_an_error_line(self, tmp_path, command, manifold, objective, candidate,
+                              domain, key, capsys):
+        cfg = bad_domain_config(manifold, objective, candidate, domain)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main([command, "--problem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, problem, flag, text", [
+        ("check-kkt", "pstar_file", "--point", "[1]"),
+        ("check-convexity", "spd_file", "--at", '{"a": 1}'),
+    ])
+    def test_a_malformed_point_flag_is_an_error_line(self, request, command, problem,
+                                                      flag, text, capsys):
+        path = request.getfixturevalue(problem)
+        assert main([command, "--problem", path, flag, text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must ") and "Traceback" not in err
+
+    def test_an_spd_scale_too_large_to_sample(self, tmp_path, capsys):
+        cfg = bad_domain_config({"kind": "spd", "dim": 2}, "logdet^2", SPD_I, {"scale": 1e3})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["check-convexity", "--problem", str(path), "--pairs", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: options.domain.scale 1000 is too large to sample Spd(2): "
+            "matrix is not positive definite")
+
+
 class TestCheckKktSplitMode:
     ARGS = ["--directions", "8", "--seed", "2", "--json"]
 
@@ -307,6 +372,13 @@ class TestRepro:
         assert rc == 0
         assert out.startswith("scenario 4.1")
         assert "result: ok" in out
+
+    def test_text_rows_show_tolerances_and_notes(self, capsys):
+        assert main(["repro", "--example", "3.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  [ok  ] chord midpoint center: expected 0.811 (tol 0.001), got " \
+            "0.8109302162163288" in lines
+        assert any(line.startswith("         note: a published halfwidth") for line in lines)
 
     def test_unknown_scenario_choice(self, capsys):
         assert main(["repro", "--example", "9.9"]) == 1

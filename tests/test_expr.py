@@ -85,12 +85,30 @@ class TestEvaluation:
         with pytest.raises(NonFiniteError):
             ev("exp(10000)")
 
+    def test_power_overflow_reported(self):
+        with pytest.raises(NonFiniteError, match=r"10.0 \^ 400.0 overflows"):
+            ev("10^400")
+
+    def test_unbound_feature(self):
+        with pytest.raises(DomainError, match="feature 'x2' has no bound value"):
+            expr.eval_node(expr.parse("x1 + x2"), {"x1": 1.0})
+
 
 class TestParseErrors:
     def test_unclosed_call_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
             expr.parse("ln(")
         assert info.value.position == 3
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("(1 + 2", r"unclosed parenthesis at offset 6 \(expected '\)'\)", 6),
+        ("ln(2", r"unclosed call at offset 4 \(expected '\)' or ','\)", 4),
+        ("ln(1, 2)", "ln expects exactly one argument at offset 0", 0),
+    ])
+    def test_unclosed_and_overfull_forms(self, text, message, position):
+        with pytest.raises(ExprSyntaxError, match=message) as info:
+            expr.parse(text)
+        assert info.value.position == position
 
     def test_expected_tokens_attached(self):
         with pytest.raises(ExprSyntaxError) as info:

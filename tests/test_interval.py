@@ -192,6 +192,11 @@ class TestCompare:
             is OrderOutcome.GREATER
         assert geq_max(Interval(2, 3), Interval(1, 4))
 
+    def test_max_order_smaller_center_is_less(self):
+        # the narrower interval would precede in the width tie-break
+        assert compare(Interval(0, 1), Interval(3, 7), OrderRelation.MAX) \
+            is OrderOutcome.LESS
+
     def test_center_tolerance_default_is_scale_aware(self):
         # centers differ by far less than eps; halfwidths decide
         t1 = Interval.from_center_width(1e6, 2.0)

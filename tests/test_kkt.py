@@ -294,6 +294,13 @@ class TestVerifyP2:
 
 
 class TestVerifyP3:
+    def test_label_guards(self):
+        dirs = pstar_directions(2)
+        with pytest.raises(ConfigError, match="verify_p3 expects a P3 problem, got P2"):
+            verify_p3(PSTAR.problem, PSTAR.candidate, (0.0, 1.0, 0.0), dirs)
+        with pytest.raises(ConfigError, match="verify_p3_split expects a P3 problem, got P2"):
+            verify_p3_split(PSTAR.problem, PSTAR.candidate, (0.0, 1.0, 0.0), dirs)
+
     def test_two_branch_optimal_not_strict(self):
         cert = verify_p3(PSTARSTAR.problem, PSTARSTAR.candidate,
                          (1.0, 0.0, 0.0), pstarstar_directions())

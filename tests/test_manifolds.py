@@ -67,6 +67,10 @@ class TestEuclidean:
         feats = E2.features(E2.point([0.5, -2.0]))
         assert feats == {"x1": 0.5, "x2": -2.0}
 
+    def test_inner_is_the_dot_product(self):
+        p = E2.point([1.0, -1.0])
+        assert inner(p, E2.tangent(p, [1.0, 2.0]), E2.tangent(p, [3.0, -4.0])) == -5.0
+
     def test_point_shape_checked(self):
         with pytest.raises(DomainError):
             E2.point([1.0])

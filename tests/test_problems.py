@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ivopt.errors import ConfigError, NegativeWidthError
+from ivopt.errors import ConfigError, NegativeWidthError, NonPositiveDefiniteError
 from ivopt.functions import CIRCLE, SPD2
 from ivopt.kkt import brute_force_improvement, direction_samples
 from ivopt.manifolds import Euclidean, Spd, TWO_PI
@@ -126,6 +127,76 @@ def bad_domain_config(manifold, objective, candidate, domain) -> dict:
 def test_unsamplable_domain_numbers_are_rejected(manifold, objective, candidate, domain, key):
     with pytest.raises(ConfigError, match=key):
         build_problem(bad_domain_config(manifold, objective, candidate, domain))
+
+
+CIRCLE_M = {"kind": "circle"}
+SPD_I = [[1.0, 0.0], [0.0, 1.0]]
+
+# problem files with a value that is not a number, or not a list of them,
+# where one is due: (manifold, objective, candidate, options.domain, key)
+MALFORMED_NUMBERS = {
+    "box-number": (EUCLID1, "x1^2", [0.5], {"box": 5}, "options.domain.box"),
+    "box-short-pair": (EUCLID1, "x1^2", [0.5], {"box": [[1]]}, "options.domain.box"),
+    "box-long-pair": (EUCLID1, "x1^2", [0.5], {"box": [[0, 1, 2]]}, "options.domain.box"),
+    "box-string": (EUCLID1, "x1^2", [0.5], {"box": [["a", 1]]}, "options.domain.box"),
+    "scale-null": (SPD_2, "logdet^2", SPD_I, {"scale": None}, "options.domain.scale"),
+    "scale-list": (SPD_2, "logdet^2", SPD_I, {"scale": [1]}, "options.domain.scale"),
+    "scale-string": (SPD_2, "logdet^2", SPD_I, {"scale": "x"}, "options.domain.scale"),
+    "arc-null": (CIRCLE_M, "theta^2", 0.5, {"arc": [None, 1]}, "options.domain.arc"),
+    "arc-string": (CIRCLE_M, "theta^2", 0.5, {"arc": ["a", 1]}, "options.domain.arc"),
+    "circle-list": (CIRCLE_M, "theta^2", [1], {}, "candidate"),
+    "circle-theta-list": (CIRCLE_M, "theta^2", {"theta": [1]}, {}, "candidate.theta"),
+    "euclid-object": (EUCLID1, "x1^2", {"x": 1}, {}, "candidate"),
+}
+MALFORMED_NUMBER_CASES = pytest.mark.parametrize(
+    "manifold, objective, candidate, domain, key",
+    list(MALFORMED_NUMBERS.values()),
+    ids=list(MALFORMED_NUMBERS),
+)
+
+
+@MALFORMED_NUMBER_CASES
+def test_malformed_numbers_name_their_key(manifold, objective, candidate, domain, key):
+    with pytest.raises(ConfigError, match="^" + re.escape(key) + " must "):
+        build_problem(bad_domain_config(manifold, objective, candidate, domain))
+
+
+@pytest.mark.parametrize("manifold, text, flag", [
+    (CIRCLE, "[1]", "--point"),
+    (SPD2, '{"a": 1}', "--at"),
+])
+def test_malformed_point_text_names_the_flag(manifold, text, flag):
+    with pytest.raises(ConfigError, match="^" + flag + " must "):
+        parse_point_text(manifold, text, flag)
+
+
+def test_numbers_accepted_before_stay_accepted():
+    assert default_domain(CIRCLE, {"arc": ["1", 2]}).name == "circle[1,2]"
+    assert default_domain(Spd(2), {"scale": "0.5"}).name == "spd(scale=0.5)"
+    assert default_domain(Euclidean(1), {"box": [("0", 1)]}).name == "box[(0.0, 1.0)]"
+    box = euclidean_box_domain(Euclidean(2), np.array([[0, 1], [-1, 0]]))
+    assert box.name == "box[(0.0, 1.0), (-1.0, 0.0)]"
+    assert parse_point(CIRCLE, "1.5").value == 1.5
+    assert parse_point(CIRCLE, {"theta": "1.5"}).value == 1.5
+    assert list(parse_point(Euclidean(2), ["1", 2]).value) == [1.0, 2.0]
+
+
+def test_an_spd_scale_too_large_to_sample_is_named_with_its_cause():
+    cfg = bad_domain_config(SPD_2, "logdet^2", SPD_I, {"scale": 1e3})
+    domain = build_problem(cfg).problem.domain
+    with pytest.raises(ConfigError) as info:
+        domain.draw_one(np.random.default_rng(0))
+    assert str(info.value).startswith(
+        "options.domain.scale 1000 is too large to sample Spd(2): "
+        "matrix is not positive definite (min eigenvalue ")
+    assert isinstance(info.value.__cause__, NonPositiveDefiniteError)
+
+
+def test_spd_draws_that_succeed_are_the_manifolds():
+    sample = spd_domain(Spd(2), 0.9).sample
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        assert np.array_equal(sample(rng).value, Spd(2).random_point(ref, 0.9).value)
 
 
 def test_widest_finite_boxes_draw_finite_points():
