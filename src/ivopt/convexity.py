@@ -14,10 +14,16 @@ non-strict, strict and affine measures, and rebuilds the witness from the
 winning grid index.  ``check_star_shaped`` tests membership, not values,
 and keeps its own loop.
 
+Segment values come from one array pass per segment where the manifold
+gives the path's features as arrays (``geodesic_features``, or
+``chord_features`` for ``path="chord"``) and the function is compiled; else
+the path points are evaluated one by one.
+
 ``DomainSampler.draw_one`` is the reference rejection sampler.  A sampler
 with a bulk proposer can also be drawn through ``ProposalStream``, which
 tests proposals a batch at a time and hands out exactly the points, and
 raises exactly the errors, of ``draw_one`` called in a loop.
+``check_convex``, ``check_affine`` and ``check_convex_at`` draw through it.
 """
 
 from __future__ import annotations
@@ -120,25 +126,18 @@ class ProposalStream:
     Proposals come k at a time from the sampler's ``propose`` and are tested
     as one batch; the accepted ones are handed out in draw order, and so are
     the rejections that ``MAX_TRIES`` bounds across batches, with ``min_dist``
-    checked by the scalar ``distance`` on each proposal that passed
-    membership.  A batch without an array form replays its own proposals
-    through ``membership``, so an exception is raised at the proposal that
-    raises it.  Points and errors are exactly those of ``draw_one`` in a loop
+    from each draw's ``apart_from`` checked by the scalar ``distance`` on each
+    proposal that passed membership.  A batch without an array form replays
+    its own proposals through ``membership``, so an exception is raised at
+    the proposal that raises it.  Points and errors are exactly those of ``draw_one`` in a loop
     on the same generator, provided nothing else draws from it while the
     stream lives; unused proposals are dropped with the stream.  A sampler
     without ``propose`` is served by ``draw_one`` itself.  An exception ends
     the stream.
     """
 
-    def __init__(
-        self,
-        sampler: DomainSampler,
-        rng: np.random.Generator,
-        apart_from: Optional[Point] = None,
-        min_dist: float = 0.0,
-    ):
-        self.sampler, self.rng = sampler, rng
-        self.apart_from, self.min_dist = apart_from, min_dist
+    def __init__(self, sampler: DomainSampler, rng: np.random.Generator, min_dist: float = 0.0):
+        self.sampler, self.rng, self.min_dist = sampler, rng, min_dist
         self._batch: Optional[Proposals] = None
         self._size = 0
         self._next = 0  # first proposal of the batch not yet examined
@@ -146,15 +145,16 @@ class ProposalStream:
         self._pending: Optional[Exception] = None  # met after points were taken
         self._proposed = self._accepted = 0
 
-    def points(self, n: int) -> list:
+    def points(self, n: int, apart_from: Optional[Point] = None) -> list:
         """The next n points."""
         out = []
         while len(out) < n:
-            out += self.take(n - len(out))[0]
+            out += self.take(n - len(out), apart_from)[0]
         return out
 
-    def take(self, m: int):
-        """(points, features): between 1 and m accepted points, in order.
+    def take(self, m: int, apart_from: Optional[Point] = None):
+        """(points, features): between 1 and m accepted points, in order,
+        each at least ``min_dist`` from ``apart_from`` when that is given.
 
         ``features`` holds their features as arrays, or is None when they
         were tested point by point.  Fewer than m points come back at the
@@ -165,14 +165,13 @@ class ProposalStream:
             raise self._pending
         sampler = self.sampler
         if sampler.propose is None:
-            q = sampler.draw_one(self.rng, MAX_TRIES, self.apart_from, self.min_dist)
-            return [q], None
+            return [sampler.draw_one(self.rng, MAX_TRIES, apart_from, self.min_dist)], None
         points, rows = [], []
         try:
             while not points:
                 if self._next == self._size:
                     self._refill(m)
-                self._scan(m, points, rows)
+                self._scan(m, apart_from, points, rows)
         except Exception as exc:
             if not points:
                 raise
@@ -198,7 +197,7 @@ class ProposalStream:
         if self._run >= MAX_TRIES:
             raise self.sampler.exhausted(MAX_TRIES)
 
-    def _scan(self, m: int, points: list, rows: list) -> None:
+    def _scan(self, m: int, apart_from: Optional[Point], points: list, rows: list) -> None:
         """Examine proposals of the batch in order until m points are taken."""
         batch, start = self._batch, self._next
         if batch.member is None:
@@ -211,8 +210,8 @@ class ProposalStream:
             q = batch.point(i)
             if (batch.member is None and not self.sampler.membership(q)) or (
                 self.min_dist > 0.0
-                and self.apart_from is not None
-                and distance(self.apart_from, q) < self.min_dist
+                and apart_from is not None
+                and distance(apart_from, q) < self.min_dist
             ):
                 self._reject(1)
                 continue
@@ -290,9 +289,10 @@ def _bounds(v: Value) -> tuple:
 
 
 def _path_bounds(f: Fn, p: Point, q: Point, svals: list, path: str) -> tuple:
-    """f on the path from p to q at svals as (lb, ub) arrays: one array pass on
-    geodesics where f has one, else point by point, raising at its point."""
-    bounds = bounds_along(f, p, q, svals) if path == "geodesic" else None
+    """f on the path from p to q at svals as (lb, ub) arrays: one array pass
+    where f and the manifold's grid features have one, else point by point,
+    raising at its point."""
+    bounds = bounds_along(f, p, q, svals, path)
     if bounds is not None:
         return bounds
     manifold = p.manifold
@@ -395,10 +395,10 @@ def _worst_on_segments(f: Fn, segments, grid: int, kind: str = "convex",
 
 def _drawn_pairs(dom: DomainSampler, pairs: int, seed: int, min_dist: float):
     """``pairs`` sampled (p, q) pairs, q at least ``min_dist`` from p."""
-    rng = np.random.default_rng(seed)
+    stream = ProposalStream(dom, np.random.default_rng(seed), min_dist)
     for _ in range(pairs):
-        p = dom.draw_one(rng)
-        yield p, dom.draw_one(rng, apart_from=p, min_dist=min_dist)
+        p = stream.take(1)[0][0]
+        yield p, stream.take(1, apart_from=p)[0][0]
 
 
 def check_convex(
@@ -431,11 +431,8 @@ def check_convex_at(
     seed: int = 0,
 ) -> ConvexityReport:
     """Test the convexity inequality on geodesics from a fixed base point."""
-    rng = np.random.default_rng(seed)
-    segments = (
-        (p0, dom.draw_one(rng, apart_from=p0, min_dist=1e-8 if strict else 0.0))
-        for _ in range(targets)
-    )
+    stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8 if strict else 0.0)
+    segments = ((p0, q) for _ in range(targets) for q in stream.take(1, apart_from=p0)[0])
     return _worst_on_segments(f, segments, grid, "strict" if strict else "convex")
 
 

@@ -13,7 +13,8 @@ manifold's ``geodesic_features`` for the grid, then each compiled closure
 arrays, and a closure that defers all go point by point instead, so the
 values, and any exception with the grid point it is raised at, are those of
 evaluating the function at each point of ``geodesic_points``.
-``bounds_along`` is that array pass alone, giving (lb, ub) arrays or None.
+``bounds_along`` is that array pass alone, giving (lb, ub) arrays or None,
+on the geodesic grid or, with ``path="chord"``, on the ``chord_point`` grid.
 ``bounds_on`` is the same array pass over any batch of feature arrays, such
 as a batch of sampler proposals, with the endpoints as arrays.
 """
@@ -128,10 +129,12 @@ class IvFn:
 
 
 def bounds_along(
-    f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float]
+    f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float],
+    path: str = "geodesic",
 ) -> Optional[tuple]:
-    """f at each point of ``p.manifold.geodesic_points(p, q, svals)``, as
-    (lb, ub) arrays from one array pass (see ``bounds_on``), or None.
+    """f at each point of ``p.manifold.geodesic_points(p, q, svals)`` (or at
+    ``chord_point(p, q, s)`` for each s, with ``path="chord"``), as (lb, ub)
+    arrays from one array pass (see ``bounds_on``), or None.
 
     None when the grid is empty, a component of f has no array form, the
     manifold cannot give the grid's features as arrays, or ``bounds_on``
@@ -140,7 +143,8 @@ def bounds_along(
     manifold = p.manifold
     if len(svals) == 0 or not has_array_form(f) or not f.manifold == manifold == q.manifold:
         return None
-    features = manifold.geodesic_features(p, q, svals)
+    along = manifold.geodesic_features if path == "geodesic" else manifold.chord_features
+    features = along(p, q, svals)
     return None if features is None else bounds_on(f, manifold, features)
 
 

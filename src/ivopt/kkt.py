@@ -222,12 +222,10 @@ def direction_samples(
     min_dist: float = 1e-8,
 ) -> List[TangentDirection]:
     """Tangent directions from p0 toward n sampled distinct feasible points."""
-    stream = ProposalStream(
-        prob.feasible_sampler(), np.random.default_rng(seed), apart_from=p0, min_dist=min_dist
-    )
+    stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed), min_dist)
     out = []
     while len(out) < n:
-        out += [log_map(p0, q) for q in stream.take(n - len(out))[0]]
+        out += [log_map(p0, q) for q in stream.take(n - len(out), apart_from=p0)[0]]
     return out
 
 

@@ -19,6 +19,13 @@ float64 array over the grid, equal bit for bit to the features of the points
 ``geodesic_points`` builds, with no ``Point`` built.  It returns None when
 any grid point would fail validation, so that a caller falls back to the
 points and meets the error where ``geodesic_point`` raises it.
+``chord_features`` is the same for the straight chord of ``chord_point``;
+on the flat geometries chords are geodesics and it is ``geodesic_features``.
+
+``Spd.random_points`` draws k random points from one stacked normal draw and
+one stacked eigendecomposition, bit for bit the points of k ``random_point``
+calls.  Geodesic grids, chord grids and draws are validated as one stack by
+one helper with the checks of ``Spd.point``.
 """
 
 from __future__ import annotations
@@ -168,6 +175,10 @@ class Manifold:
         """Interpolation in ambient coordinates (straight-line mixing)."""
         raise NotImplementedError
 
+    def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+        """``geodesic_features`` for the points ``chord_point`` gives at svals."""
+        return None
+
     def log(self, p: Point, q: Point) -> TangentDirection:
         raise NotImplementedError
 
@@ -253,6 +264,8 @@ class Euclidean(Manifold):
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
+
+    chord_features = geodesic_features
 
     def log(self, p: Point, q: Point) -> TangentDirection:
         self._check(p)
@@ -341,6 +354,8 @@ class Circle(Manifold):
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
+
+    chord_features = geodesic_features
 
     def log(self, p: Point, q: Point) -> TangentDirection:
         self._check(p)
@@ -440,29 +455,22 @@ class Spd(Manifold):
         """
         if len(svals) == 0:
             return
-        raw, sym, signs, logdets, traces = self._grid_stack(p, q, svals)
+        raw = self._grid(p, q, svals)
+        sym, signs, logdets, traces = self._validated(raw)
         for value, sign, logdet, trace in zip(
             sym, signs.tolist(), logdets.tolist(), traces.tolist()
         ):
-            pt = Point(self, value)
-            if sign > 0:
-                object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
-            yield pt
+            yield self._memoised(value, logdet, trace) if sign > 0 else Point(self, value)
         for j in range(len(sym), len(raw)):
             yield self.point(raw[j])
 
     def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
         """The stacked logdet and trace of ``geodesic_points``, or None when a
         point fails validation or has a non-positive determinant sign."""
-        raw, sym, signs, logdets, traces = self._grid_stack(p, q, svals)
-        if len(sym) < len(raw) or not (signs > 0).all():
-            return None
-        return {"logdet": logdets, "trace": traces}
+        return self._array_form(self._grid(p, q, svals))[1]
 
-    def _grid_stack(self, p: Point, q: Point, svals: Sequence[float]):
-        """The raw grid stack, its leading run that passes ``point``'s checks
-        (symmetrized, read-only), and that run's slogdet signs, logdets and
-        traces."""
+    def _grid(self, p: Point, q: Point, svals: Sequence[float]) -> np.ndarray:
+        """The geodesic grid as one raw (unvalidated) stack."""
         self._check(p)
         self._check(q)
         half, inv_half = self._roots(p)
@@ -470,7 +478,12 @@ class Spd(Manifold):
         # one scalar power per grid value: numpy special-cases exponents such
         # as 0.5, so a broadcast vals ** svals would change the bits
         pows = np.stack([vals**s for s in svals])
-        raw = half @ ((vecs * pows[:, None, :]) @ vecs.T) @ half
+        return half @ ((vecs * pows[:, None, :]) @ vecs.T) @ half
+
+    def _validated(self, raw: np.ndarray):
+        """The leading run of a stack of matrices that passes ``point``'s
+        checks (symmetrized, read-only), and that run's slogdet signs,
+        logdets and traces."""
         flipped = raw.transpose(0, 2, 1)
         good = _prefix(
             np.isfinite(raw).all(axis=(1, 2))
@@ -481,12 +494,34 @@ class Spd(Manifold):
         sym = sym[:good]
         sym.setflags(write=False)
         signs, logdets = np.linalg.slogdet(sym)
-        return raw, sym, signs, logdets, np.trace(sym, axis1=1, axis2=2)
+        return sym, signs, logdets, np.trace(sym, axis1=1, axis2=2)
+
+    def _array_form(self, raw: np.ndarray):
+        """(sym, features) of a stack: the validated run of ``_validated``,
+        and the stack's logdet and trace arrays, or None when a matrix fails
+        a check or has a non-positive determinant sign."""
+        sym, signs, logdets, traces = self._validated(raw)
+        if len(sym) < len(raw) or not (signs > 0).all():
+            return sym, None
+        return sym, {"logdet": logdets, "trace": traces}
+
+    def _memoised(self, value: np.ndarray, logdet: float, trace: float) -> Point:
+        pt = Point(self, value)
+        object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
+        return pt
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
         self._check(q)
         return self.point((1.0 - s) * p.value + s * q.value)
+
+    def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+        """The stacked logdet and trace of the ``chord_point`` grid, or None
+        when a point fails validation or has a non-positive determinant sign."""
+        self._check(p)
+        self._check(q)
+        s = np.asarray(svals, dtype=float)[:, None, None]
+        return self._array_form((1.0 - s) * p.value + s * q.value)[1]
 
     def log(self, p: Point, q: Point) -> TangentDirection:
         self._check(p)
@@ -527,8 +562,41 @@ class Spd(Manifold):
         return dict(p._features)
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
-        raw = rng.normal(0.0, scale, size=(self.dim, self.dim))
-        return self.point(sym_exp(0.5 * (raw + raw.T)))
+        return self.random_points(rng, 1, scale)[1](0)
+
+    def random_points(self, rng: np.random.Generator, k: int, scale: float = 0.7):
+        """k random points exp(sym(X)), X with normal entries, as (features,
+        point): ``point(i)`` builds the i-th point and ``features`` holds
+        their logdet and trace as arrays.
+
+        One stacked normal draw gives the bits of k draws in a row.  Each
+        matrix is rebuilt on its own from one stacked eigh, as ``sym_exp``
+        rebuilds it, and the stack is validated with ``point``'s checks.
+        When a matrix fails them, ``features`` is None and each ``point(i)``
+        goes through ``sym_exp`` and ``point``, raising its error there.
+        Overflow from a huge scale is silenced; ``point`` rejects the result.
+        """
+        raw = rng.normal(0.0, scale, size=(k, self.dim, self.dim))
+
+        def one_by_one(i: int) -> Point:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.point(sym_exp(tangents[i]))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            tangents = 0.5 * (raw + raw.transpose(0, 2, 1))
+            # sym_exp's symmetrize; a non-finite stack fails validation below
+            sym = 0.5 * (tangents + tangents.transpose(0, 2, 1))
+            try:
+                vals, vecs = np.linalg.eigh(sym)
+                sym, features = self._array_form(
+                    np.stack([(vecs[i] * np.exp(vals[i])) @ vecs[i].T for i in range(k)])
+                )
+            except np.linalg.LinAlgError:
+                return None, one_by_one
+        if features is None:
+            return None, one_by_one
+        logdets, traces = features["logdet"].tolist(), features["trace"].tolist()
+        return features, lambda i: self._memoised(sym[i], logdets[i], traces[i])
 
     def point_to_json(self, p: Point):
         return [[float(v) for v in row] for row in p.value]

@@ -22,7 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .convexity import (
     check_cw_convex_at,
     check_star_shaped,
 )
-from .errors import ConfigError, IvoptError
+from .errors import ConfigError, DomainError, IvoptError, NonPositiveDefiniteError
 from .functions import (
     CIRCLE,
     EUCLIDEAN1,
@@ -152,15 +152,24 @@ def spd_domain(manifold: Spd, scale: float = 0.7) -> DomainSampler:
     def membership(p: Point) -> bool:
         return p.manifold == manifold
 
-    def sample(rng: np.random.Generator) -> Point:
+    def drawn(draw: Callable[[], Point]) -> Point:
         try:
-            return manifold.random_point(rng, scale=scale)
+            return draw()
         except IvoptError as exc:
             raise ConfigError(
                 f"options.domain.scale {scale:g} is too large to sample {manifold.name}: {exc}"
             ) from exc
 
-    return DomainSampler(membership, sample, name=f"spd(scale={scale:.6g})")
+    def sample(rng: np.random.Generator) -> Point:
+        return drawn(lambda: manifold.random_point(rng, scale=scale))
+
+    def propose(rng: np.random.Generator, k: int) -> Proposals:
+        # every draw is a member; a batch without features has no array form
+        features, point = manifold.random_points(rng, k, scale)
+        member = None if features is None else np.ones(k, dtype=bool)
+        return Proposals(manifold, features, member, lambda i: drawn(lambda: point(i)))
+
+    return DomainSampler(membership, sample, name=f"spd(scale={scale:.6g})", propose=propose)
 
 
 def two_branch_domain() -> DomainSampler:
@@ -236,15 +245,20 @@ def parse_point(manifold: Manifold, raw, where: str = "candidate") -> Point:
             _reject_unknown(raw, where)
             if theta is None:
                 raise ConfigError(f"{where}: circle point object needs a 'theta'")
-            return manifold.point(_number(theta, f"{where}.theta"))
-        return manifold.point(_number(raw, where))
-    if isinstance(manifold, (Euclidean, Spd)):
+            where = f"{where}.theta"
+            raw = theta
+        value = _number(raw, where)
+    elif isinstance(manifold, (Euclidean, Spd)):
         try:
             value = np.asarray(raw, dtype=float)
         except (TypeError, ValueError):
             raise ConfigError(f"{where} must be an array of numbers, got {raw!r}") from None
+    else:
+        raise ConfigError(f"cannot parse a point for manifold {manifold.name}")
+    try:
         return manifold.point(value)
-    raise ConfigError(f"cannot parse a point for manifold {manifold.name}")
+    except (DomainError, NonPositiveDefiniteError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_point_text(manifold: Manifold, text: str, where: str = "point") -> Point:
@@ -345,9 +359,20 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     rng = np.random.default_rng(12345)
     for fn in (objective,) + constraints:
         if isinstance(fn, IvFn):
-            fn.validate_width(domain.sample, WIDTH_VALIDATION_SAMPLES, rng)
+            fn.validate_width(_in_bulk(domain, rng, WIDTH_VALIDATION_SAMPLES),
+                              WIDTH_VALIDATION_SAMPLES, rng)
 
     return LoadedProblem(problem, candidate, seed)
+
+
+def _in_bulk(domain: DomainSampler, rng: np.random.Generator, n: int):
+    """A stand-in for ``domain.sample`` over its next n calls on rng: the same
+    points, drawn as one bulk proposal where the domain has a proposer, each
+    built (and raising) when it is asked for."""
+    if domain.propose is None:
+        return domain.sample
+    points = map(domain.propose(rng, n).point, range(n))
+    return lambda _: next(points)
 
 
 def load_problem(path: str) -> LoadedProblem:

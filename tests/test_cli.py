@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ivopt
 
 from ivopt.cli import main
 from ivopt.kkt import direction_samples, verify_p3
@@ -317,6 +323,57 @@ class TestMalformedNumbers:
         assert err.startswith(
             "error: options.domain.scale 1000 is too large to sample Spd(2): "
             "matrix is not positive definite")
+
+
+    def test_an_spd_scale_that_overflows_prints_only_the_error_line(self, tmp_path):
+        # a fresh process: numpy prints its RuntimeWarnings straight to stderr
+        cfg = bad_domain_config({"kind": "spd", "dim": 2}, "logdet^2", SPD_I, {"scale": 1e5})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        src = str(Path(ivopt.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        for extra in ([], ["--strict"], ["--path", "chord"], ["--at", json.dumps(SPD_I)]):
+            out = subprocess.run(
+                [sys.executable, "-m", "ivopt.cli", "check-convexity", "--problem", str(path),
+                 "--pairs", "4", *extra],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 1
+            assert out.stderr == ("error: options.domain.scale 100000 is too large to sample "
+                                  "Spd(2): matrix entries must be finite\n")
+
+
+class TestMalformedPoints:
+    """A point that the manifold rejects is an error line naming its key."""
+
+    @pytest.fixture
+    def short_candidate_file(self, tmp_path):
+        cfg = {"manifold": {"kind": "spd", "dim": 2}, "objective": {"real": "logdet^2"},
+               "candidate": [[1]]}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("extra", [[], ["--point", json.dumps(SPD_I)]])
+    def test_file_candidate_is_named(self, short_candidate_file, extra, capsys):
+        assert main(["check-kkt", "--problem", short_candidate_file, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: candidate: expected a 2x2 matrix, got shape (1, 1)\n"
+
+    @pytest.mark.parametrize("command, flag", [("check-kkt", "--point"),
+                                               ("check-convexity", "--at")])
+    @pytest.mark.parametrize("text, cause", [
+        ("[[1, 0], [0, -1]]", "matrix is not positive definite (min eigenvalue -1.000e+00)"),
+        ("[[1, 2], [0, 1]]", "matrix asymmetry 2.000e+00 exceeds tolerance 1.0e-08"),
+        ("[1, 0, 0, 1]", "expected a 2x2 matrix, got shape (4,)"),
+    ])
+    def test_flag_point_is_named(self, spd_file, command, flag, text, cause, capsys):
+        assert main([command, "--problem", spd_file, flag, text]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: {cause}\n" and "Traceback" not in captured.err
+
+    def test_circle_point_outside_the_chart_is_named(self, convex_file, capsys):
+        assert main(["check-convexity", "--problem", convex_file, "--at", '{"theta": 7}']) == 1
+        assert capsys.readouterr().err.startswith("error: --at.theta: angle 7.0 outside ")
 
 
 class TestCheckKktSplitMode:

@@ -763,10 +763,10 @@ class TestOnePipeline:
         draws, in_stream = [], []
         take, draw_one = ProposalStream.take, DomainSampler.draw_one
 
-        def counting_take(stream, m):
+        def counting_take(stream, m, apart_from=None):
             in_stream.append(True)
             try:
-                points, features = take(stream, m)
+                points, features = take(stream, m, apart_from)
             finally:
                 in_stream.pop()
             draws.extend(points)

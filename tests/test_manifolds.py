@@ -310,6 +310,64 @@ class TestGeodesicFeatures:
         assert SPD.geodesic_features(p, q, grid.SVALS[: grid.FAIL_AT]) is not None
 
 
+class TestChordFeatures:
+    """``chord_features`` against its reference, ``chord_point`` + ``features``."""
+
+    @pytest.mark.parametrize("manifold", [S1, E2, Euclidean(3), Spd(1), SPD, Spd(3)], ids=str)
+    def test_arrays_match_chord_point_features_bitwise(self, manifold):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            p, q = manifold.random_point(rng), manifold.random_point(rng)
+            # full grids: 3 points are s = 0, 0.5, 1; 9 and 33 hold them too
+            for svals in (_grid(3, False), _grid(9, False), _grid(33, False), _grid(9, True)):
+                arrays = manifold.chord_features(p, q, svals)
+                assert sorted(arrays) == sorted(manifold.feature_names)
+                for j, s in enumerate(svals):
+                    feats = manifold.features(manifold.chord_point(p, q, s))
+                    for name, value in feats.items():
+                        assert float(arrays[name][j]).hex() == float(value).hex(), (name, s)
+
+    def test_flat_chords_are_geodesics(self):
+        assert Circle.chord_features is Circle.geodesic_features
+        assert Euclidean.chord_features is Euclidean.geodesic_features
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_spd_non_finite_chord_point_gives_none(self):
+        p, q = SPD.point(np.diag([8e307, 1.0])), SPD.point(np.diag([8.5e307, 1.0]))
+        assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
+        assert SPD.chord_features(p, q, [0.0, 3.0]) is None
+        with pytest.raises(DomainError, match="finite"):
+            SPD.chord_point(p, q, 3.0)
+
+    # p = I, q = diag(1/4, 1): the chord point at s has smallest eigenvalue
+    # 1 - 3s/4, and EIG_FLOOR is set to exactly that at s = 3/8
+    SVALS = [j / 8 for j in range(9)]
+    FAIL_AT = 3
+
+    def test_spd_chord_point_at_the_eig_floor_gives_none_and_raises_there(self, monkeypatch):
+        from ivopt.convexity import check_convex
+        from ivopt.functions import RealFn
+
+        p, q = SPD.point(I2), SPD.point(np.diag([0.25, 1.0]))
+        assert SPD.chord_features(p, q, self.SVALS) is not None
+        floor = np.linalg.eigvalsh(SPD.chord_point(p, q, self.SVALS[self.FAIL_AT]).value).min()
+        monkeypatch.setattr(manifolds, "EIG_FLOOR", floor)
+        assert SPD.chord_features(p, q, self.SVALS) is None
+        assert SPD.chord_features(p, q, self.SVALS[: self.FAIL_AT]) is not None
+        with pytest.raises(NonPositiveDefiniteError) as expected:
+            SPD.chord_point(p, q, self.SVALS[self.FAIL_AT])
+        # the check falls back to the point loop and raises at the same point
+        pair = iter([p, q])
+        dom = DomainSampler(membership=lambda pt: True, sample=lambda rng: next(pair))
+        for f in (RealFn.from_expression("-logdet", SPD),
+                  RealFn(SPD, lambda pt: -SPD.features(pt)["logdet"])):
+            pair = iter([p, q])
+            with pytest.raises(NonPositiveDefiniteError) as got:
+                check_convex(f, dom, pairs=1, grid=9, path="chord")
+            assert str(got.value) == str(expected.value)
+
+
 class TestFeatureMemo:
     @pytest.mark.parametrize(
         "manifold, raw",

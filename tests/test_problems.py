@@ -181,6 +181,27 @@ def test_numbers_accepted_before_stay_accepted():
     assert list(parse_point(Euclidean(2), ["1", 2]).value) == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("spec, objective, raw, where, cause", [
+    (SPD_2, "trace", [[1]], "candidate", "expected a 2x2 matrix, got shape (1, 1)"),
+    (SPD_2, "trace", [[1, 0], [0, 0]], "candidate", "matrix is not positive definite"),
+    (SPD_2, "trace", [[1, 1e999], [1e999, 1]], "candidate", "matrix entries must be finite"),
+    ({"kind": "euclidean", "dim": 2}, "x1", [1, 2, 3], "candidate",
+     "expected a length-2 vector"),
+    ({"kind": "circle"}, "theta", 7.0, "candidate", "angle 7.0 outside the chart range"),
+    ({"kind": "circle"}, "theta", {"theta": -1}, "candidate.theta",
+     "angle -1.0 outside the chart range"),
+])
+def test_a_point_the_manifold_rejects_names_its_key(spec, objective, raw, where, cause):
+    cfg = {"manifold": spec, "objective": {"real": objective}, "candidate": raw}
+    with pytest.raises(ConfigError) as info:
+        build_problem(cfg)
+    assert str(info.value).startswith(f"{where}: {cause}")
+    manifold = parse_manifold(spec)
+    with pytest.raises(ConfigError) as info:
+        parse_point_text(manifold, json.dumps(raw).replace("Infinity", "1e999"), "--at")
+    assert str(info.value).startswith(where.replace("candidate", "--at") + f": {cause}")
+
+
 def test_an_spd_scale_too_large_to_sample_is_named_with_its_cause():
     cfg = bad_domain_config(SPD_2, "logdet^2", SPD_I, {"scale": 1e3})
     domain = build_problem(cfg).problem.domain

@@ -6,12 +6,21 @@ loop, reached by the same problem with its domain's bulk proposer removed.
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ivopt.convexity import DomainSampler, ProposalStream
+from ivopt import convexity, problems
+from ivopt.convexity import (
+    DomainSampler,
+    ProposalStream,
+    check_affine,
+    check_convex,
+    check_convex_at,
+)
+from ivopt.errors import ConfigError
 from ivopt.functions import CIRCLE, IvFn, RealFn, lift_real
 from ivopt.kkt import (
     Problem,
@@ -21,8 +30,8 @@ from ivopt.kkt import (
     direction_samples,
     reduce_p4,
 )
-from ivopt.manifolds import Euclidean
-from ivopt.problems import build_problem, circle_domain, euclidean_box_domain
+from ivopt.manifolds import Euclidean, Point, Spd, sym_exp
+from ivopt.problems import build_problem, circle_domain, euclidean_box_domain, spd_domain
 
 
 def scalar_only(prob: Problem) -> Problem:
@@ -257,16 +266,15 @@ class ScriptedRng:
         return out[0] if size is None else np.array(out).reshape(size)
 
 
-def draws(prob: Problem, script, n: int, **kwargs):
+def draws(prob: Problem, script, n: int, apart_from=None, min_dist: float = 0.0):
     """Outcomes of the first 1..n draws, by the stream and by draw_one."""
     stream_side, scalar_side = [], []
     for k in range(1, n + 1):
-        stream = ProposalStream(prob.feasible_sampler(), ScriptedRng(script), **kwargs)
-        stream_side.append(outcome(lambda: stream.points(k)))
+        stream = ProposalStream(prob.feasible_sampler(), ScriptedRng(script), min_dist)
+        stream_side.append(outcome(lambda: stream.points(k, apart_from)))
         sampler, rng = scalar_only(prob).feasible_sampler(), ScriptedRng(script)
         scalar_side.append(outcome(lambda: [
-            sampler.draw_one(rng, apart_from=kwargs.get("apart_from"),
-                             min_dist=kwargs.get("min_dist", 0.0))
+            sampler.draw_one(rng, apart_from=apart_from, min_dist=min_dist)
             for _ in range(k)]))
     assert stream_side == scalar_side
     return stream_side
@@ -387,3 +395,203 @@ def test_restricted_sampler_draws_point_by_point(monkeypatch):
     points, features = ProposalStream(level, np.random.default_rng(0)).take(5)
     assert features is None and len(points) == 1 and len(calls) == 1
     assert points[0].value[0] <= -1.0
+
+
+# -- SPD proposals, and the checks that draw through the stream ----------------
+
+
+def scalar_spd_draw(manifold: Spd, rng, scale: float) -> Point:
+    """One SPD draw by the scalar formula: a normal matrix, sym_exp, Spd.point."""
+    raw = rng.normal(0.0, scale, size=(manifold.dim, manifold.dim))
+    return manifold.point(sym_exp(0.5 * (raw + raw.T)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scalar formula's overflow
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_spd_proposals_equal_sequential_draws(dim):
+    manifold = Spd(dim)
+    midway = 0  # batches whose draws fail after some succeeded
+    for scale in (0.05, 0.7, 3.0, 10.0, 15.0, 1e5):
+        dom = spd_domain(manifold, scale)
+        for seed in range(30):
+            k = 1 + seed % 17
+            rng, by_sample, by_formula = (np.random.default_rng(seed) for _ in range(3))
+            batch = dom.propose(rng, k)
+            got = [outcome(lambda: batch.point(i)) for i in range(k)]
+            assert got == [outcome(lambda: dom.sample(by_sample)) for _ in range(k)]
+            for i in range(k):
+                want = outcome(lambda: scalar_spd_draw(manifold, by_formula, scale))
+                if want[0] == "returned":
+                    assert got[i] == want
+                else:
+                    assert got[i][:2] == ("raised", "ConfigError")
+                    assert got[i][2].endswith(f"{manifold.name}: {want[2]}")
+            assert rng.bit_generator.state == by_sample.bit_generator.state
+            raised = [g[0] == "raised" for g in got]
+            midway += any(raised) and not raised[0]
+            # the array form exists exactly when every draw succeeds
+            assert (batch.features is None) == (batch.member is None) == any(raised)
+            if batch.features is None:
+                continue
+            assert batch.member.all()
+            by_formula = np.random.default_rng(seed)
+            for i in range(k):
+                fresh = Point(manifold, scalar_spd_draw(manifold, by_formula, scale).value)
+                for name, value in manifold.features(fresh).items():
+                    assert float(batch.features[name][i]).hex() == value.hex()
+    assert midway > 0
+
+
+@pytest.mark.parametrize("scale", [1e5, 1.7e308])
+def test_huge_spd_scales_raise_without_a_warning(scale):
+    manifold = Spd(2)
+    dom = spd_domain(manifold, scale)
+    f = RealFn.from_expression("logdet^2", manifold)
+    draws = (lambda: dom.sample(np.random.default_rng(0)),
+             lambda: dom.propose(np.random.default_rng(0), 16).point(0),
+             lambda: check_convex(f, dom, pairs=4),
+             lambda: check_convex(f, dom, pairs=4, path="chord"),
+             lambda: check_convex_at(f, manifold.point(np.eye(2)), dom, targets=4))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for draw in draws:
+            with pytest.raises(ConfigError, match="matrix entries must be finite"):
+                draw()
+    assert [str(w.message) for w in seen] == []
+
+
+def opaque(f):
+    """f behind a plain callable: no array form, evaluated point by point."""
+    if isinstance(f, IvFn):
+        return IvFn(opaque(f.center), opaque(f.width), name=f.name)
+    return RealFn(f.manifold, lambda p: f(p), name=f.name)
+
+
+E2 = Euclidean(2)
+CHECK_CASES = {
+    "spd2": (spd_domain(Spd(2)), ("logdet^2 + 0.3*trace", "0.2*trace"), np.eye(2)),
+    "spd3": (spd_domain(Spd(3), 0.9), ("-logdet + 0.1*trace^2", "0.05*logdet^2"), np.eye(3)),
+    "spd2-failing": (spd_domain(Spd(2), 10.0), ("trace", "0.1"), np.eye(2)),
+    "circle": (circle_domain(), ("theta^2/10 + sin(theta)/20", "0.1*theta"), 2.0),
+    # draws closer than 1e-8 to p: strict pairs reject by each pair's own p
+    "circle-tiny-arc": (circle_domain(1.0, 1.0 + 2e-8), ("theta^2", "0.5"), 1.0 + 1e-8),
+    "euclidean": (euclidean_box_domain(E2), ("x1^2 - x2", "0.1*x1^2"), [0.5, -0.5]),
+}
+
+
+def check_calls(f, dom, p0, seed):
+    yield lambda: check_convex(f, dom, pairs=10, grid=9, seed=seed)
+    yield lambda: check_convex(f, dom, pairs=10, grid=9, strict=True, seed=seed)
+    yield lambda: check_convex(f, dom, pairs=10, grid=5, seed=seed, path="chord")
+    yield lambda: check_affine(f, dom, pairs=10, grid=9, seed=seed)
+    yield lambda: check_convex_at(f, p0, dom, targets=10, grid=9, seed=seed)
+    yield lambda: check_convex_at(f, p0, dom, targets=10, grid=9, strict=True, seed=seed)
+
+
+def report(call):
+    try:
+        return "returned", repr(call().to_json())
+    except Exception as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spd2-failing's scalar draws
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_checks_report_as_with_draw_one_and_point_by_point(case):
+    dom, (center, width), raw = CHECK_CASES[case]
+    manifold = dom.propose(np.random.default_rng(0), 1).manifold
+    p0 = manifold.point(raw)
+    real = RealFn.from_expression(center, manifold)
+    functions = (real, IvFn.from_expressions(center, width, manifold))
+    outcomes = set()
+    for f in functions + (opaque(real),):
+        for seed in range(3):
+            for bulk, scalar, by_points in zip(
+                check_calls(f, dom, p0, seed),
+                check_calls(f, replace(dom, propose=None), p0, seed),
+                check_calls(opaque(f), replace(dom, propose=None), p0, seed),
+            ):
+                got = report(bulk)
+                assert got == report(scalar) == report(by_points)
+                outcomes.add(got[1] if got[0] == "raised" else "Holds" in got[1])
+    assert len(outcomes) > 1  # not one outcome throughout
+
+
+def segment_bits(draw):
+    """The (p, q) value bits of the segments draw() makes, up to its error."""
+    got = []
+    try:
+        for p, q in draw():
+            got.append((np.asarray(p.value).tobytes(), np.asarray(q.value).tobytes()))
+    except Exception as exc:
+        got.append((type(exc).__name__, str(exc)))
+    return got
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spd2-failing's scalar draws
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_checks_draw_the_segments_of_draw_one(case, monkeypatch):
+    # each q is checked against its own p (the tiny arc rejects by that)
+    dom, _, raw = CHECK_CASES[case]
+    manifold = dom.propose(np.random.default_rng(0), 1).manifold
+    p0 = manifold.point(raw)
+    f = RealFn.from_expression("1", manifold)
+    segments = []
+    monkeypatch.setattr(convexity, "_worst_on_segments", lambda f, segs, *a, **k: segs)
+
+    def pairs_by_draw_one(seed, min_dist):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            p = dom.draw_one(rng)
+            yield p, dom.draw_one(rng, apart_from=p, min_dist=min_dist)
+
+    def targets_by_draw_one(seed, min_dist):
+        rng = np.random.default_rng(seed)
+        return ((p0, dom.draw_one(rng, apart_from=p0, min_dist=min_dist)) for _ in range(10))
+
+    for seed in range(5):
+        for strict, min_dist in ((False, 0.0), (True, 1e-8)):
+            segments.append(segment_bits(lambda: check_convex(f, dom, 10, strict=strict,
+                                                              seed=seed)))
+            assert segments[-1] == segment_bits(lambda: pairs_by_draw_one(seed, min_dist))
+            segments.append(segment_bits(lambda: check_convex_at(f, p0, dom, 10, strict=strict,
+                                                                 seed=seed)))
+            assert segments[-1] == segment_bits(lambda: targets_by_draw_one(seed, min_dist))
+        assert segment_bits(lambda: check_affine(f, dom, 10, seed=seed)) == segments[-4]
+    assert any(len(got) == 10 for got in segments)
+
+
+def test_spd_problem_with_constraints_samples_as_draw_one_does():
+    cfg = {"manifold": {"kind": "spd", "dim": 2},
+           "objective": {"center": "trace", "width": "0.1*trace"},
+           "constraints": [{"center": "logdet - 1", "width": "0.05"},
+                           {"center": "trace - 4", "width": "0.1"}],
+           "candidate": [[1.5, 0.0], [0.0, 1.5]]}
+    prob = build_problem(cfg).problem
+    points, features = ProposalStream(prob.feasible_sampler(), np.random.default_rng(0)).take(8)
+    assert features is not None and len(points) == len(features["logdet"])
+    p0 = prob.manifold.point(cfg["candidate"])
+    for seed in range(3):
+        assert_same_sampling(prob, p0, seed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge scale's scalar draws
+@pytest.mark.parametrize("manifold, objective, constraint, domain", [
+    ({"kind": "circle"}, ("theta", "1"), ("theta - 3", "theta - 1"), None),
+    ({"kind": "euclidean", "dim": 2}, ("x1", "x2 + 1.5"), ("x1", "0.1"), None),
+    ({"kind": "spd", "dim": 2}, ("trace", "0.1*trace"), ("logdet", "logdet + 0.5"), None),
+    ({"kind": "spd", "dim": 3}, ("trace", "logdet + 2.5"), ("logdet", "0.1"), {"scale": 0.4}),
+    ({"kind": "spd", "dim": 2}, ("trace", "0.1"), ("logdet", "0.1"), {"scale": 1e5}),
+])
+def test_width_validation_draws_as_sample_does(manifold, objective, constraint, domain,
+                                               monkeypatch):
+    # the same draws, and the same error at the same draw, without the proposer
+    cfg = {"manifold": manifold,
+           "objective": {"center": objective[0], "width": objective[1]},
+           "constraints": [{"center": constraint[0], "width": constraint[1]}],
+           "options": {"domain": domain} if domain else {}}
+    bulk = outcome(lambda: build_problem(cfg).problem.name)
+    default_domain = problems.default_domain
+    monkeypatch.setattr(problems, "default_domain",
+                        lambda m, spec=None: replace(default_domain(m, spec), propose=None))
+    assert bulk == outcome(lambda: build_problem(cfg).problem.name)
