@@ -82,11 +82,10 @@ class DomainSampler:
     def draw_one(
         self,
         rng: np.random.Generator,
-        max_tries: int = MAX_TRIES,
         apart_from: Optional[Point] = None,
         min_dist: float = 0.0,
     ) -> Point:
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             candidate = self.sample(rng)
             if not self.membership(candidate):
                 continue
@@ -98,12 +97,12 @@ class DomainSampler:
             ):
                 continue
             return candidate
-        raise self.exhausted(max_tries)
+        raise self.exhausted()
 
-    def exhausted(self, max_tries: int) -> SamplerExhaustedError:
+    def exhausted(self) -> SamplerExhaustedError:
         return SamplerExhaustedError(
             f"sampler {self.name or '<anonymous>'} found no admissible point "
-            f"in {max_tries} proposals"
+            f"in {MAX_TRIES} proposals"
         )
 
     def draw(self, rng: np.random.Generator, n: int) -> list:
@@ -165,7 +164,7 @@ class ProposalStream:
             raise self._pending
         sampler = self.sampler
         if sampler.propose is None:
-            return [sampler.draw_one(self.rng, MAX_TRIES, apart_from, self.min_dist)], None
+            return [sampler.draw_one(self.rng, apart_from, self.min_dist)], None
         points, rows = [], []
         try:
             while not points:
@@ -195,7 +194,7 @@ class ProposalStream:
     def _reject(self, count: int) -> None:
         self._run += count
         if self._run >= MAX_TRIES:
-            raise self.sampler.exhausted(MAX_TRIES)
+            raise self.sampler.exhausted()
 
     def _scan(self, m: int, apart_from: Optional[Point], points: list, rows: list) -> None:
         """Examine proposals of the batch in order until m points are taken."""

@@ -15,23 +15,32 @@ Identifiers resolve to the constants pi and e, to one of the supported
 functions (ln, exp, sin, cos, sqrt, abs) when called, or otherwise to a
 manifold feature whose validity is checked at binding time.
 
-``eval_node`` evaluates a tree at one point.  ``compile_node`` turns a tree
-into its array form: a closure that takes a dict of equal-length float64
-feature arrays and returns the values ``eval_node`` gives at each entry, bit
-for bit.  ``+ - * /`` and negation are float64 numpy operations, which round
-as Python floats do; ``ln exp sin cos sqrt`` and ``^`` apply the same
-``math`` functions entry by entry, since numpy's vectorised ones can differ
-by an ulp.  The closure defers, returning None, wherever ``eval_node`` could
-raise at some entry: a zero divisor, an argument outside a function's domain,
-an error from ``math``, or a non-finite result.  A caller that gets None
-evaluates point by point and meets the exception there.
+``_compile`` is the one tree walk that evaluates.  It turns a tree into
+nested closures over a dict of feature values, taking every operator and
+function from the op tables of a lane, and evaluates operands left to right
+before their operator, so the first fault met is the one raised.
+
+- The scalar lane (``compile_scalar``; ``eval_node`` compiles it per call)
+  works on Python floats and raises where a value is undefined: a zero
+  divisor, ``ln``, ``sqrt`` or ``^`` off their domain, an overflow, or a
+  non-finite result.
+- The array lane (``compile_node``) takes a dict of equal-length float64
+  feature arrays and returns the scalar lane's value at each entry, bit for
+  bit.  ``+ - * /`` and negation are float64 numpy operations, which round
+  as Python floats do; ``ln exp sin cos sqrt`` and ``^`` apply the same
+  ``math`` functions entry by entry, since numpy's vectorised ones can
+  differ by an ulp.  It defers, returning None, wherever the scalar lane
+  could raise at some entry; a caller that gets None evaluates point by
+  point and meets the exception there.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -189,103 +198,42 @@ def parse(text: str) -> Node:
 
 def feature_names(node: Node) -> frozenset:
     """Collect the feature identifiers referenced by an expression."""
-    found = set()
-
-    def walk(n: Node) -> None:
-        if isinstance(n, Feature):
-            found.add(n.name)
-        elif isinstance(n, Neg):
-            walk(n.operand)
-        elif isinstance(n, BinOp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Call):
-            for a in n.args:
-                walk(a)
-
-    walk(node)
-    return frozenset(found)
+    if isinstance(node, Feature):
+        return frozenset((node.name,))
+    if isinstance(node, Neg):
+        return feature_names(node.operand)
+    if isinstance(node, BinOp):
+        return feature_names(node.left) | feature_names(node.right)
+    if isinstance(node, Call):
+        return frozenset().union(*map(feature_names, node.args))
+    return frozenset()
 
 
 def eval_node(node: Node, features: dict) -> float:
     """Evaluate with the given feature values; raises on domain faults."""
-    value = _eval(node, features)
-    if not math.isfinite(value):
-        raise NonFiniteError(f"expression evaluated to {value}")
-    return value
+    return compile_scalar(node)(features)
 
 
-def _eval(node: Node, features: dict) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Feature):
-        try:
-            return features[node.name]
-        except KeyError:
-            raise DomainError(f"feature {node.name!r} has no bound value") from None
-    if isinstance(node, Neg):
-        return -_eval(node.operand, features)
-    if isinstance(node, Call):
-        arg = _eval(node.args[0], features)
-        return _apply(node.fn, arg)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, features)
-        right = _eval(node.right, features)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero")
-            return left / right
-        if node.op == "^":
-            try:
-                result = math.pow(left, right)
-            except ValueError:
-                raise DomainError(
-                    f"{left} ^ {right} is undefined over the reals"
-                ) from None
-            except OverflowError:
-                raise NonFiniteError(f"{left} ^ {right} overflows") from None
-            return result
-    raise TypeError(f"unknown expression node {node!r}")
+def compile_scalar(node: Node) -> Callable[[dict], float]:
+    """The scalar lane: ``eval_node(node, ...)`` compiled once."""
+    body = _compile(node, _SCALAR_OPS, _SCALAR_CALLS)
 
+    def run(features: dict) -> float:
+        value = body(features)
+        if not math.isfinite(value):
+            raise NonFiniteError(f"expression evaluated to {value}")
+        return value
 
-def _apply(fn: str, x: float) -> float:
-    try:
-        if fn == "ln":
-            if x <= 0.0:
-                raise DomainError(f"ln of non-positive value {x}")
-            return math.log(x)
-        if fn == "exp":
-            return math.exp(x)
-        if fn == "sin":
-            return math.sin(x)
-        if fn == "cos":
-            return math.cos(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        if fn == "abs":
-            return abs(x)
-    except OverflowError:
-        raise NonFiniteError(f"{fn}({x}) overflows") from None
-    raise UnknownFunctionError(fn, 0)
+    return run
 
 
 class _Defer(Exception):
-    """Raised inside a compiled closure where eval_node could raise."""
+    """Raised inside an array-lane closure where the scalar lane could raise."""
 
 
 def compile_node(node: Node) -> Callable[[dict], Optional[np.ndarray]]:
-    """The array form of ``eval_node(node, ...)``; see the module docstring."""
-    body = _compile(node)
+    """The array lane of ``eval_node(node, ...)``; see the module docstring."""
+    body = _compile(node, _ARRAY_OPS, _ARRAY_CALLS)
 
     def run(features: dict) -> Optional[np.ndarray]:
         n = len(next(iter(features.values())))
@@ -300,27 +248,84 @@ def compile_node(node: Node) -> Callable[[dict], Optional[np.ndarray]]:
     return run
 
 
-def _compile(node: Node):
+def _compile(node: Node, ops: dict, calls: dict):
+    """node as closures over a features dict, with a lane's op tables."""
     if isinstance(node, (Num, Const)):
         value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
         return lambda features: value
     if isinstance(node, Feature):
-        name = node.name  # bound at RealFn.from_expression, so always present
-        return lambda features: features[name]
+        name = node.name
+
+        def lookup(features):
+            try:
+                return features[name]
+            except KeyError:
+                raise DomainError(f"feature {name!r} has no bound value") from None
+
+        return lookup
     if isinstance(node, Neg):
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, ops, calls)
         return lambda features: -operand(features)
     if isinstance(node, Call):
-        apply, arg = _ARRAY_CALLS[node.fn], _compile(node.args[0])
+        arg = _compile(node.args[0], ops, calls)
+        apply = calls.get(node.fn) or _fails(UnknownFunctionError, node.fn, 0)
         return lambda features: apply(arg(features))
     if isinstance(node, BinOp):
-        op, left, right = _ARRAY_OPS[node.op], _compile(node.left), _compile(node.right)
+        left, right = _compile(node.left, ops, calls), _compile(node.right, ops, calls)
+        op = ops.get(node.op) or _fails(TypeError, f"unknown expression node {node!r}")
         return lambda features: op(left(features), right(features))
-    raise TypeError(f"unknown expression node {node!r}")
+    return _fails(TypeError, f"unknown expression node {node!r}")
+
+
+def _fails(error: type, *args):
+    """A closure that raises ``error(*args)`` when reached, after its operands."""
+    def fail(*operands):
+        raise error(*args)
+
+    return fail
+
+
+def _divide_scalar(left, right):
+    if right == 0.0:
+        raise DomainError("division by zero")
+    return left / right
+
+
+def _power_scalar(left, right):
+    try:
+        return math.pow(left, right)
+    except ValueError:
+        raise DomainError(f"{left} ^ {right} is undefined over the reals") from None
+    except OverflowError:
+        raise NonFiniteError(f"{left} ^ {right} overflows") from None
+
+
+def _ln(x):
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive value {x}")
+    return math.log(x)
+
+
+def _sqrt(x):
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x}")
+    return math.sqrt(x)
+
+
+def _named_overflow(name: str, fn):
+    """fn, with an OverflowError raised as a NonFiniteError naming the call."""
+
+    def apply(x):
+        try:
+            return fn(x)
+        except OverflowError:
+            raise NonFiniteError(f"{name}({x}) overflows") from None
+
+    return apply
 
 
 def _entrywise(fn, *args):
-    """fn on each entry as a Python float, as eval_node applies it."""
+    """fn on each entry as a Python float, as the scalar lane applies it."""
     try:
         if not any(isinstance(a, np.ndarray) for a in args):
             return fn(*args)
@@ -336,23 +341,17 @@ def _divide(left, right):
     return left / right
 
 
-_ARRAY_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _divide,
-    "^": lambda a, b: _entrywise(math.pow, a, b),
-}
-# math.log and math.sqrt raise ValueError wherever _apply raises DomainError,
-# so _entrywise defers on their domain edges too
-_ARRAY_CALLS = {
-    "ln": lambda x: _entrywise(math.log, x),
-    "exp": lambda x: _entrywise(math.exp, x),
-    "sin": lambda x: _entrywise(math.sin, x),
-    "cos": lambda x: _entrywise(math.cos, x),
-    "sqrt": lambda x: _entrywise(math.sqrt, x),
-    "abs": abs,
-}
+# The lanes' op tables.  + - * round alike on floats and float64 arrays.  math
+# raises ValueError or OverflowError wherever the scalar lane raises (sin and
+# cos at +-inf pass it through), so _entrywise defers there.
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_SCALAR_OPS = {**_ARITHMETIC, "/": _divide_scalar, "^": _power_scalar}
+_ARRAY_OPS = {**_ARITHMETIC, "/": _divide, "^": partial(_entrywise, math.pow)}
+_MATH = {"ln": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+_SCALAR_CALLS = {name: _named_overflow(name, fn)
+                 for name, fn in {**_MATH, "ln": _ln, "sqrt": _sqrt}.items()}
+_ARRAY_CALLS = {name: partial(_entrywise, fn) for name, fn in _MATH.items()}
+_SCALAR_CALLS["abs"] = _ARRAY_CALLS["abs"] = abs
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

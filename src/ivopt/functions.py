@@ -53,7 +53,7 @@ class RealFn:
     manifold: Manifold
     fn: Callable[[Point], float]
     name: str = ""
-    # fn's array form over a dict of feature arrays (``expr.compile_node``),
+    # fn's array lane over a dict of feature arrays (``expr.compile_node``),
     # for functions built from an expression; None for any other callable
     compiled: Optional[Callable[[dict], Optional[np.ndarray]]] = None
 
@@ -76,12 +76,9 @@ class RealFn:
         if unknown:
             raise UnknownFeatureError(unknown, manifold.name)
 
-        def fn(p: Point) -> float:
-            return expr_mod.eval_node(tree, manifold.features(p))
-
-        return cls(
-            manifold, fn, name if name is not None else text, expr_mod.compile_node(tree)
-        )
+        scalar = expr_mod.compile_scalar(tree)
+        return cls(manifold, lambda p: scalar(manifold.features(p)),
+                   name if name is not None else text, expr_mod.compile_node(tree))
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,8 +65,8 @@ class Interval:
     def point(cls, x: float) -> "Interval":
         return cls(x, x)
 
-    def is_degenerate(self, tol: float = 0.0) -> bool:
-        return self.ub - self.lb <= tol
+    def is_degenerate(self) -> bool:
+        return self.ub - self.lb <= 0.0
 
     def to_json(self) -> list:
         return [self.lb, self.ub]

@@ -41,6 +41,7 @@ from .errors import DomainError, ManifoldMismatchError, NonPositiveDefiniteError
 SYM_TOL = 1e-8
 EIG_FLOOR = 1e-12
 ANGLE_SLACK = 1e-9
+CLOSE_TOL = 1e-9  # Point.close_to
 TWO_PI = 2.0 * math.pi
 
 
@@ -99,10 +100,10 @@ class Point:
     # geometries leave it unset: their features cost no more than a lookup.
     _features: ClassVar[Optional[dict]] = None
 
-    def close_to(self, other: "Point", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "Point") -> bool:
         if self.manifold != other.manifold:
             return False
-        return self.manifold.distance(self, other) <= tol
+        return self.manifold.distance(self, other) <= CLOSE_TOL
 
     def to_json(self):
         return self.manifold.point_to_json(self)
@@ -416,9 +417,12 @@ class Spd(Manifold):
             raise DomainError(
                 f"expected a {self.dim}x{self.dim} matrix, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        # non-finite entries fail before the symmetry check, and so do entries
+        # above about 8.99e307, which overflow in (A + A^T) / 2
+        with np.errstate(over="ignore"):
+            sym = symmetrize(arr) if np.all(np.isfinite(arr)) else arr
+        if not np.all(np.isfinite(sym)):
             raise DomainError("matrix entries must be finite")
-        sym = symmetrize(arr)
         vals = np.linalg.eigvalsh(sym)
         if vals.min() <= EIG_FLOOR:
             raise NonPositiveDefiniteError(

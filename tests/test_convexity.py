@@ -370,7 +370,7 @@ class TestDomainSampler:
         dom = circle_domain().restrict(lambda p: False, name="empty")
         rng = np.random.default_rng(0)
         with pytest.raises(SamplerExhaustedError):
-            dom.draw_one(rng, max_tries=50)
+            dom.draw_one(rng)
 
     def test_reports_serialize(self):
         report = check_convex(LOGDET_PAIR, SPD_DOM, pairs=2, grid=5)

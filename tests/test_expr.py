@@ -94,6 +94,92 @@ class TestEvaluation:
             expr.eval_node(expr.parse("x1 + x2"), {"x1": 1.0})
 
 
+def fault(tree, features=None):
+    """(type, text) of what eval_node raises on a tree."""
+    with pytest.raises(Exception) as info:
+        expr.eval_node(tree, features or {})
+    return type(info.value), str(info.value)
+
+
+INF, NAN = math.inf, math.nan
+UNKNOWN_CALL = expr.Call("foo", (expr.Num(1.0),))
+UNBOUND = expr.Feature("y")
+
+
+class TestEvalFaults:
+    """The exact type and text of each fault, and which of two comes first."""
+
+    @pytest.mark.parametrize("text, features, error, message", [
+        ("1/0", {}, DomainError, "division by zero"),
+        ("theta/(theta - theta)", {"theta": 2.0}, DomainError, "division by zero"),
+        ("1/-0", {}, DomainError, "division by zero"),
+        ("ln(0)", {}, DomainError, "ln of non-positive value 0.0"),
+        ("ln(-0)", {}, DomainError, "ln of non-positive value -0.0"),
+        ("ln(theta)", {"theta": -INF}, DomainError, "ln of non-positive value -inf"),
+        ("sqrt(-4)", {}, DomainError, "sqrt of negative value -4.0"),
+        ("(-8)^(1/3)", {}, DomainError,
+         "-8.0 ^ 0.3333333333333333 is undefined over the reals"),
+        ("0^-1", {}, DomainError, "0.0 ^ -1.0 is undefined over the reals"),
+        ("10^400", {}, NonFiniteError, "10.0 ^ 400.0 overflows"),
+        ("exp(10000)", {}, NonFiniteError, "exp(10000.0) overflows"),
+        ("exp(theta)", {"theta": 710.0}, NonFiniteError, "exp(710.0) overflows"),
+        ("theta*1e308*10", {"theta": 1.0}, NonFiniteError, "expression evaluated to inf"),
+        ("-theta*1e308*10", {"theta": 1.0}, NonFiniteError, "expression evaluated to -inf"),
+        ("theta - theta", {"theta": INF}, NonFiniteError, "expression evaluated to nan"),
+        ("ln(theta) + sqrt(theta)", {"theta": NAN}, NonFiniteError,
+         "expression evaluated to nan"),
+        ("exp(theta)", {"theta": INF}, NonFiniteError, "expression evaluated to inf"),
+        ("sin(theta)", {"theta": INF}, ValueError, "math domain error"),
+        ("cos(theta)", {"theta": -INF}, ValueError, "math domain error"),
+        ("x1 + x2", {"x1": 1.0}, DomainError, "feature 'x2' has no bound value"),
+    ])
+    def test_fault_type_and_text(self, text, features, error, message):
+        assert fault(expr.parse(text), features) == (error, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0 + ln(0)", "division by zero"),
+        ("ln(0) + 1/0", "ln of non-positive value 0.0"),
+        ("ln(0)/0", "ln of non-positive value 0.0"),
+        ("1/ln(0)", "ln of non-positive value 0.0"),
+        ("sqrt(-1)^ln(0)", "sqrt of negative value -1.0"),
+        ("(-1)^0.5 * exp(1e4)", "-1.0 ^ 0.5 is undefined over the reals"),
+        ("exp(1e4) - 10^400", "exp(10000.0) overflows"),
+        ("y + 1/0", "feature 'y' has no bound value"),
+        ("1/0 + y", "division by zero"),
+        ("ln(y - 1/0)", "feature 'y' has no bound value"),
+    ])
+    def test_faults_come_left_to_right(self, text, message):
+        assert fault(expr.parse(text))[1] == message
+
+    def test_overflow_names_the_call(self):
+        # an integer leaf in a hand-built tree overflows converting to float
+        huge = expr.Num(10**400)
+        for fn in ("exp", "sin", "cos", "sqrt"):
+            assert fault(expr.Call(fn, (huge,))) == (
+                NonFiniteError, f"{fn}({10**400}) overflows")
+
+    def test_unknown_function_in_a_hand_built_tree(self):
+        with pytest.raises(UnknownFunctionError) as info:
+            expr.eval_node(UNKNOWN_CALL, {})
+        assert (info.value.name, info.value.position) == ("foo", 0)
+        assert str(info.value) == "unknown function 'foo' at offset 0"
+        # its argument is evaluated first, and anything left of it before that
+        assert fault(expr.Call("foo", (UNBOUND,))) == (
+            DomainError, "feature 'y' has no bound value")
+        assert fault(expr.BinOp("+", UNBOUND, UNKNOWN_CALL))[0] is DomainError
+        assert fault(expr.BinOp("+", UNKNOWN_CALL, UNBOUND))[0] is UnknownFunctionError
+
+    def test_unknown_node_in_a_hand_built_tree(self):
+        assert fault("junk") == (TypeError, "unknown expression node 'junk'")
+        assert fault(expr.Neg("junk")) == (TypeError, "unknown expression node 'junk'")
+        modulo = expr.BinOp("%", expr.Num(1.0), expr.Num(2.0))
+        assert fault(modulo) == (TypeError, f"unknown expression node {modulo!r}")
+        # operands are evaluated first, left to right
+        assert fault(expr.BinOp("%", UNBOUND, expr.Num(2.0)))[0] is DomainError
+        assert fault(expr.BinOp("+", UNBOUND, "junk"))[0] is DomainError
+        assert fault(expr.BinOp("+", "junk", UNBOUND))[0] is TypeError
+
+
 class TestParseErrors:
     def test_unclosed_call_offset(self):
         with pytest.raises(ExprSyntaxError) as info:

@@ -1,6 +1,7 @@
 """Geometry of the three concrete manifolds and their shared interface."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,26 @@ class TestChordFeatures:
         assert SPD.chord_features(p, q, [0.0, 3.0]) is None
         with pytest.raises(DomainError, match="finite"):
             SPD.chord_point(p, q, 3.0)
+
+    def test_spd_point_rejects_entries_that_overflow_when_symmetrized(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                SPD.point(np.diag([1e308, 1.0]))
+        assert str(info.value) == "matrix entries must be finite"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_spd_chord_through_an_overflowing_point_gives_none_and_raises_there(self):
+        from ivopt.convexity import _path_bounds
+        from ivopt.functions import IvFn
+
+        # the chord point at s = 1.25 is diag(1e308, 1)
+        p, q = SPD.point(I2), SPD.point(np.diag([8e307, 1.0]))
+        f = IvFn.from_expressions("logdet", "trace", SPD)
+        assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
+        assert SPD.chord_features(p, q, [0.0, 0.5, 1.25]) is None
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            _path_bounds(f, p, q, [0.0, 0.5, 1.25], "chord")
 
     # p = I, q = diag(1/4, 1): the chord point at s has smallest eigenvalue
     # 1 - 3s/4, and EIG_FLOOR is set to exactly that at s = 3/8

@@ -311,19 +311,20 @@ def test_min_dist_rejections_count_toward_max_tries():
 
 
 @pytest.mark.parametrize("scalar_larger", [True, False])
-def test_min_dist_uses_the_scalar_distance(scalar_larger):
-    # points where numpy's row-wise norm differs from distance in the last bit
+def test_min_dist_uses_the_scalar_distance(scalar_larger, monkeypatch):
+    # the scalar distance made one ulp off the true one, and min_dist at the
+    # larger of the two: only a draw that asks the scalar distance decides right
     e2 = Euclidean(2)
-    rows = np.random.default_rng(0).uniform(-2.0, 2.0, (2000, 2))
-    scalar = np.array([np.linalg.norm(v) for v in rows])
-    vectorised = np.linalg.norm(rows, axis=1)
-    pick = np.flatnonzero(scalar > vectorised if scalar_larger else scalar < vectorised)[0]
-    v = rows[pick]
-    # min_dist at the larger of the two: only the scalar distance decides right
-    min_dist = max(scalar[pick], vectorised[pick])
+    v = np.array([1.25, -0.75])
+    origin = e2.point([0.0, 0.0])
+    true_distance = convexity.distance
+    nudge = math.inf if scalar_larger else -math.inf
+    monkeypatch.setattr(convexity, "distance",
+                        lambda p, q: math.nextafter(true_distance(p, q), nudge))
+    min_dist = max(true_distance(origin, e2.point(v)), convexity.distance(origin, e2.point(v)))
     prob = Problem(e2, RealFn.from_expression("x1", e2), (), euclidean_box_domain(e2))
     script = list(v) + [1.9, 1.9] * 10 + [0.0] * 40000
-    results = draws(prob, script, 2, apart_from=e2.point([0.0, 0.0]), min_dist=min_dist)
+    results = draws(prob, script, 2, apart_from=origin, min_dist=min_dist)
     first = results[0][1][0][1]
     assert (first == v.tobytes()) == scalar_larger
 
