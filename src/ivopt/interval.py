@@ -146,9 +146,12 @@ def compare(
 
     For MIN and MAX the comparison is total: centers decide first (ties
     within ``eps_c``), halfwidths break center ties.  ``eps_c=None`` uses
-    the scale-aware default; pass 0.0 for exact comparison.  LU compares
+    the scale-aware default; pass 0.0 for exact comparison.  A negative or
+    NaN ``eps_c`` would break totality and raises ValueError.  LU compares
     endpointwise and may return Incomparable.
     """
+    if eps_c is not None and not eps_c >= 0.0:
+        raise ValueError(f"eps_c must be non-negative, got {eps_c}")
     if rel is OrderRelation.LU:
         if t1.lb == t2.lb and t1.ub == t2.ub:
             return OrderOutcome.EQUAL
@@ -184,7 +187,8 @@ def compare_min_arrays(c1, w1, c2, w2, eps_c=None) -> tuple:
     centers and halfwidths (t2's may be scalars): the LESS and GREATER
     masks; every other entry is EQUAL.  The same float tests on the same
     bits, so each entry is what ``compare`` returns for the intervals it
-    stands for."""
+    stands for.  Unlike ``compare``, it does not check ``eps_c``: callers
+    pass None, 0.0 or a non-negative array."""
     if eps_c is None:  # default_center_eps(c1, c2) entry by entry
         eps_c = 1e-9 * np.maximum(np.maximum(1.0, np.abs(c1)), np.abs(c2))
     less = c1 < c2 - eps_c

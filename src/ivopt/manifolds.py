@@ -10,9 +10,9 @@
 Points and tangents are immutable.  An ``Spd`` point memoises its feature
 dict, so ``features`` computes its slogdet at most once per point and hands
 every caller a fresh copy.  ``geodesic_points`` builds a whole parameter
-grid along one geodesic; on ``Spd`` it does each eigendecomposition of the
-geodesic formula once per segment and validates the grid as one stack,
-with the same checks and errors as ``Spd.point``.
+grid along one geodesic; on ``Spd`` it decomposes p and p^-1/2 q p^-1/2
+once per segment (the pencil that ``log`` and ``distance`` also use) and
+validates the grid as one stack; ``geodesic_point`` is the one-point grid.
 
 ``geodesic_features`` is the array form of that grid: each feature as one
 float64 array over the grid, equal bit for bit to the features of the points
@@ -24,8 +24,9 @@ on the flat geometries chords are geodesics and it is ``geodesic_features``.
 
 ``Spd.random_points`` draws k random points from one stacked normal draw and
 one stacked eigendecomposition, bit for bit the points of k ``random_point``
-calls.  Geodesic grids, chord grids and draws are validated as one stack by
-one helper with the checks of ``Spd.point``.
+calls.  Geodesic grids, chord grids and draws pass or fail ``Spd.point``'s
+checks as one stack, all or none: when any matrix fails, the caller builds
+every point on its own, and the failing one raises its usual error there.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class Manifold:
             yield self.geodesic_point(p, q, s)
 
     def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """Feature name -> array over a non-empty grid, or None if a point is invalid.
+        """Feature name -> array over the grid, or None if a point is invalid.
 
         Entry j equals ``features`` of the j-th point of ``geodesic_points``.
         Geometries without an array form return None.
@@ -445,69 +446,70 @@ class Spd(Manifold):
         inv_half = (vecs / np.sqrt(vals)) @ vecs.T
         return half, inv_half
 
+    def _pencil(self, p: Point, q: Point):
+        """p^(1/2) and the eigendecomposition (vals, vecs) of p^(-1/2) q p^(-1/2)."""
+        self._check(p)
+        self._check(q)
+        half, inv_half = self._roots(p)
+        vals, vecs = _pd_eig(inv_half @ q.value @ inv_half)
+        return half, vals, vecs
+
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
-        return next(self.geodesic_points(p, q, (s,)))
+        return self.point(self._grid(p, q, (s,))[0])
 
     def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
         """Grid points p^(1/2) m^s p^(1/2), m = p^(-1/2) q p^(-1/2), in order.
 
         p and m are each decomposed once.  The grid is built and validated
         as one stack with the checks of ``point``, and each point's features
-        are memoised from one stacked slogdet.  From the first point that
-        fails a check on, points go through ``point`` one at a time, so the
-        failure raises its usual error when the caller reaches it.
+        are memoised from one stacked slogdet.  When any point fails them,
+        every grid matrix goes through ``point`` lazily, so the failure
+        raises its usual error when the caller reaches it.
         """
-        if len(svals) == 0:
-            return
         raw = self._grid(p, q, svals)
-        sym, signs, logdets, traces = self._validated(raw)
-        for value, sign, logdet, trace in zip(
-            sym, signs.tolist(), logdets.tolist(), traces.tolist()
+        stack = self._stack(raw)
+        if stack is None:
+            yield from map(self.point, raw)
+            return
+        sym, features = stack
+        for value, logdet, trace in zip(
+            sym, features["logdet"].tolist(), features["trace"].tolist()
         ):
-            yield self._memoised(value, logdet, trace) if sign > 0 else Point(self, value)
-        for j in range(len(sym), len(raw)):
-            yield self.point(raw[j])
+            yield self._memoised(value, logdet, trace)
 
     def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
         """The stacked logdet and trace of ``geodesic_points``, or None when a
         point fails validation or has a non-positive determinant sign."""
-        return self._array_form(self._grid(p, q, svals))[1]
+        stack = self._stack(self._grid(p, q, svals))
+        return None if stack is None else stack[1]
 
     def _grid(self, p: Point, q: Point, svals: Sequence[float]) -> np.ndarray:
         """The geodesic grid as one raw (unvalidated) stack."""
-        self._check(p)
-        self._check(q)
-        half, inv_half = self._roots(p)
-        vals, vecs = _pd_eig(inv_half @ q.value @ inv_half)
+        half, vals, vecs = self._pencil(p, q)
         # one scalar power per grid value: numpy special-cases exponents such
         # as 0.5, so a broadcast vals ** svals would change the bits
-        pows = np.stack([vals**s for s in svals])
+        pows = np.array([vals**s for s in svals]).reshape(len(svals), self.dim)
         return half @ ((vecs * pows[:, None, :]) @ vecs.T) @ half
 
-    def _validated(self, raw: np.ndarray):
-        """The leading run of a stack of matrices that passes ``point``'s
-        checks (symmetrized, read-only), and that run's slogdet signs,
-        logdets and traces."""
+    def _stack(self, raw: np.ndarray):
+        """(sym, features) of a stack of matrices that all pass ``point``'s
+        checks and have a positive determinant sign: the symmetrized stack,
+        read-only, and its logdet and trace arrays.  None otherwise."""
         flipped = raw.transpose(0, 2, 1)
-        good = _prefix(
-            np.isfinite(raw).all(axis=(1, 2))
-            & (np.abs(raw - flipped).max(axis=(1, 2)) <= SYM_TOL)
-        )
-        sym = 0.5 * (raw[:good] + flipped[:good])
-        good = _prefix(np.linalg.eigvalsh(sym).min(axis=1) > EIG_FLOOR)
-        sym = sym[:good]
-        sym.setflags(write=False)
+        # entries above about 8.99e307 overflow in (A + A^T) / 2; like
+        # ``point``, reject them by the finiteness test, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (raw + flipped)
+            gap = np.abs(raw - flipped)
+        if not (np.isfinite(sym).all() and (gap <= SYM_TOL).all()):
+            return None
+        if not (np.linalg.eigvalsh(sym).min(axis=1) > EIG_FLOOR).all():
+            return None
         signs, logdets = np.linalg.slogdet(sym)
-        return sym, signs, logdets, np.trace(sym, axis1=1, axis2=2)
-
-    def _array_form(self, raw: np.ndarray):
-        """(sym, features) of a stack: the validated run of ``_validated``,
-        and the stack's logdet and trace arrays, or None when a matrix fails
-        a check or has a non-positive determinant sign."""
-        sym, signs, logdets, traces = self._validated(raw)
-        if len(sym) < len(raw) or not (signs > 0).all():
-            return sym, None
-        return sym, {"logdet": logdets, "trace": traces}
+        if not (signs > 0).all():
+            return None
+        sym.setflags(write=False)
+        return sym, {"logdet": logdets, "trace": np.trace(sym, axis1=1, axis2=2)}
 
     def _memoised(self, value: np.ndarray, logdet: float, trace: float) -> Point:
         pt = Point(self, value)
@@ -525,13 +527,12 @@ class Spd(Manifold):
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)[:, None, None]
-        return self._array_form((1.0 - s) * p.value + s * q.value)[1]
+        stack = self._stack((1.0 - s) * p.value + s * q.value)
+        return None if stack is None else stack[1]
 
     def log(self, p: Point, q: Point) -> TangentDirection:
-        self._check(p)
-        self._check(q)
-        half, inv_half = self._roots(p)
-        mid = sym_log(inv_half @ q.value @ inv_half)
+        half, vals, vecs = self._pencil(p, q)
+        mid = (vecs * np.log(vals)) @ vecs.T
         return TangentDirection(p, _readonly(half @ mid @ half))
 
     def exp(self, p: Point, x: TangentDirection, s: float = 1.0) -> Point:
@@ -541,10 +542,7 @@ class Spd(Manifold):
         return self.point(half @ mid @ half)
 
     def distance(self, p: Point, q: Point) -> float:
-        self._check(p)
-        self._check(q)
-        _, inv_half = self._roots(p)
-        vals, _ = _pd_eig(inv_half @ q.value @ inv_half)
+        _, vals, _ = self._pencil(p, q)
         return float(np.sqrt(np.sum(np.log(vals) ** 2)))
 
     def inner(self, p: Point, x: TangentDirection, y: TangentDirection) -> float:
@@ -592,23 +590,19 @@ class Spd(Manifold):
             sym = 0.5 * (tangents + tangents.transpose(0, 2, 1))
             try:
                 vals, vecs = np.linalg.eigh(sym)
-                sym, features = self._array_form(
-                    np.stack([(vecs[i] * np.exp(vals[i])) @ vecs[i].T for i in range(k)])
-                )
             except np.linalg.LinAlgError:
                 return None, one_by_one
-        if features is None:
+            stack = self._stack(
+                np.stack([(vecs[i] * np.exp(vals[i])) @ vecs[i].T for i in range(k)])
+            )
+        if stack is None:
             return None, one_by_one
+        sym, features = stack
         logdets, traces = features["logdet"].tolist(), features["trace"].tolist()
         return features, lambda i: self._memoised(sym[i], logdets[i], traces[i])
 
     def point_to_json(self, p: Point):
         return [[float(v) for v in row] for row in p.value]
-
-
-def _prefix(mask: np.ndarray) -> int:
-    """Length of the leading run of True entries."""
-    return len(mask) if mask.all() else int(mask.argmin())
 
 
 # -- module-level operation surface -------------------------------------

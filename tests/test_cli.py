@@ -121,6 +121,18 @@ class TestOrder:
         assert main(args + ["--eps", "0"]) == 0
         assert capsys.readouterr().out.strip() == "Less"
 
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_negative_or_nan_eps_rejected(self, capsys, eps):
+        for pair in (["[0.5,0.5]", "[0,0]"], ["[0,0]", "[0.5,0.5]"]):
+            assert main(["order", *pair, "--eps", eps]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: eps_c must be non-negative")
+
+    def test_infinite_eps_ties_every_center(self, capsys):
+        assert main(["order", "[0.5,0.5]", "[0,0]", "--eps", "inf"]) == 0
+        assert capsys.readouterr().out.strip() == "Equal"
+
     def test_json_report(self, capsys):
         assert main(["order", "<2,1>", "[1,3]", "--relation", "max", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

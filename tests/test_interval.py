@@ -205,6 +205,22 @@ class TestCompare:
         # exact mode sees the center difference
         assert compare(t1, t2, eps_c=0.0) is OrderOutcome.LESS
 
+    @pytest.mark.parametrize("eps_c", [-1.0, float("nan")])
+    @pytest.mark.parametrize("rel", list(OrderRelation), ids=lambda r: r.value)
+    def test_negative_or_nan_center_tolerance_rejected(self, eps_c, rel):
+        # eps_c = -1 would make each interval of this pair Less than the other
+        pair = (Interval.point(0.5), Interval.point(0.0))
+        for t1, t2 in (pair, pair[::-1]):
+            with pytest.raises(ValueError, match="eps_c"):
+                compare(t1, t2, rel, eps_c)
+            with pytest.raises(ValueError, match="eps_c"):
+                leq_min(t1, t2, eps_c)
+
+    def test_infinite_center_tolerance_ties_every_center(self):
+        inf = float("inf")
+        assert compare(Interval(0, 1), Interval(9, 9), eps_c=inf) is OrderOutcome.GREATER
+        assert compare(Interval(9, 9), Interval(0, 1), eps_c=inf) is OrderOutcome.LESS
+
     def test_helpers(self):
         assert leq_min(Interval(0, 1), Interval(0, 1))
         assert not lt_min(Interval(0, 1), Interval(0, 1))

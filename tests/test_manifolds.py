@@ -189,10 +189,25 @@ class TestSpd:
         assert feats["logdet"] == pytest.approx(math.log(4.0), abs=1e-12)
         assert feats["trace"] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("manifold", [Spd(1), SPD, Spd(3)], ids=str)
+    def test_log_and_distance_match_their_formulas_bitwise(self, manifold):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            p, q = manifold.random_point(rng), manifold.random_point(rng)
+            half, inv_half = manifold._roots(p)
+            m = inv_half @ q.value @ inv_half
+            vals = np.linalg.eigh(symmetrize(m))[0]
+            assert log_map(p, q).value.tobytes() == (half @ sym_log(m) @ half).tobytes()
+            assert distance(p, q).hex() == float(np.sqrt(np.sum(np.log(vals) ** 2))).hex()
+
 
 def _grid(n, interior):
     first, last = (1, n - 1) if interior else (0, n)
     return [j / (n - 1) for j in range(first, last)]
+
+
+def _hex(feats):
+    return {name: float(value).hex() for name, value in feats.items()}
 
 
 def _per_point_geodesic(manifold, p, q, s):
@@ -202,7 +217,7 @@ def _per_point_geodesic(manifold, p, q, s):
 
 
 class TestSpdGeodesicGrid:
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("interior", [False, True])
     def test_grid_matches_per_point_formula_bitwise(self, dim, interior):
         manifold = Spd(dim)
@@ -217,6 +232,9 @@ class TestSpdGeodesicGrid:
                     ref = _per_point_geodesic(manifold, p, q, s)
                     assert np.array_equal(pt.value, ref.value)
                     assert manifold.features(pt) == manifold.features(Point(manifold, ref.value))
+                    single = manifold.geodesic_point(p, q, s)
+                    assert single.value.tobytes() == pt.value.tobytes()
+                    assert _hex(manifold.features(single)) == _hex(manifold.features(pt))
 
     def test_grid_points_are_read_only(self):
         p, q = SPD.point(I2), SPD.point(np.diag([2.0, 3.0]))
@@ -285,6 +303,16 @@ class TestGeodesicFeatures:
                     for name, value in manifold.features(pt).items():
                         assert float(arrays[name][j]).hex() == float(value).hex(), (name, j)
 
+    @pytest.mark.parametrize("manifold", [S1, E2, Euclidean(3), Spd(1), SPD, Spd(3)], ids=str)
+    def test_empty_grid_gives_empty_arrays(self, manifold):
+        rng = np.random.default_rng(3)
+        p, q = manifold.random_point(rng), manifold.random_point(rng)
+        for along in (manifold.geodesic_features, manifold.chord_features):
+            arrays = along(p, q, [])
+            assert sorted(arrays) == sorted(manifold.feature_names)
+            assert all(a.shape == (0,) and a.dtype == float for a in arrays.values())
+        assert list(manifold.geodesic_points(p, q, [])) == []
+
     def test_circle_clamps_like_point_and_rejects_like_point(self):
         p, q = S1.point(0.0), S1.point(TWO_PI)
         svals = [-1e-11, 1.0 + 1e-11]  # inside ANGLE_SLACK of the chart ends
@@ -348,7 +376,6 @@ class TestChordFeatures:
                 SPD.point(np.diag([1e308, 1.0]))
         assert str(info.value) == "matrix entries must be finite"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_spd_chord_through_an_overflowing_point_gives_none_and_raises_there(self):
         from ivopt.convexity import _path_bounds
         from ivopt.functions import IvFn
@@ -357,7 +384,9 @@ class TestChordFeatures:
         p, q = SPD.point(I2), SPD.point(np.diag([8e307, 1.0]))
         f = IvFn.from_expressions("logdet", "trace", SPD)
         assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
-        assert SPD.chord_features(p, q, [0.0, 0.5, 1.25]) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert SPD.chord_features(p, q, [0.0, 0.5, 1.25]) is None
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             _path_bounds(f, p, q, [0.0, 0.5, 1.25], "chord")
 
