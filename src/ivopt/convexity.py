@@ -19,18 +19,19 @@ gives the path's features as arrays (``geodesic_features``, or
 ``chord_features`` for ``path="chord"``) and the function is compiled; else
 the path points are evaluated one by one.
 
-``DomainSampler.draw_one`` is the reference rejection sampler.  A sampler
-with a bulk proposer can also be drawn through ``ProposalStream``, which
-tests proposals a batch at a time and hands out exactly the points, and
-raises exactly the errors, of ``draw_one`` called in a loop.
-``check_convex``, ``check_affine`` and ``check_convex_at`` draw through it.
+``DomainSampler.draw_one`` is the reference rejection sampler.  Every check
+draws through ``ProposalStream``, which tests a bulk proposer's proposals a
+batch at a time and hands out exactly the points, and raises exactly the
+errors, of ``draw_one`` called in a loop.  ``check_cw_convex_at`` and the
+KKT convexity hypotheses share one componentwise check, ``_cw_convex_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from itertools import tee
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,9 +106,6 @@ class DomainSampler:
             f"in {MAX_TRIES} proposals"
         )
 
-    def draw(self, rng: np.random.Generator, n: int) -> list:
-        return [self.draw_one(rng) for _ in range(n)]
-
     def restrict(self, extra: Callable[[Point], bool], name: str = "") -> "DomainSampler":
         base_membership = self.membership
         # no bulk proposer: extra is an opaque predicate with no array form
@@ -144,12 +142,14 @@ class ProposalStream:
         self._pending: Optional[Exception] = None  # met after points were taken
         self._proposed = self._accepted = 0
 
-    def points(self, n: int, apart_from: Optional[Point] = None) -> list:
-        """The next n points."""
-        out = []
-        while len(out) < n:
-            out += self.take(n - len(out), apart_from)[0]
-        return out
+    def points(self, n: int, apart_from: Optional[Point] = None) -> Iterator[Point]:
+        """The next n points, in draw order, taken a batch at a time as they
+        are asked for; an error met after some points is raised when the next
+        point is asked for."""
+        while n > 0:
+            batch = self.take(n, apart_from)[0]
+            n -= len(batch)
+            yield from batch
 
     def take(self, m: int, apart_from: Optional[Point] = None):
         """(points, features): between 1 and m accepted points, in order,
@@ -275,9 +275,16 @@ class ConvexityReport:
         }
 
 
-def _grid_values(grid: int, interior: bool):
+def _check_sizes(grid: int = 2, **counts: int) -> None:
+    """Refuse, before anything is drawn, a count below 1 or a grid below 2."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     if grid < 2:
         raise ValueError("grid must contain at least two points")
+
+
+def _grid_values(grid: int, interior: bool):
     first, last = (1, grid - 1) if interior else (0, grid)
     return [j / (grid - 1) for j in range(first, last)]
 
@@ -396,8 +403,9 @@ def _drawn_pairs(dom: DomainSampler, pairs: int, seed: int, min_dist: float):
     """``pairs`` sampled (p, q) pairs, q at least ``min_dist`` from p."""
     stream = ProposalStream(dom, np.random.default_rng(seed), min_dist)
     for _ in range(pairs):
-        p = stream.take(1)[0][0]
-        yield p, stream.take(1, apart_from=p)[0][0]
+        p, = stream.points(1)
+        q, = stream.points(1, apart_from=p)
+        yield p, q
 
 
 def check_convex(
@@ -416,6 +424,7 @@ def check_convex(
     """
     if path not in ("geodesic", "chord"):
         raise ValueError(f"unknown path kind {path!r}")
+    _check_sizes(grid, pairs=pairs)
     segments = _drawn_pairs(dom, pairs, seed, 1e-8 if strict else 0.0)
     return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", path=path)
 
@@ -430,9 +439,35 @@ def check_convex_at(
     seed: int = 0,
 ) -> ConvexityReport:
     """Test the convexity inequality on geodesics from a fixed base point."""
+    _check_sizes(grid, targets=targets)
     stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8 if strict else 0.0)
-    segments = ((p0, q) for _ in range(targets) for q in stream.take(1, apart_from=p0)[0])
+    segments = ((p0, q) for q in stream.points(targets, apart_from=p0))
     return _worst_on_segments(f, segments, grid, "strict" if strict else "convex")
+
+
+def _cw_convex_at(fns: Sequence[Fn], p0: Point, dom: DomainSampler, targets: int,
+                  grid: int, seed: int) -> list:
+    """Componentwise convexity of each function at p0, as a report each.
+
+    Non-strict convexity on the geodesics from p0 to the targets
+    ``check_convex_at`` draws with this seed, drawn once, on first use, and
+    replayed for every function; an interval function's width is checked
+    only where its center holds.
+    """
+    stream = ProposalStream(dom, np.random.default_rng(seed))
+    passes = iter(tee(stream.points(targets), 2 * len(fns)))
+
+    def convex(fn: RealFn) -> ConvexityReport:
+        return _worst_on_segments(fn, ((p0, q) for q in next(passes)), grid)
+
+    reports = []
+    for f in fns:
+        if not isinstance(f, IvFn):
+            reports.append(convex(f))
+            continue
+        report = convex(f.center)
+        reports.append(convex(f.width) if report.holds() else report)
+    return reports
 
 
 def check_cw_convex_at(
@@ -443,14 +478,15 @@ def check_cw_convex_at(
     grid: int = 33,
     seed: int = 0,
 ) -> ConvexityReport:
-    """Componentwise convexity at a point: center and width must both pass."""
-    center_report = check_convex_at(f.center, p0, dom, targets, grid, seed=seed)
-    if not center_report.holds():
-        center_report.samples_used *= 2
-        return center_report
-    width_report = check_convex_at(f.width, p0, dom, targets, grid, seed=seed)
-    width_report.samples_used += center_report.samples_used
-    return width_report
+    """Componentwise convexity at a point: center and width must both pass.
+
+    Both run on the targets ``check_convex_at`` draws with this seed, drawn
+    once; ``samples_used`` counts them once per component.
+    """
+    _check_sizes(grid, targets=targets)
+    report, = _cw_convex_at([f], p0, dom, targets, grid, seed)
+    report.samples_used *= 2
+    return report
 
 
 def check_affine(
@@ -461,6 +497,7 @@ def check_affine(
     seed: int = 0,
 ) -> ConvexityReport:
     """Test equality between path values and mixed endpoint values."""
+    _check_sizes(grid, pairs=pairs)
     return _worst_on_segments(f, _drawn_pairs(dom, pairs, seed, 0.0), grid, "affine", EQ_TOL)
 
 
@@ -472,14 +509,12 @@ def check_star_shaped(
     seed: int = 0,
 ) -> ConvexityReport:
     """Test that geodesics from p0 to sampled members stay inside the set."""
+    _check_sizes(grid, targets=targets)
     if not dom.membership(p0):
         raise ValueError("base point is not a member of the sampled set")
-    rng = np.random.default_rng(seed)
-    used = 0
-    for _ in range(targets):
-        q = dom.draw_one(rng)
-        used += 1
-        svals = _grid_values(grid, interior=True)
+    svals = _grid_values(grid, interior=True)
+    stream = ProposalStream(dom, np.random.default_rng(seed))
+    for used, q in enumerate(stream.points(targets), 1):
         for s, pt in zip(svals, p0.manifold.geodesic_points(p0, q, svals)):
             if not dom.membership(pt):
                 return ConvexityReport(
@@ -487,7 +522,7 @@ def check_star_shaped(
                     Counterexample(p0, q, s, None, None),
                     used,
                 )
-    return ConvexityReport(Verdict.HOLDS, None, used)
+    return ConvexityReport(Verdict.HOLDS, None, targets)
 
 
 def _deriv_violation(lhs: Interval, rhs: Interval) -> Optional[float]:
@@ -522,13 +557,11 @@ def check_gradient_inequality(
     requirement are skipped and counted, since the decomposition backing
     the inequality is not available there.
     """
-    rng = np.random.default_rng(seed)
-    worst = None
-    used = 0
-    skipped = 0
+    _check_sizes(targets=targets)
+    worst, used, skipped = None, 0, 0
     f_p0 = f(p0)
-    for _ in range(targets):
-        q = dom.draw_one(rng, apart_from=p0, min_dist=1e-8)
+    stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8)
+    for q in stream.points(targets, apart_from=p0):
         x = log_map(p0, q)
         if isinstance(f, IvFn):
             if not width_monotone_along(f, p0.manifold.geodesic(p0, q)):
@@ -536,17 +569,15 @@ def check_gradient_inequality(
                 continue
             deriv = gh_dir_deriv(f, p0, x, scheme).value
             rhs = gh_diff(f(q), f_p0)
-            used += 1
             severity = _deriv_violation(deriv, rhs)
-            if severity is not None and (worst is None or severity > worst[0]):
-                worst = (severity, Counterexample(p0, q, 0.0, deriv, rhs))
         else:
             deriv = dir_deriv(f, p0, x, scheme)
             rhs = f(q) - f_p0
-            used += 1
             gap = deriv - rhs
-            if gap > DERIV_EPS * max(1.0, abs(rhs)) and (worst is None or gap > worst[0]):
-                worst = (gap, Counterexample(p0, q, 0.0, deriv, rhs))
+            severity = gap if gap > DERIV_EPS * max(1.0, abs(rhs)) else None
+        used += 1
+        if severity is not None and (worst is None or severity > worst[0]):
+            worst = (severity, Counterexample(p0, q, 0.0, deriv, rhs))
     return _report(worst, used, skipped)
 
 
@@ -590,33 +621,18 @@ def check_local_min(
     witness.  Componentwise convexity at p0 is checked alongside and
     reported, since the criterion characterizes minimality under it.
     """
-    rng = np.random.default_rng(seed)
-    cw_report = None
-    if isinstance(f, IvFn):
-        cw_report = check_cw_convex_at(f, p0, dom, targets=min(targets, 16), seed=seed)
-    else:
-        cw_report = check_convex_at(f, p0, dom, targets=min(targets, 16), seed=seed)
-    used = 0
-    for _ in range(targets):
-        q = dom.draw_one(rng, apart_from=p0, min_dist=1e-8)
+    _check_sizes(targets=targets)
+    check_at = check_cw_convex_at if isinstance(f, IvFn) else check_convex_at
+    cw_report = check_at(f, p0, dom, targets=min(targets, 16), seed=seed)
+    stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8)
+    for used, q in enumerate(stream.points(targets, apart_from=p0), 1):
         x = log_map(p0, q)
-        used += 1
         if isinstance(f, IvFn):
             deriv = gh_dir_deriv(f, p0, x, scheme)
-            if deriv.center_part < -DERIV_EPS:
-                return LocalMinReport(
-                    "NotMinimumWitness",
-                    {"target": q, "derivative": deriv.value},
-                    cw_report,
-                    used,
-                )
+            slope, value = deriv.center_part, deriv.value
         else:
-            deriv = dir_deriv(f, p0, x, scheme)
-            if deriv < -DERIV_EPS:
-                return LocalMinReport(
-                    "NotMinimumWitness",
-                    {"target": q, "derivative": deriv},
-                    cw_report,
-                    used,
-                )
-    return LocalMinReport("Minimum", None, cw_report, used)
+            slope = value = dir_deriv(f, p0, x, scheme)
+        if slope < -DERIV_EPS:
+            witness = {"target": q, "derivative": value}
+            return LocalMinReport("NotMinimumWitness", witness, cw_report, used)
+    return LocalMinReport("Minimum", None, cw_report, targets)

@@ -118,11 +118,10 @@ class IvFn:
             name if name is not None else f"<{center_text}, {width_text}>",
         )
 
-    def validate_width(self, sample: Callable[[np.random.Generator], Point],
-                       n: int, rng: np.random.Generator) -> None:
-        """Evaluate the width at n sampled points, raising on a negative value."""
-        for _ in range(n):
-            self(sample(rng))
+    def validate_width(self, points: Iterable[Point]) -> None:
+        """Evaluate at each point, raising on a negative width."""
+        for p in points:
+            self(p)
 
 
 def bounds_along(

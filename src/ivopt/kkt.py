@@ -57,7 +57,7 @@ from .convexity import (
     DomainSampler,
     Proposals,
     ProposalStream,
-    _worst_on_segments,
+    _cw_convex_at,
 )
 from .errors import ConfigError, InfeasibleCandidateError, ModeMismatchError, NotConvergedError
 from .functions import IvFn, RealFn, bounds_on
@@ -223,10 +223,7 @@ def direction_samples(
 ) -> List[TangentDirection]:
     """Tangent directions from p0 toward n sampled distinct feasible points."""
     stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed), min_dist)
-    out = []
-    while len(out) < n:
-        out += [log_map(p0, q) for q in stream.take(n - len(out), apart_from=p0)[0]]
-    return out
+    return [log_map(p0, q) for q in stream.points(n, apart_from=p0)]
 
 
 def _center_fn(f: Fn) -> RealFn:
@@ -481,7 +478,7 @@ def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
 
 
 def _feasible_points(prob: Problem, p0: Point, n: int, seed: int) -> list:
-    return ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed)).points(n)
+    return list(ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed)).points(n))
 
 
 def _pairwise_distinct(values) -> bool:
@@ -500,36 +497,19 @@ def _convexity_hypotheses(
 ) -> List[HypothesisCheck]:
     """Convexity-at-candidate checks for the objective and active constraints.
 
-    Interval-valued functions are checked componentwise: the width only
-    when the center holds, as ``check_cw_convex_at`` does.  Every check
-    runs on the same segments from p0, to the targets ``check_convex_at``
-    draws with this seed; they are drawn once, on first use.  These are
-    reported but do not gate the verdict: the worked scenarios require
-    positive verdicts even where a sampled convexity check fails, so
-    failures surface as warnings in the certificate instead.
+    Interval-valued functions are checked componentwise, as
+    ``check_cw_convex_at`` does, and every check runs on the same targets,
+    feasible points drawn once with this seed.  These are reported but do
+    not gate the verdict: the worked scenarios require positive verdicts
+    even where a sampled convexity check fails, so failures surface as
+    warnings in the certificate instead.
     """
-    stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed))
-    targets = []
-
-    def convex_at(fn: RealFn):
-        def segments():
-            for k in range(HYPOTHESIS_TARGETS):
-                if k == len(targets):
-                    targets.extend(stream.take(HYPOTHESIS_TARGETS - k)[0])
-                yield p0, targets[k]
-
-        return _worst_on_segments(fn, segments(), HYPOTHESIS_GRID)
-
+    reports = _cw_convex_at([fn for fn, _ in labelled], p0, prob.feasible_sampler(),
+                            HYPOTHESIS_TARGETS, HYPOTHESIS_GRID, seed)
     checks = []
-    for fn, label in labelled:
-        if isinstance(fn, IvFn):
-            report = convex_at(fn.center)
-            if report.holds():
-                report = convex_at(fn.width)
-            if label == "objective":
-                label = "objective (componentwise)"
-        else:
-            report = convex_at(fn)
+    for (fn, label), report in zip(labelled, reports):
+        if isinstance(fn, IvFn) and label == "objective":
+            label = "objective (componentwise)"
         detail = ""
         if not report.holds() and report.counterexample is not None:
             detail = f"violated at s={report.counterexample.s:.6g}"
@@ -607,6 +587,8 @@ def _verify(
         )
 
     J, slack_reason = _precheck(prob, p0, mu, tol)
+    if len(directions) == 0:
+        raise ConfigError("no directions to test: stationarity needs at least one")
     if slack_reason is not None:
         return certificate([], [], KktVerdict.INCONCLUSIVE, slack_reason)
     tested, what, of, points = prob.objective, "objective", "", None

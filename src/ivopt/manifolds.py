@@ -52,6 +52,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mix(a: np.ndarray, b: np.ndarray, s) -> np.ndarray:
+    """(1 - s) a + s b in ambient coordinates.  An overflow is left silent:
+    the caller's finiteness check rejects the result."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (1.0 - s) * a + s * b
+
+
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2, rejecting asymmetry beyond SYM_TOL."""
     arr = np.asarray(mat, dtype=float)
@@ -253,13 +260,13 @@ class Euclidean(Manifold):
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
         self._check(q)
-        return self.point((1.0 - s) * p.value + s * q.value)
+        return self.point(_mix(p.value, q.value, s))
 
     def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)[:, None]
-        coords = (1.0 - s) * p.value + s * q.value
+        coords = _mix(p.value, q.value, s)
         if not np.isfinite(coords).all():
             return None
         return dict(zip(self.feature_names, coords.T))
@@ -519,7 +526,7 @@ class Spd(Manifold):
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
         self._check(q)
-        return self.point((1.0 - s) * p.value + s * q.value)
+        return self.point(_mix(p.value, q.value, s))
 
     def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
         """The stacked logdet and trace of the ``chord_point`` grid, or None
@@ -527,7 +534,7 @@ class Spd(Manifold):
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)[:, None, None]
-        stack = self._stack((1.0 - s) * p.value + s * q.value)
+        stack = self._stack(_mix(p.value, q.value, s))
         return None if stack is None else stack[1]
 
     def log(self, p: Point, q: Point) -> TangentDirection:

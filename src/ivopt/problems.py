@@ -221,18 +221,13 @@ def parse_manifold(spec) -> Manifold:
     if kind == "circle":
         _reject_unknown(spec, "manifold")
         return CIRCLE
-    if kind == "euclidean":
+    if kind in ("euclidean", "spd"):
         dim = spec.pop("dim", None)
         _reject_unknown(spec, "manifold")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("euclidean manifold needs an integer dim >= 1")
-        return Euclidean(dim)
-    if kind == "spd":
-        dim = spec.pop("dim", None)
-        _reject_unknown(spec, "manifold")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("spd manifold needs an integer dim >= 1")
-        return Spd(dim)
+        # a JSON true or false is a Python bool, which is an int
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ConfigError(f"{kind} manifold needs an integer dim >= 1")
+        return (Euclidean if kind == "euclidean" else Spd)(dim)
     raise ConfigError(f"unknown manifold kind {kind!r}")
 
 
@@ -338,7 +333,7 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     seed = options.pop("seed", None)
     domain_spec = options.pop("domain", None)
     _reject_unknown(options, "options")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError("options.seed must be an integer")
 
     # The piecewise builtins only make sense on their own branch set.
@@ -355,24 +350,16 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
 
     problem = Problem(manifold, objective, constraints, domain, name=str(name))
 
-    # width nonnegativity is part of the interval-function contract
-    rng = np.random.default_rng(12345)
+    # width nonnegativity is part of the interval-function contract, checked
+    # on the domain's next n proposals: one bulk proposal where it has a proposer
+    rng, n = np.random.default_rng(12345), WIDTH_VALIDATION_SAMPLES
     for fn in (objective,) + constraints:
         if isinstance(fn, IvFn):
-            fn.validate_width(_in_bulk(domain, rng, WIDTH_VALIDATION_SAMPLES),
-                              WIDTH_VALIDATION_SAMPLES, rng)
+            fn.validate_width(
+                (domain.sample(rng) for _ in range(n)) if domain.propose is None
+                else map(domain.propose(rng, n).point, range(n)))
 
     return LoadedProblem(problem, candidate, seed)
-
-
-def _in_bulk(domain: DomainSampler, rng: np.random.Generator, n: int):
-    """A stand-in for ``domain.sample`` over its next n calls on rng: the same
-    points, drawn as one bulk proposal where the domain has a proposer, each
-    built (and raising) when it is asked for."""
-    if domain.propose is None:
-        return domain.sample
-    points = map(domain.propose(rng, n).point, range(n))
-    return lambda _: next(points)
 
 
 def load_problem(path: str) -> LoadedProblem:

@@ -289,6 +289,51 @@ class TestCheckKkt:
         assert payload["label"] == "P3" and payload["verdict"] == "StrictOptimal"
 
 
+class TestNothingSampled:
+    """A count or grid that samples nothing is an error, not a verdict."""
+
+    @pytest.mark.parametrize("directions", ["0", "-3"])
+    def test_check_kkt_without_directions(self, tmp_path, directions, capsys):
+        cfg = {"manifold": {"kind": "circle"}, "objective": {"real": "-(theta - pi/2)^2"},
+               "candidate": {"theta": math.pi / 2.0}}
+        path = tmp_path / "peak.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["check-kkt", "--problem", str(path), "--directions", directions])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: no directions to test")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--pairs", "0"], "pairs must be at least 1"),
+        (["--at", "[[1,0],[0,1]]", "--pairs", "0"], "targets must be at least 1"),
+        (["--pairs", "-4", "--grid", "1"], "pairs must be at least 1"),
+        (["--grid", "1"], "grid must contain at least two points"),
+        (["--at", "[[1,0],[0,1]]", "--grid", "0"], "grid must contain at least two points"),
+    ])
+    def test_check_convexity_without_samples(self, spd_file, args, message, capsys):
+        rc = main(["check-convexity", "--problem", spd_file, *args])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+class TestJsonBooleans:
+    @pytest.mark.parametrize("cfg, key", [
+        ({"manifold": {"kind": "euclidean", "dim": True}, "objective": {"real": "x1^2"},
+          "candidate": [0.0]}, "dim"),
+        ({"manifold": {"kind": "spd", "dim": True}, "objective": {"real": "logdet^2"},
+          "candidate": [[1.0]]}, "dim"),
+        (dict(PSTAR_CFG, options={"seed": True}), "options.seed"),
+    ])
+    def test_check_kkt_names_the_key(self, tmp_path, cfg, key, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["check-kkt", "--problem", str(path), "--directions", "4"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
+
+
 class TestUnsamplableDomain:
     @pytest.mark.parametrize("command", ["check-kkt", "check-convexity"])
     @BAD_DOMAIN_CASES

@@ -333,11 +333,57 @@ class TestLocalMin:
         assert blob["cw_convex_at"]["verdict"] == "HoldsOnSamples"
 
 
+class TestNothingSampled:
+    """A count below 1 or a grid below 2 is refused before anything is drawn."""
+
+    @staticmethod
+    def _undrawable() -> DomainSampler:
+        def sample(rng):
+            raise AssertionError("the check drew a point")
+
+        return DomainSampler(lambda p: True, sample, name="undrawable")
+
+    def _calls(self, count: int, grid: int):
+        f = IvFn.from_expressions("theta^2", "0.1", CIRCLE)
+        dom, p0 = self._undrawable(), CIRCLE.point(1.0)
+        yield lambda: check_convex(f, dom, pairs=count, grid=grid)
+        yield lambda: check_convex(f, dom, pairs=count, grid=grid, path="chord")
+        yield lambda: check_affine(f, dom, pairs=count, grid=grid)
+        yield lambda: check_convex_at(f, p0, dom, targets=count, grid=grid)
+        yield lambda: check_cw_convex_at(f, p0, dom, targets=count, grid=grid)
+        yield lambda: check_star_shaped(dom, p0, targets=count, grid=grid)
+        if grid >= 2:  # the derivative checks have no grid
+            yield lambda: check_gradient_inequality(f, p0, dom, targets=count)
+            yield lambda: check_local_min(f, p0, dom, targets=count)
+
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_no_samples(self, count):
+        calls = list(self._calls(count, 33))
+        assert len(calls) == 8
+        for call in calls:
+            with pytest.raises(ValueError, match="must be at least 1"):
+                call()
+
+    @pytest.mark.parametrize("count, grid", [(4, 1), (4, 0), (4, -2)])
+    def test_grid_too_small(self, count, grid):
+        calls = list(self._calls(count, grid))
+        assert len(calls) == 6
+        for call in calls:
+            with pytest.raises(ValueError, match="grid must contain at least two points"):
+                call()
+
+    def test_one_sample_is_enough(self):
+        dom = circle_domain(1.0, 2.0)
+        f = RealFn.from_expression("(theta - 1.5)^2", CIRCLE)
+        assert check_convex(f, dom, pairs=1, grid=2).samples_used == 1
+        assert check_local_min(f, CIRCLE.point(1.5), dom, targets=1).samples_used == 1
+
+
 class TestDomainSampler:
     def test_draw_respects_membership_and_distance(self):
         rng = np.random.default_rng(0)
         dom = circle_domain(0.0, 1.0)
-        pts = dom.draw(rng, 32)
+        pts = [dom.draw_one(rng) for _ in range(32)]
         assert all(0.0 <= p.value <= 1.0 for p in pts)
         anchor = CIRCLE.point(0.5)
         q = dom.draw_one(rng, apart_from=anchor, min_dist=0.25)

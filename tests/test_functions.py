@@ -109,14 +109,11 @@ class TestIvFn:
         # example width -theta^2 + 5*pi^2 stays nonnegative on the chart
         f = IvFn.from_expressions("theta^2", "-theta^2 + 5*pi^2", CIRCLE)
         rng = np.random.default_rng(0)
-        f.validate_width(lambda r: CIRCLE.point(r.uniform(0.0, 2 * math.pi)),
-                         200, rng)
+        f.validate_width(CIRCLE.point(t) for t in rng.uniform(0.0, 2 * math.pi, 200))
 
         bad = IvFn.from_expressions("0", "theta - 4", CIRCLE)
         with pytest.raises(NegativeWidthError):
-            bad.validate_width(
-                lambda r: CIRCLE.point(r.uniform(0.0, 2 * math.pi)), 200, rng
-            )
+            bad.validate_width(CIRCLE.point(t) for t in rng.uniform(0.0, 2 * math.pi, 200))
 
     def test_lift_real_has_zero_width(self):
         f = lift_real(RealFn.from_expression("x1", EUCLIDEAN1))

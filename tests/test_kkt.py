@@ -711,6 +711,17 @@ class TestPinnedCertificates:
         assert errors and all(e.startswith("ModeMismatchError: ") for e in errors)
 
 
+class TestNoDirections:
+    @pytest.mark.parametrize("name", sorted(_pinned_cases()))
+    def test_every_verifier_refuses_an_empty_direction_list(self, name):
+        # stationarity over no direction would certify anything
+        verify, prob, p0, mu, kwargs = _pinned_cases()[name]
+        with pytest.raises(ConfigError, match="no directions to test"):
+            verify(prob, p0, mu, [], seed=3, **kwargs)
+        with pytest.raises(ConfigError, match="no directions to test"):
+            verify(prob, p0, mu, direction_samples(prob, p0, 0, seed=3), seed=3, **kwargs)
+
+
 class TestOnePipeline:
     def _count_draws(self, monkeypatch):
         calls = []

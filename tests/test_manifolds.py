@@ -323,10 +323,13 @@ class TestGeodesicFeatures:
         with pytest.raises(DomainError):
             S1.geodesic_point(p, q, 1.5)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_euclidean_non_finite_grid_point_gives_none(self):
         p, q = E2.point([1e308, 0.0]), E2.point([-1e308, 0.0])
-        assert E2.geodesic_features(p, q, [0.0, 3.0]) is None
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert E2.geodesic_features(p, q, [0.0, 3.0]) is None
+            assert E2.chord_features(p, q, [0.0, 3.0]) is None
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         with pytest.raises(DomainError):
             E2.geodesic_point(p, q, 3.0)
 
@@ -360,12 +363,13 @@ class TestChordFeatures:
         assert Circle.chord_features is Circle.geodesic_features
         assert Euclidean.chord_features is Euclidean.geodesic_features
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_spd_non_finite_chord_point_gives_none(self):
         p, q = SPD.point(np.diag([8e307, 1.0])), SPD.point(np.diag([8.5e307, 1.0]))
-        assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
-        assert SPD.chord_features(p, q, [0.0, 3.0]) is None
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
+            assert SPD.chord_features(p, q, [0.0, 3.0]) is None
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         with pytest.raises(DomainError, match="finite"):
             SPD.chord_point(p, q, 3.0)
 

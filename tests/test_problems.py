@@ -263,6 +263,8 @@ class TestParseManifold:
         {"kind": "euclidean", "dim": 0},
         {"kind": "euclidean", "dim": 1.5},
         {"kind": "spd", "dim": "2"},
+        {"kind": "euclidean", "dim": True},
+        {"kind": "spd", "dim": False},
     ])
     def test_rejections(self, spec):
         with pytest.raises(ConfigError):
@@ -335,6 +337,17 @@ class TestBuildProblem:
     def test_rejections(self, cfg):
         with pytest.raises(ConfigError):
             build_problem(cfg)
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"manifold": {"kind": "euclidean", "dim": True}, "objective": {"real": "x1^2"}}, "dim"),
+        ({"manifold": {"kind": "spd", "dim": True}, "objective": {"real": "logdet^2"}}, "dim"),
+        (pstar_config(options={"seed": True}), "options.seed"),
+        (pstar_config(options={"seed": False}), "options.seed"),
+    ])
+    def test_json_booleans_are_not_integers(self, cfg, key):
+        # json.loads gives a Python bool, which isinstance counts as an int
+        with pytest.raises(ConfigError, match=key):
+            build_problem(json.loads(json.dumps(cfg)))
 
     def test_width_sign_is_validated_on_samples(self):
         cfg = {

@@ -19,8 +19,12 @@ from ivopt.convexity import (
     check_affine,
     check_convex,
     check_convex_at,
+    check_cw_convex_at,
+    check_gradient_inequality,
+    check_local_min,
+    check_star_shaped,
 )
-from ivopt.errors import ConfigError
+from ivopt.errors import ConfigError, SamplerExhaustedError
 from ivopt.functions import CIRCLE, IvFn, RealFn, lift_real
 from ivopt.kkt import (
     Problem,
@@ -71,9 +75,19 @@ def recording(fn):
     return wrap(fn), seen
 
 
+def target_checks(f, dom, p0, seed):
+    """The checks that draw targets around p0, each with few targets."""
+    iv = f if isinstance(f, IvFn) else IvFn(f, RealFn.from_expression("0.25", f.manifold))
+    yield lambda: check_star_shaped(dom, p0, targets=6, grid=5, seed=seed)
+    yield lambda: check_gradient_inequality(f, p0, dom, targets=6, seed=seed)
+    yield lambda: check_local_min(f, p0, dom, targets=6, seed=seed)
+    yield lambda: check_cw_convex_at(iv, p0, dom, targets=6, grid=5, seed=seed)
+
+
 def assert_same_sampling(prob: Problem, p0, seed: int) -> None:
-    """Every kkt sampling site gives the same result, or raises the same
-    error at the same draw, with and without the bulk proposer."""
+    """Every kkt sampling site, and every check that draws targets around
+    p0, gives the same result, or raises the same error at the same draw,
+    with and without the bulk proposer."""
     ref = scalar_only(prob)
     labelled = [(prob.objective, "objective")]
     labelled += [(g, prob.constraint_label(i)) for i, g in enumerate(prob.constraints)]
@@ -87,6 +101,9 @@ def assert_same_sampling(prob: Problem, p0, seed: int) -> None:
         lambda: _feasible_points(ref, p0, 32, seed))
     assert outcome(lambda: _convexity_hypotheses(prob, p0, labelled, seed)) == outcome(
         lambda: _convexity_hypotheses(ref, p0, labelled, seed))
+    for bulk, scalar in zip(target_checks(prob.objective, prob.feasible_sampler(), p0, seed),
+                            target_checks(ref.objective, ref.feasible_sampler(), p0, seed)):
+        assert outcome(bulk) == outcome(scalar)
     # the draw at which brute force stops: an opaque objective sees every
     # accepted point, in order, up to the return or the error
     logs = []
@@ -271,7 +288,7 @@ def draws(prob: Problem, script, n: int, apart_from=None, min_dist: float = 0.0)
     stream_side, scalar_side = [], []
     for k in range(1, n + 1):
         stream = ProposalStream(prob.feasible_sampler(), ScriptedRng(script), min_dist)
-        stream_side.append(outcome(lambda: stream.points(k, apart_from)))
+        stream_side.append(outcome(lambda: list(stream.points(k, apart_from))))
         sampler, rng = scalar_only(prob).feasible_sampler(), ScriptedRng(script)
         scalar_side.append(outcome(lambda: [
             sampler.draw_one(rng, apart_from=apart_from, min_dist=min_dist)
@@ -289,6 +306,17 @@ def test_exhaustion_at_exactly_max_tries_across_batches(gap):
     assert results[1][0] == ("returned" if gap < 1000 else "raised")
     assert results[2] == ("raised", "SamplerExhaustedError",
                           "sampler problem|feasible found no admissible point in 1000 proposals")
+
+
+def test_points_are_drawn_as_they_are_asked_for():
+    # one feasible proposal, then none: the exhaustion comes with the second
+    # point, after the first was handed out
+    prob = circle_problem("theta", "theta - 3")
+    for sampler in (prob.feasible_sampler(), scalar_only(prob).feasible_sampler()):
+        points = ProposalStream(sampler, ScriptedRng([2.0] + [5.0] * 20000)).points(3)
+        assert next(points).value == 2.0
+        with pytest.raises(SamplerExhaustedError):
+            next(points)
 
 
 def test_min_dist_rejections_count_toward_max_tries():
@@ -487,6 +515,7 @@ def check_calls(f, dom, p0, seed):
     yield lambda: check_affine(f, dom, pairs=10, grid=9, seed=seed)
     yield lambda: check_convex_at(f, p0, dom, targets=10, grid=9, seed=seed)
     yield lambda: check_convex_at(f, p0, dom, targets=10, grid=9, strict=True, seed=seed)
+    yield from target_checks(f, dom, p0, seed)
 
 
 def report(call):
@@ -560,6 +589,38 @@ def test_checks_draw_the_segments_of_draw_one(case, monkeypatch):
             assert segments[-1] == segment_bits(lambda: targets_by_draw_one(seed, min_dist))
         assert segment_bits(lambda: check_affine(f, dom, 10, seed=seed)) == segments[-4]
     assert any(len(got) == 10 for got in segments)
+
+
+def test_cw_convex_at_draws_its_targets_once(monkeypatch):
+    # counted as the points the streams hand out plus any draw_one call
+    # made outside a stream; center and width both hold, so both run
+    dom = spd_domain(Spd(2))
+    f = IvFn.from_expressions("logdet^2 + 0.3*trace", "0.2*trace", Spd(2))
+    draws, in_stream = [], []
+    take, draw_one = ProposalStream.take, DomainSampler.draw_one
+
+    def counting_take(stream, m, apart_from=None):
+        in_stream.append(True)
+        try:
+            points, features = take(stream, m, apart_from)
+        finally:
+            in_stream.pop()
+        draws.extend(points)
+        return points, features
+
+    def counting_draw_one(sampler, *args, **kwargs):
+        q = draw_one(sampler, *args, **kwargs)
+        if not in_stream:
+            draws.append(q)
+        return q
+
+    monkeypatch.setattr(ProposalStream, "take", counting_take)
+    monkeypatch.setattr(DomainSampler, "draw_one", counting_draw_one)
+    for sampler in (dom, replace(dom, propose=None)):
+        draws.clear()
+        report = check_cw_convex_at(f, Spd(2).point(np.eye(2)), sampler, targets=10, grid=5)
+        assert report.holds() and report.samples_used == 20
+        assert len(draws) == 10
 
 
 def test_spd_problem_with_constraints_samples_as_draw_one_does():
