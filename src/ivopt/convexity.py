@@ -302,10 +302,8 @@ def _path_bounds(f: Fn, p: Point, q: Point, svals: list, path: str) -> tuple:
     if bounds is not None:
         return bounds
     manifold = p.manifold
-    if path == "geodesic":
-        points = manifold.geodesic_points(p, q, svals)
-    else:
-        points = (manifold.chord_point(p, q, s) for s in svals)
+    along = manifold.geodesic_points if path == "geodesic" else manifold.chord_points
+    points = along(p, q, svals)
     lb, ub = np.empty(len(svals)), np.empty(len(svals))
     for j, pt in enumerate(points):
         lb[j], ub[j] = _bounds(f(pt))

@@ -342,6 +342,12 @@ def _solve_multiplier_lp(df: np.ndarray, dg: np.ndarray) -> Optional[np.ndarray]
     return res.x if res.success else None
 
 
+def _require_directions(directions: Sequence[TangentDirection]) -> None:
+    """Refuse an empty direction list: stationarity over none holds vacuously."""
+    if len(directions) == 0:
+        raise ConfigError("no directions to test: stationarity needs at least one")
+
+
 def find_multipliers(
     prob: Problem,
     p0: Point,
@@ -354,8 +360,10 @@ def find_multipliers(
     The free multipliers are the smallest-sum solution of one linear program
     (_solve_multiplier_lp).  Only the center parts enter it; the width
     tie-break of the minimization order is re-checked by the verifiers.
-    Multipliers off the active set are fixed at zero.
+    Multipliers off the active set are fixed at zero.  An empty direction
+    list raises ConfigError, as in the verifiers.
     """
+    _require_directions(directions)
     J = tuple(J)
     obj_c = _center_fn(prob.objective)
     df = np.array([dir_deriv(obj_c, p0, x, scheme) for x in directions])
@@ -587,8 +595,7 @@ def _verify(
         )
 
     J, slack_reason = _precheck(prob, p0, mu, tol)
-    if len(directions) == 0:
-        raise ConfigError("no directions to test: stationarity needs at least one")
+    _require_directions(directions)
     if slack_reason is not None:
         return certificate([], [], KktVerdict.INCONCLUSIVE, slack_reason)
     tested, what, of, points = prob.objective, "objective", "", None

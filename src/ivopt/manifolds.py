@@ -7,26 +7,14 @@
 * ``Spd(dim)`` -- symmetric positive definite matrices with the affine
   invariant metric g_p(X, Y) = tr(p^-1 X p^-1 Y).
 
-Points and tangents are immutable.  An ``Spd`` point memoises its feature
-dict, so ``features`` computes its slogdet at most once per point and hands
-every caller a fresh copy.  ``geodesic_points`` builds a whole parameter
-grid along one geodesic; on ``Spd`` it decomposes p and p^-1/2 q p^-1/2
-once per segment (the pencil that ``log`` and ``distance`` also use) and
-validates the grid as one stack; ``geodesic_point`` is the one-point grid.
-
-``geodesic_features`` is the array form of that grid: each feature as one
-float64 array over the grid, equal bit for bit to the features of the points
-``geodesic_points`` builds, with no ``Point`` built.  It returns None when
-any grid point would fail validation, so that a caller falls back to the
-points and meets the error where ``geodesic_point`` raises it.
-``chord_features`` is the same for the straight chord of ``chord_point``;
-on the flat geometries chords are geodesics and it is ``geodesic_features``.
-
-``Spd.random_points`` draws k random points from one stacked normal draw and
-one stacked eigendecomposition, bit for bit the points of k ``random_point``
-calls.  Geodesic grids, chord grids and draws pass or fail ``Spd.point``'s
-checks as one stack, all or none: when any matrix fails, the caller builds
-every point on its own, and the failing one raises its usual error there.
+Points and tangents are immutable.  ``geodesic_features`` gives a geodesic
+grid's features as float64 arrays, entry j equal bit for bit to the features
+of the j-th ``geodesic_points`` point, and ``chord_features`` those of the
+``chord_points`` grid; both give None when a grid point is invalid, and the
+caller meets the error where that point raises it.  On ``Spd`` one Cholesky
+pencil per pair gives a grid's logdet and trace in closed form, with no
+matrix per grid point; its points memoise the same features, and one
+validity rule decides for points and arrays alike.
 """
 
 from __future__ import annotations
@@ -103,9 +91,7 @@ def sym_exp(mat: np.ndarray) -> np.ndarray:
 class Point:
     manifold: "Manifold"
     value: Union[float, np.ndarray]
-    # Spd feature memo, set by Spd.features and Spd.geodesic_points.  A class
-    # attribute, not a field, so building a point costs no more.  The flat
-    # geometries leave it unset: their features cost no more than a lookup.
+    # Spd feature memo: a class attribute, not a field, so a point costs no more
     _features: ClassVar[Optional[dict]] = None
 
     def close_to(self, other: "Point") -> bool:
@@ -164,25 +150,24 @@ class Manifold:
         raise NotImplementedError
 
     def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
-        """Geodesic points at each s in svals, in order.
-
-        Points are produced lazily: a point that fails validation raises
-        when the caller reaches it, as ``geodesic_point`` would there.
-        """
+        """Geodesic points at each s in svals, in order, produced lazily: a point
+        that fails validation raises when the caller reaches it."""
         for s in svals:
             yield self.geodesic_point(p, q, s)
 
     def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """Feature name -> array over the grid, or None if a point is invalid.
-
-        Entry j equals ``features`` of the j-th point of ``geodesic_points``.
-        Geometries without an array form return None.
-        """
+        """Feature name -> array over the grid, or None if a point is invalid;
+        entry j equals ``features`` of the j-th point of ``geodesic_points``."""
         return None
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         """Interpolation in ambient coordinates (straight-line mixing)."""
         raise NotImplementedError
+
+    def chord_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
+        """``geodesic_points`` for the points ``chord_point`` gives at svals."""
+        for s in svals:
+            yield self.chord_point(p, q, s)
 
     def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
         """``geodesic_features`` for the points ``chord_point`` gives at svals."""
@@ -400,9 +385,10 @@ class Circle(Manifold):
 class Spd(Manifold):
     """Symmetric positive definite matrices with the affine invariant metric.
 
-    geodesic_point: p^(1/2) (p^(-1/2) q p^(-1/2))^s p^(1/2)
-    log:            p^(1/2) logm(p^(-1/2) q p^(-1/2)) p^(1/2)
-    distance:       Frobenius norm of logm(p^(-1/2) q p^(-1/2))
+    With b b^T = p and b diag(vals) b^T = q (``_pencil``):
+    geodesic_point: b diag(vals^s) b^T = p^(1/2) (p^(-1/2) q p^(-1/2))^s p^(1/2)
+    log:            b diag(log vals) b^T
+    distance:       the Euclidean norm of log vals
     """
 
     dim: int
@@ -447,61 +433,77 @@ class Spd(Manifold):
             )
         return TangentDirection(base, _readonly(symmetrize(arr)))
 
-    def _roots(self, p: Point):
-        vals, vecs = _pd_eig(p.value)
-        half = (vecs * np.sqrt(vals)) @ vecs.T
-        inv_half = (vecs / np.sqrt(vals)) @ vecs.T
-        return half, inv_half
-
     def _pencil(self, p: Point, q: Point):
-        """p^(1/2) and the eigendecomposition (vals, vecs) of p^(-1/2) q p^(-1/2)."""
+        """(b, vals), b b^T = p and b diag(vals) b^T = q: b = L V from the Cholesky
+        p = L L^T and eigh L^-1 q L^-T = V diag(vals) V^T.  The one seam for a pair."""
         self._check(p)
         self._check(q)
-        half, inv_half = self._roots(p)
-        vals, vecs = _pd_eig(inv_half @ q.value @ inv_half)
-        return half, vals, vecs
+        try:
+            low = np.linalg.cholesky(p.value)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefiniteError("matrix has no Cholesky factor") from None
+        inv = np.linalg.inv(low)
+        mid = inv @ q.value @ inv.T
+        vals, vecs = np.linalg.eigh(0.5 * (mid + mid.T))
+        if not vals.min() > 0.0:
+            raise NonPositiveDefiniteError("matrix is not positive definite "
+                                           f"(min eigenvalue {vals.min():.3e})")
+        return low @ vecs, vals
+
+    def _path(self, p: Point, q: Point, svals: Sequence[float], path: str):
+        """(b, eig, features, ok) of the grid along ``path``: its j-th point is
+        b diag(eig[j]) b^T, eig[j] = vals^s on the geodesic and (1 - s) + s vals on
+        the chord, so logdet = logdet p + sum(log eig[j]) and trace = sum(|b_i|^2
+        eig[j, i]), on the chord (1 - s) tr p + s tr q.  ok is the validity rule:
+        eig[j] > 0, logdet and 2 trace finite (|entry| <= trace: no overflow)."""
+        b, vals = self._pencil(p, q)
+        start = self.features(p)
+        s = np.asarray(svals, dtype=float)
+        with np.errstate(all="ignore"):
+            if path == "geodesic":
+                # exp(s log vals), not vals ** s, whose bits vary with the grid length
+                logs = np.log(vals)
+                eig = np.exp(s[:, None] * logs)
+                logdet = start["logdet"] + s * sum(logs)
+                trace = sum((eig * sum(b * b)).T)
+            else:
+                eig = (1.0 - s)[:, None] + s[:, None] * vals
+                logdet = start["logdet"] + sum(np.log(eig).T)
+                trace = (1.0 - s) * start["trace"] + s * self.features(q)["trace"]
+            ok = (eig > 0.0).all(axis=1) & np.isfinite(logdet) & np.isfinite(2.0 * trace)
+        return b, eig, {"logdet": logdet, "trace": trace}, ok
+
+    def _points(self, p: Point, q: Point, svals: Sequence[float], path: str) -> Iterator[Point]:
+        """``_path``'s points in order, memoised; one breaking the rule raises there."""
+        b, eig, features, ok = self._path(p, q, svals, path)
+        with np.errstate(all="ignore"):  # a point that overflows is never handed out
+            raw = ((b * eig[:, None, :]) @ b.T if path == "geodesic"
+                   else _mix(p.value, q.value, np.asarray(svals, dtype=float)[:, None, None]))
+            values = 0.5 * (raw + raw.transpose(0, 2, 1))
+        logdets, traces = features["logdet"].tolist(), features["trace"].tolist()
+        for j in range(len(svals)):
+            if not (eig[j] > 0.0).all():
+                raise NonPositiveDefiniteError("matrix is not positive definite (min "
+                                               f"eigenvalue {eig[j].min():.3e} relative to p)")
+            if not ok[j]:
+                raise DomainError("matrix entries must be finite")
+            yield self._memoised(values[j], logdets[j], traces[j])
 
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
-        return self.point(self._grid(p, q, (s,))[0])
+        return next(self._points(p, q, (s,), "geodesic"))
 
     def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
-        """Grid points p^(1/2) m^s p^(1/2), m = p^(-1/2) q p^(-1/2), in order.
-
-        p and m are each decomposed once.  The grid is built and validated
-        as one stack with the checks of ``point``, and each point's features
-        are memoised from one stacked slogdet.  When any point fails them,
-        every grid matrix goes through ``point`` lazily, so the failure
-        raises its usual error when the caller reaches it.
-        """
-        raw = self._grid(p, q, svals)
-        stack = self._stack(raw)
-        if stack is None:
-            yield from map(self.point, raw)
-            return
-        sym, features = stack
-        for value, logdet, trace in zip(
-            sym, features["logdet"].tolist(), features["trace"].tolist()
-        ):
-            yield self._memoised(value, logdet, trace)
+        return self._points(p, q, svals, "geodesic")
 
     def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """The stacked logdet and trace of ``geodesic_points``, or None when a
-        point fails validation or has a non-positive determinant sign."""
-        stack = self._stack(self._grid(p, q, svals))
-        return None if stack is None else stack[1]
-
-    def _grid(self, p: Point, q: Point, svals: Sequence[float]) -> np.ndarray:
-        """The geodesic grid as one raw (unvalidated) stack."""
-        half, vals, vecs = self._pencil(p, q)
-        # one scalar power per grid value: numpy special-cases exponents such
-        # as 0.5, so a broadcast vals ** svals would change the bits
-        pows = np.array([vals**s for s in svals]).reshape(len(svals), self.dim)
-        return half @ ((vecs * pows[:, None, :]) @ vecs.T) @ half
+        """``geodesic_points``' features, or None when one breaks ``_path``'s rule."""
+        _, _, features, ok = self._path(p, q, svals, "geodesic")
+        return features if ok.all() else None
 
     def _stack(self, raw: np.ndarray):
         """(sym, features) of a stack of matrices that all pass ``point``'s
-        checks and have a positive determinant sign: the symmetrized stack,
-        read-only, and its logdet and trace arrays.  None otherwise."""
+        checks and have a positive determinant sign: the symmetrized stack
+        and its logdet and trace arrays.  None otherwise."""
         flipped = raw.transpose(0, 2, 1)
         # entries above about 8.99e307 overflow in (A + A^T) / 2; like
         # ``point``, reject them by the finiteness test, without a warning
@@ -515,41 +517,38 @@ class Spd(Manifold):
         signs, logdets = np.linalg.slogdet(sym)
         if not (signs > 0).all():
             return None
-        sym.setflags(write=False)
         return sym, {"logdet": logdets, "trace": np.trace(sym, axis1=1, axis2=2)}
 
     def _memoised(self, value: np.ndarray, logdet: float, trace: float) -> Point:
+        value.setflags(write=False)
         pt = Point(self, value)
         object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
         return pt
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
-        self._check(p)
-        self._check(q)
-        return self.point(_mix(p.value, q.value, s))
+        return next(self._points(p, q, (s,), "chord"))
+
+    def chord_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
+        return self._points(p, q, svals, "chord")
 
     def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """The stacked logdet and trace of the ``chord_point`` grid, or None
-        when a point fails validation or has a non-positive determinant sign."""
-        self._check(p)
-        self._check(q)
-        s = np.asarray(svals, dtype=float)[:, None, None]
-        stack = self._stack(_mix(p.value, q.value, s))
-        return None if stack is None else stack[1]
+        """The ``chord_point`` grid's features, or None when one breaks ``_path``'s rule."""
+        _, _, features, ok = self._path(p, q, svals, "chord")
+        return features if ok.all() else None
 
     def log(self, p: Point, q: Point) -> TangentDirection:
-        half, vals, vecs = self._pencil(p, q)
-        mid = (vecs * np.log(vals)) @ vecs.T
-        return TangentDirection(p, _readonly(half @ mid @ half))
+        b, vals = self._pencil(p, q)
+        return TangentDirection(p, _readonly((b * np.log(vals)) @ b.T))
 
     def exp(self, p: Point, x: TangentDirection, s: float = 1.0) -> Point:
         self._check_tangent(p, x)
-        half, inv_half = self._roots(p)
+        vals, vecs = _pd_eig(p.value)
+        half, inv_half = (vecs * np.sqrt(vals)) @ vecs.T, (vecs / np.sqrt(vals)) @ vecs.T
         mid = sym_exp(s * (inv_half @ x.value @ inv_half))
         return self.point(half @ mid @ half)
 
     def distance(self, p: Point, q: Point) -> float:
-        _, vals, _ = self._pencil(p, q)
+        _, vals = self._pencil(p, q)
         return float(np.sqrt(np.sum(np.log(vals) ** 2)))
 
     def inner(self, p: Point, x: TangentDirection, y: TangentDirection) -> float:

@@ -180,6 +180,65 @@ class TestCheckAffine:
         assert check_affine(f, CIRCLE_DOM, pairs=8).holds()
 
 
+class TestCongruence:
+    """Each map p -> Q p Q^T, Q orthogonal, is an isometry of Spd that keeps
+    logdet and trace: through a sampler composed with it, the function
+    families of the convexity-spd benchmark keep their verdicts and witnesses."""
+
+    CONVEX = "0.8*logdet^2 + 1.3*trace - 0.4*logdet + 0.5"
+    FAMILIES = {
+        "convex": (CONVEX, "0.2*trace + 0.1*logdet^2"),
+        "negated": (f"-({CONVEX})", "0.2*trace + 0.1*logdet^2"),
+        "logdet": ("1.1*logdet - 0.7", "0.3"),
+        "trace": ("1.3*trace - 0.7", "0.6*trace"),
+        "affine": ("-0.4*logdet - 0.7", "0.3"),
+    }
+    # (check, family, verdict expected of it)
+    CHECKS = (
+        ("convex", "convex", Verdict.HOLDS),
+        ("strict", "convex", Verdict.HOLDS),
+        ("convex", "negated", Verdict.COUNTEREXAMPLE),
+        ("chord", "logdet", Verdict.COUNTEREXAMPLE),
+        ("chord", "trace", Verdict.HOLDS),
+        ("affine", "affine", Verdict.HOLDS),
+        ("affine", "convex", Verdict.COUNTEREXAMPLE),
+        ("at", "convex", Verdict.HOLDS),
+        ("at", "negated", Verdict.COUNTEREXAMPLE),
+    )
+
+    @staticmethod
+    def _run(kind, f, dom, base, grid):
+        if kind == "at":
+            return check_convex_at(f, base, dom, targets=6, grid=grid, seed=5)
+        if kind == "affine":
+            return check_affine(f, dom, pairs=6, grid=grid, seed=5)
+        return check_convex(f, dom, pairs=6, grid=grid, strict=kind == "strict", seed=5,
+                            path="chord" if kind == "chord" else "geodesic")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rotated_sampler_keeps_verdicts_and_witnesses(self, dim):
+        manifold = Spd(dim)
+        q, r = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))
+        rot = q * np.sign(np.diag(r))
+        turn = lambda pt: manifold.point(rot @ pt.value @ rot.T)
+        dom = spd_domain(manifold, 0.7)
+        turned = DomainSampler(dom.membership, lambda rng: turn(dom.sample(rng)), name="turned")
+        base = dom.sample(np.random.default_rng(11))
+        for interval in (False, True):
+            for kind, family, verdict in self.CHECKS:
+                center, width = self.FAMILIES[family]
+                f = (IvFn.from_expressions(center, width, manifold) if interval
+                     else RealFn.from_expression(center, manifold))
+                for grid in (9, 33):
+                    want = self._run(kind, f, dom, base, grid)
+                    got = self._run(kind, f, turned, turn(base), grid)
+                    assert want.verdict is verdict, (kind, family, interval, grid)
+                    assert got.verdict is verdict, (kind, family, interval, grid)
+                    assert got.samples_used == want.samples_used
+                    if verdict is Verdict.COUNTEREXAMPLE:
+                        assert got.counterexample.s == want.counterexample.s
+
+
 class TestStarShaped:
     def test_two_branch_union_at_identity(self):
         dom = two_branch_domain()

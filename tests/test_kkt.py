@@ -721,6 +721,14 @@ class TestNoDirections:
         with pytest.raises(ConfigError, match="no directions to test"):
             verify(prob, p0, mu, direction_samples(prob, p0, 0, seed=3), seed=3, **kwargs)
 
+    def test_find_multipliers_refuses_an_empty_direction_list(self):
+        # all-zero multipliers over no direction would be a vacuous answer
+        J = active_set(PSTAR.problem, PSTAR.candidate)
+        for directions in ([], direction_samples(PSTAR.problem, PSTAR.candidate, 0, seed=3)):
+            with pytest.raises(ConfigError, match="^no directions to test: stationarity needs at "
+                                                  "least one$"):
+                find_multipliers(PSTAR.problem, PSTAR.candidate, J, directions)
+
 
 class TestOnePipeline:
     def _count_draws(self, monkeypatch):

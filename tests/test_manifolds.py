@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from ivopt import manifolds
 from ivopt.convexity import DomainSampler, Verdict, check_star_shaped
 from ivopt.errors import (
     DomainError,
@@ -194,11 +193,19 @@ class TestSpd:
         rng = np.random.default_rng(17)
         for _ in range(50):
             p, q = manifold.random_point(rng), manifold.random_point(rng)
-            half, inv_half = manifold._roots(p)
-            m = inv_half @ q.value @ inv_half
-            vals = np.linalg.eigh(symmetrize(m))[0]
-            assert log_map(p, q).value.tobytes() == (half @ sym_log(m) @ half).tobytes()
+            # the Cholesky pencil: p = L L^T, L^-1 q L^-T = V diag(vals) V^T
+            low = np.linalg.cholesky(p.value)
+            inv = np.linalg.inv(low)
+            m = inv @ q.value @ inv.T
+            vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+            b = low @ vecs
+            assert log_map(p, q).value.tobytes() == ((b * np.log(vals)) @ b.T).tobytes()
             assert distance(p, q).hex() == float(np.sqrt(np.sum(np.log(vals) ** 2))).hex()
+            # the same maps as through the symmetric square root of p
+            half, inv_half = sym_power(p.value, 0.5), sym_power(p.value, -0.5)
+            m = inv_half @ q.value @ inv_half
+            assert np.allclose(log_map(p, q).value, half @ sym_log(m) @ half,
+                               rtol=1e-12, atol=1e-12)
 
 
 def _grid(n, interior):
@@ -211,9 +218,23 @@ def _hex(feats):
 
 
 def _per_point_geodesic(manifold, p, q, s):
-    """The per-point geodesic formula, validated by Spd.point."""
-    half, inv_half = manifold._roots(p)
+    """The geodesic point p^1/2 (p^-1/2 q p^-1/2)^s p^1/2, validated by Spd.point."""
+    half, inv_half = sym_power(p.value, 0.5), sym_power(p.value, -0.5)
     return manifold.point(half @ sym_power(inv_half @ q.value @ inv_half, s) @ half)
+
+
+def _closed_form_point(manifold, p, q, s):
+    """One geodesic point from the pair's pencil (b, vals), with b b^T = p and
+    b diag(vals) b^T = q: its value and its closed-form logdet and trace."""
+    b, vals = manifold._pencil(p, q)
+    logs = np.log(vals)
+    eig = np.exp(s * logs)
+    raw = (b * eig) @ b.T
+    trace = 0.0
+    for w, e in zip(np.sum(b * b, axis=0).tolist(), eig.tolist()):
+        trace += w * e
+    logdet = manifold.features(p)["logdet"] + s * sum(logs.tolist())
+    return 0.5 * (raw + raw.T), {"logdet": logdet, "trace": trace}
 
 
 class TestSpdGeodesicGrid:
@@ -229,12 +250,18 @@ class TestSpdGeodesicGrid:
                 points = list(manifold.geodesic_points(p, q, svals))
                 assert len(points) == len(svals)
                 for s, pt in zip(svals, points):
-                    ref = _per_point_geodesic(manifold, p, q, s)
-                    assert np.array_equal(pt.value, ref.value)
-                    assert manifold.features(pt) == manifold.features(Point(manifold, ref.value))
+                    value, feats = _closed_form_point(manifold, p, q, s)
+                    assert value.tobytes() == pt.value.tobytes()
+                    assert _hex(manifold.features(pt)) == _hex(feats)
                     single = manifold.geodesic_point(p, q, s)
                     assert single.value.tobytes() == pt.value.tobytes()
                     assert _hex(manifold.features(single)) == _hex(manifold.features(pt))
+                    # the symmetric-root formula and the point's own slogdet agree
+                    ref = _per_point_geodesic(manifold, p, q, s)
+                    assert np.allclose(pt.value, ref.value, rtol=1e-12, atol=1e-12)
+                    exact = manifold.features(Point(manifold, pt.value))
+                    assert feats["logdet"] == pytest.approx(exact["logdet"], abs=1e-12)
+                    assert feats["trace"] == pytest.approx(exact["trace"], rel=1e-13)
 
     def test_grid_points_are_read_only(self):
         p, q = SPD.point(I2), SPD.point(np.diag([2.0, 3.0]))
@@ -245,48 +272,44 @@ class TestSpdGeodesicGrid:
     def test_empty_grid_builds_nothing(self):
         assert list(SPD.geodesic_points(SPD.point(I2), SPD.point(2.0 * I2), [])) == []
 
-    # p = I/2, q = diag(1/4, 1): the grid point at s has smallest eigenvalue
-    # 2^-(1+s), while p and p^-1/2 q p^-1/2 keep every eigenvalue >= 1/2.
-    P_HALF = np.eye(2) / 2.0
-    Q_SKEW = np.diag([0.25, 1.0])
+    # p = x I and q = y I with x = 3.7e307 and y = 1.5 * 2^1022, both valid
+    # points: the grid point at s has trace 2 x (y/x)^s, and twice that trace
+    # overflows from s = 0.32 on, so the points up to s = 0.25 are valid and
+    # the one at s = 0.375 breaks the validity rule
+    P_BIG = 3.7e307 * I2
+    Q_BIG = 1.5 * 2.0**1022 * I2
     SVALS = [j / 8 for j in range(9)]
     FAIL_AT = 3  # s = 0.375
 
-    def _floor_between_points(self, monkeypatch):
-        lows = [2.0 ** -(1.0 + s) for s in self.SVALS]
-        monkeypatch.setattr(
-            manifolds, "EIG_FLOOR", 0.5 * (lows[self.FAIL_AT - 1] + lows[self.FAIL_AT])
-        )
-
-    def test_failing_grid_point_raises_like_point(self, monkeypatch):
-        p, q = SPD.point(self.P_HALF), SPD.point(self.Q_SKEW)
-        self._floor_between_points(monkeypatch)
-        with pytest.raises(NonPositiveDefiniteError) as expected:
-            _per_point_geodesic(SPD, p, q, self.SVALS[self.FAIL_AT])
+    def test_failing_grid_point_raises_like_point(self):
+        p, q = SPD.point(self.P_BIG), SPD.point(self.Q_BIG)
+        with pytest.raises(DomainError) as expected:
+            SPD.geodesic_point(p, q, self.SVALS[self.FAIL_AT])
+        assert str(expected.value) == "matrix entries must be finite"
         built = []
-        with pytest.raises(NonPositiveDefiniteError) as got:
+        with pytest.raises(DomainError) as got:
             for pt in SPD.geodesic_points(p, q, self.SVALS):
                 built.append(pt)
         assert len(built) == self.FAIL_AT
         assert str(got.value) == str(expected.value)
-        with pytest.raises(NonPositiveDefiniteError) as single:
-            SPD.geodesic_point(p, q, self.SVALS[self.FAIL_AT])
-        assert str(single.value) == str(expected.value)
+        for s, pt in zip(self.SVALS, built):
+            assert SPD.geodesic_point(p, q, s).value.tobytes() == pt.value.tobytes()
 
-    def test_caller_stopping_before_failing_point_does_not_raise(self, monkeypatch):
-        p, q = SPD.point(self.P_HALF), SPD.point(self.Q_SKEW)
-        self._floor_between_points(monkeypatch)
-        # grid 9, interior: s = 0.125 is a member, s = 0.25 is not, and the
-        # point that fails validation (s = 0.375) is never reached
+    def test_caller_stopping_before_failing_point_does_not_raise(self):
+        p, q = SPD.point(self.P_BIG), SPD.point(self.Q_BIG)
+        # grid 9, interior: s = 0.125 is a member, s = 0.25 is not (its trace
+        # is above that at s = 3/16), and the point that breaks the rule
+        # (s = 0.375) is never reached
+        below = 2.0 * 3.7e307 * (self.Q_BIG[0, 0] / 3.7e307) ** (3 / 16)
         dom = DomainSampler(
-            membership=lambda pt: pt is q or np.linalg.eigvalsh(pt.value).min() > 0.43,
+            membership=lambda pt: pt is q or SPD.features(pt)["trace"] < below,
             sample=lambda rng: q,
         )
         report = check_star_shaped(dom, p, targets=1, grid=9)
         assert report.verdict is Verdict.COUNTEREXAMPLE
         assert report.counterexample.s == 0.25
         everything = DomainSampler(membership=lambda pt: True, sample=lambda rng: q)
-        with pytest.raises(NonPositiveDefiniteError):
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             check_star_shaped(everything, p, targets=1, grid=9)
 
 
@@ -333,14 +356,30 @@ class TestGeodesicFeatures:
         with pytest.raises(DomainError):
             E2.geodesic_point(p, q, 3.0)
 
-    def test_spd_failing_grid_point_gives_none(self, monkeypatch):
+    def test_spd_failing_grid_point_gives_none(self):
         grid = TestSpdGeodesicGrid()
-        p, q = SPD.point(grid.P_HALF), SPD.point(grid.Q_SKEW)
-        assert SPD.geodesic_features(p, q, grid.SVALS) is not None
-        grid._floor_between_points(monkeypatch)
-        assert SPD.geodesic_features(p, q, grid.SVALS) is None
-        assert SPD.geodesic_features(p, q, grid.SVALS[: grid.FAIL_AT]) is not None
+        p, q = SPD.point(grid.P_BIG), SPD.point(grid.Q_BIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert SPD.geodesic_features(p, q, grid.SVALS) is None
+            assert SPD.geodesic_features(p, q, grid.SVALS[grid.FAIL_AT:]) is None
+            arrays = SPD.geodesic_features(p, q, grid.SVALS[: grid.FAIL_AT])
+        points = SPD.geodesic_points(p, q, grid.SVALS[: grid.FAIL_AT])
+        assert [_hex(SPD.features(pt)) for pt in points] == [
+            {name: float(arrays[name][j]).hex() for name in arrays} for j in range(grid.FAIL_AT)]
 
+
+    def test_spd_geodesic_point_that_underflows_gives_none_and_raises_there(self):
+        # the pencil of p = diag(2^40, 1) and q = diag(2^-39, 1) has vals 2^-79
+        # and 1: at s = 16, 2^-1264 underflows to 0 while logdet and trace stay
+        # finite, so only the positivity of vals^s rules the point out
+        p, q = SPD.point(np.diag([2.0**40, 1.0])), SPD.point(np.diag([2.0**-39, 1.0]))
+        assert SPD.geodesic_features(p, q, [0.0, 1.0, 8.0]) is not None
+        assert SPD.geodesic_features(p, q, [0.0, 1.0, 16.0]) is None
+        with pytest.raises(NonPositiveDefiniteError) as got:
+            list(SPD.geodesic_points(p, q, [0.0, 1.0, 16.0]))
+        assert str(got.value) == (
+            "matrix is not positive definite (min eigenvalue 0.000e+00 relative to p)")
 
 class TestChordFeatures:
     """``chord_features`` against its reference, ``chord_point`` + ``features``."""
@@ -354,8 +393,11 @@ class TestChordFeatures:
             for svals in (_grid(3, False), _grid(9, False), _grid(33, False), _grid(9, True)):
                 arrays = manifold.chord_features(p, q, svals)
                 assert sorted(arrays) == sorted(manifold.feature_names)
-                for j, s in enumerate(svals):
-                    feats = manifold.features(manifold.chord_point(p, q, s))
+                for j, (s, pt) in enumerate(zip(svals, manifold.chord_points(p, q, svals))):
+                    single = manifold.chord_point(p, q, s)
+                    assert np.asarray(pt.value).tobytes() == np.asarray(single.value).tobytes()
+                    feats = manifold.features(single)
+                    assert _hex(manifold.features(pt)) == _hex(feats)
                     for name, value in feats.items():
                         assert float(arrays[name][j]).hex() == float(value).hex(), (name, s)
 
@@ -394,32 +436,111 @@ class TestChordFeatures:
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             _path_bounds(f, p, q, [0.0, 0.5, 1.25], "chord")
 
-    # p = I, q = diag(1/4, 1): the chord point at s has smallest eigenvalue
-    # 1 - 3s/4, and EIG_FLOOR is set to exactly that at s = 3/8
-    SVALS = [j / 8 for j in range(9)]
-    FAIL_AT = 3
+    # p = I, q = diag(1/2, 1): the chord point at s is diag(1 - s/2, 1), which
+    # stops being positive definite at s = 2, beyond the checks' grids
+    SVALS = [j / 4 for j in range(10)]
+    FAIL_AT = 8  # s = 2
 
-    def test_spd_chord_point_at_the_eig_floor_gives_none_and_raises_there(self, monkeypatch):
-        from ivopt.convexity import check_convex
+    def test_spd_chord_point_at_the_eig_floor_gives_none_and_raises_there(self):
+        from ivopt.convexity import _path_bounds
         from ivopt.functions import RealFn
 
-        p, q = SPD.point(I2), SPD.point(np.diag([0.25, 1.0]))
-        assert SPD.chord_features(p, q, self.SVALS) is not None
-        floor = np.linalg.eigvalsh(SPD.chord_point(p, q, self.SVALS[self.FAIL_AT]).value).min()
-        monkeypatch.setattr(manifolds, "EIG_FLOOR", floor)
+        p, q = SPD.point(I2), SPD.point(np.diag([0.5, 1.0]))
         assert SPD.chord_features(p, q, self.SVALS) is None
+        assert SPD.chord_features(p, q, self.SVALS[self.FAIL_AT:]) is None
         assert SPD.chord_features(p, q, self.SVALS[: self.FAIL_AT]) is not None
         with pytest.raises(NonPositiveDefiniteError) as expected:
             SPD.chord_point(p, q, self.SVALS[self.FAIL_AT])
-        # the check falls back to the point loop and raises at the same point
-        pair = iter([p, q])
-        dom = DomainSampler(membership=lambda pt: True, sample=lambda rng: next(pair))
+        assert str(expected.value) == (
+            "matrix is not positive definite (min eigenvalue 0.000e+00 relative to p)")
+        # a check's segment evaluation falls back to the point loop and raises
+        # at the same point, compiled or not
         for f in (RealFn.from_expression("-logdet", SPD),
                   RealFn(SPD, lambda pt: -SPD.features(pt)["logdet"])):
-            pair = iter([p, q])
             with pytest.raises(NonPositiveDefiniteError) as got:
-                check_convex(f, dom, pairs=1, grid=9, path="chord")
+                _path_bounds(f, p, q, self.SVALS, "chord")
             assert str(got.value) == str(expected.value)
+
+
+def _random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+class TestSpdClosedForm:
+    """The closed-form grid features against a 50-digit oracle and a symmetry."""
+
+    SVALS = _grid(33, False)
+
+    def test_features_match_a_50_digit_oracle(self):
+        # p^1/2 M^s p^1/2 (M = p^-1/2 q p^-1/2) and (1 - s) p + s q at 50 digits,
+        # with mpmath's powm for the roots of p and its eigsy for the powers of M
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            worst = self._oracle_errors(mp)
+        # seen: 1.1e-14 and 1.2e-15 (about 50 and 5 units of roundoff)
+        assert worst["logdet"] <= 5e-14 and worst["trace"] <= 5e-14, worst
+
+    def _oracle_errors(self, mp) -> dict:
+        rng = np.random.default_rng(23)
+        worst = {"logdet": 0.0, "trace": 0.0}
+        for dim in (1, 2, 3):
+            manifold = Spd(dim)
+            for _ in range(4):
+                p, q = manifold.random_point(rng), manifold.random_point(rng)
+                big_p, big_q = mp.matrix(p.value.tolist()), mp.matrix(q.value.tolist())
+                half, inv_half = mp.powm(big_p, mp.mpf(1) / 2), mp.powm(big_p, -mp.mpf(1) / 2)
+                lam, vec = mp.eigsy(inv_half * big_q * inv_half)
+                for path, along in (("geodesic", manifold.geodesic_features),
+                                    ("chord", manifold.chord_features)):
+                    arrays = along(p, q, self.SVALS)
+                    for j, s in enumerate(self.SVALS):
+                        if path == "geodesic":
+                            power = mp.diag([lam[i] ** mp.mpf(s) for i in range(dim)])
+                            exact = half * vec * power * vec.T * half
+                        else:
+                            exact = (1 - mp.mpf(s)) * big_p + mp.mpf(s) * big_q
+                        logdet = mp.log(mp.det(exact))
+                        trace = sum(exact[i, i] for i in range(dim))
+                        worst["logdet"] = max(worst["logdet"], float(
+                            abs(arrays["logdet"][j] - logdet) / max(1, abs(logdet))))
+                        worst["trace"] = max(worst["trace"], float(
+                            abs(arrays["trace"][j] - trace) / trace))
+        return worst
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_geodesic_logdet_is_logdet_p_plus_s_sum_of_logs_to_one_rounding(self, dim):
+        mp = pytest.importorskip("mpmath")
+        manifold = Spd(dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            p, q = manifold.random_point(rng), manifold.random_point(rng)
+            _, vals = manifold._pencil(p, q)
+            total = sum(np.log(vals).tolist())
+            start = manifold.features(p)["logdet"]
+            arrays = manifold.geodesic_features(p, q, self.SVALS)
+            for s, got in zip(self.SVALS, arrays["logdet"].tolist()):
+                exact = float(mp.mpf(start) + mp.mpf(s) * mp.mpf(total))
+                assert abs(got - exact) <= math.ulp(exact) + math.ulp(s * total)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_features_are_congruence_invariant(self, dim):
+        # logdet and trace of Q x Q^T are those of x, and Q (p #_s q) Q^T is
+        # the geodesic point of the rotated pair
+        manifold = Spd(dim)
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(20):
+            rot = _random_orthogonal(rng, dim)
+            p, q = manifold.random_point(rng), manifold.random_point(rng)
+            p2, q2 = (manifold.point(rot @ x.value @ rot.T) for x in (p, q))
+            for along in (manifold.geodesic_features, manifold.chord_features):
+                arrays, turned = along(p, q, self.SVALS), along(p2, q2, self.SVALS)
+                for name in manifold.feature_names:
+                    assert np.allclose(turned[name], arrays[name], rtol=1e-13, atol=1e-13)
+            for s in (0.25, 0.5, 1.5):
+                assert np.allclose(manifold.geodesic_point(p2, q2, s).value,
+                                   rot @ manifold.geodesic_point(p, q, s).value @ rot.T,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestFeatureMemo:
