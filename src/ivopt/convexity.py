@@ -3,9 +3,11 @@
 Every check draws pairs or targets from a domain sampler with a fixed
 seed, tests the defining inequality on a parameter grid, and returns
 either HoldsOnSamples or CounterexampleFound with a witness that
-re-evaluates to a violation.  Verdicts are statements about the samples,
-never proofs; strict verdicts additionally require a fixed margin at
-interior grid points.
+re-evaluates to a violation.  The verdicts of the ``check_*`` certifiers
+are statements about the samples, never proofs, even where the curvature
+rules (``curvature``) decide the function, as the KKT convexity hypotheses
+use them; strict verdicts additionally require a fixed margin at interior
+grid points.
 
 Every check on function values runs on one segment loop,
 ``_worst_on_segments``: it takes each segment's path values as (lb, ub)

@@ -4,7 +4,9 @@ A RealFn wraps a scalar evaluation; an IvFn pairs a center function with a
 nonnegative width function.  Functions are built either from expression
 text bound to a manifold's features or from the named builtin registry
 (which includes the piecewise-by-branch family that the expression grammar
-cannot express).
+cannot express).  A function built from an expression also carries the
+expression's curvature along geodesics (``RealFn.shape``, see
+``curvature``); any other function's shape is unknown.
 
 ``values_along`` evaluates a function on a whole geodesic grid.  When every
 component is compiled from an expression, it takes one array pass: the
@@ -27,7 +29,9 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import curvature as curvature_mod
 from . import expr as expr_mod
+from .curvature import UNKNOWN_SHAPE, Shape
 from .errors import (
     ConfigError,
     DomainError,
@@ -56,6 +60,9 @@ class RealFn:
     # fn's array lane over a dict of feature arrays (``expr.compile_node``),
     # for functions built from an expression; None for any other callable
     compiled: Optional[Callable[[dict], Optional[np.ndarray]]] = None
+    # fn's shape along geodesics (``curvature.geodesic_shape``), for functions
+    # built from an expression; unknown for any other callable
+    shape: Shape = UNKNOWN_SHAPE
 
     def __call__(self, p: Point) -> float:
         if p.manifold != self.manifold:
@@ -78,7 +85,8 @@ class RealFn:
 
         scalar = expr_mod.compile_scalar(tree)
         return cls(manifold, lambda p: scalar(manifold.features(p)),
-                   name if name is not None else text, expr_mod.compile_node(tree))
+                   name if name is not None else text, expr_mod.compile_node(tree),
+                   curvature_mod.geodesic_shape(tree, manifold))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,9 @@ All verifiers run one pipeline, in this order:
 
 1. precheck -- multiplier count and signs, feasibility, and complementary
    slackness against the active set;
-2. convexity hypotheses at the candidate (reported, never gating);
+2. convexity hypotheses at the candidate (reported, never gating) --
+   proved by the curvature rules (``curvature``) where they decide, and
+   sampled otherwise, with the same report either way;
 3. width gate -- every interval-valued function among the objective and
    the active constraints must have a non-decreasing width along the
    sampled geodesics;
@@ -500,30 +502,45 @@ def _pairwise_distinct(values) -> bool:
     return True
 
 
+def _proved_convex(fn: Fn) -> bool:
+    """Whether the curvature rules prove fn convex along geodesics: a real
+    function by its shape, an interval function by its center's and its
+    width's (``curvature``)."""
+    if isinstance(fn, IvFn):
+        return fn.center.shape.convex() and fn.width.shape.convex()
+    return fn.shape.convex()
+
+
 def _convexity_hypotheses(
     prob: Problem, p0: Point, labelled: list, seed: int
 ) -> List[HypothesisCheck]:
     """Convexity-at-candidate checks for the objective and active constraints.
 
-    Interval-valued functions are checked componentwise, as
-    ``check_cw_convex_at`` does, and every check runs on the same targets,
-    feasible points drawn once with this seed.  These are reported but do
-    not gate the verdict: the worked scenarios require positive verdicts
-    even where a sampled convexity check fails, so failures surface as
-    warnings in the certificate instead.
+    A function the curvature rules prove convex holds with no sampling.  The
+    others are sampled, interval-valued ones componentwise, as
+    ``check_cw_convex_at`` does, and every sampled check runs on the same
+    targets, feasible points drawn with this seed once, when the first
+    sampled check needs them.  A proved function holds on those targets
+    too, so its report is the sampled one, except where rounding, an
+    overflow or a failed draw alone would fail the sampled check.  These are
+    reported but do not gate the verdict: the worked scenarios require
+    positive verdicts even where a sampled convexity check fails, so
+    failures surface as warnings in the certificate instead.
     """
-    reports = _cw_convex_at([fn for fn, _ in labelled], p0, prob.feasible_sampler(),
-                            HYPOTHESIS_TARGETS, HYPOTHESIS_GRID, seed)
+    proved = [_proved_convex(fn) for fn, _ in labelled]
+    sampled = [fn for (fn, _), done in zip(labelled, proved) if not done]
+    reports = iter(_cw_convex_at(sampled, p0, prob.feasible_sampler(), HYPOTHESIS_TARGETS,
+                                 HYPOTHESIS_GRID, seed) if sampled else ())
     checks = []
-    for (fn, label), report in zip(labelled, reports):
+    for (fn, label), done in zip(labelled, proved):
         if isinstance(fn, IvFn) and label == "objective":
             label = "objective (componentwise)"
+        report = None if done else next(reports)
+        holds = done or report.holds()
         detail = ""
-        if not report.holds() and report.counterexample is not None:
+        if not holds and report.counterexample is not None:
             detail = f"violated at s={report.counterexample.s:.6g}"
-        checks.append(
-            HypothesisCheck(f"{label} convex at candidate", report.holds(), False, detail)
-        )
+        checks.append(HypothesisCheck(f"{label} convex at candidate", holds, False, detail))
     return checks
 
 

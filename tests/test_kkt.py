@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ivopt import kkt
+from ivopt import curvature, kkt
 from ivopt.convexity import DomainSampler, ProposalStream
 from ivopt.errors import (
     ConfigError,
@@ -44,6 +44,7 @@ from ivopt.kkt import (
 )
 from ivopt.manifolds import log_map
 from ivopt.problems import (
+    build_problem,
     circle_domain,
     euclidean_box_domain,
     pstar_problem,
@@ -80,6 +81,31 @@ def circle_real_constraints():
             "(2*theta/pi - 1) - (theta - pi/2)^2 - 1", CIRCLE, name="g3"
         ),
     )
+
+
+def circle_problem(objective, constraints=()):
+    return Problem(CIRCLE, objective, constraints, circle_domain())
+
+
+def proved_p4_circle_center() -> tuple:
+    """(objective, constraints) of the pinned p4-circle-center case."""
+    return (IvFn.from_expressions("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2", CIRCLE),
+            (IvFn.from_expressions("theta - 2.5", "0.3*(theta - 2.5)^2", CIRCLE),))
+
+
+def undecided_p4_circle_center() -> tuple:
+    """The same functions with a square of each written as a product, which
+    the curvature rules leave undecided and which has the same values."""
+    return (IvFn.from_expressions("(theta - 4)*(theta - 4)", "0.5*(theta - 4)^2 + 0.2", CIRCLE),
+            (IvFn.from_expressions("theta - 2.5", "0.3*((theta - 2.5)*(theta - 2.5))",
+                                   CIRCLE),))
+
+
+def without_proofs(monkeypatch) -> None:
+    """Functions built from now on store an unknown shape, so every
+    convexity hypothesis on them is sampled."""
+    monkeypatch.setattr(curvature, "geodesic_shape",
+                        lambda tree, manifold: curvature.UNKNOWN_SHAPE)
 
 
 class TestProblem:
@@ -771,13 +797,10 @@ class TestOnePipeline:
         picked = verify(prob, p0, mu, directions, mode=None, seed=3)
         assert picked.to_json() == verify(prob, p0, mu, directions, seed=3, **kwargs).to_json()
 
-    def test_hypotheses_draw_their_targets_once(self, monkeypatch):
-        # objective and one active constraint, both interval-valued and
-        # checked componentwise: 16 hypothesis targets plus 32 strictness
-        # points (four 16-target redraws plus 32 before the targets were shared),
-        # counted as the points the proposal streams hand out plus any
-        # draw_one call made outside a stream
-        verify, prob, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+    def _verify_drawing(self, monkeypatch, verify, prob, p0, mu, kwargs) -> tuple:
+        """(certificate, points drawn) of one run on 4 directions, counting the
+        points the proposal streams hand out plus any draw_one call made
+        outside a stream."""
         directions = direction_samples(prob, p0, 4, seed=3)
         draws, in_stream = [], []
         take, draw_one = ProposalStream.take, DomainSampler.draw_one
@@ -797,9 +820,97 @@ class TestOnePipeline:
                 draws.append(q)
             return q
 
-        monkeypatch.setattr(ProposalStream, "take", counting_take)
-        monkeypatch.setattr(DomainSampler, "draw_one", counting_draw_one)
-        cert = verify(prob, p0, mu, directions, seed=3, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(ProposalStream, "take", counting_take)
+            patch.setattr(DomainSampler, "draw_one", counting_draw_one)
+            cert = verify(prob, p0, mu, directions, seed=3, **kwargs)
+        return cert, draws
+
+    def test_hypotheses_draw_their_targets_once(self, monkeypatch):
+        # objective and one active constraint, both interval-valued and
+        # checked componentwise, each with a component the curvature rules
+        # cannot decide: 16 hypothesis targets plus 32 strictness points (four
+        # 16-target redraws plus 32 before the targets were shared)
+        verify, pinned, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+        prob = circle_problem(*undecided_p4_circle_center())
+        assert not any(map(kkt._proved_convex, (prob.objective,) + prob.constraints))
+        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu, kwargs)
         assert cert.active_set == (0,)
         assert len(cert.hypothesis_report) == 2
         assert len(draws) == 48
+        # a product of non-constants in place of a square, with the same
+        # values, so the certificate is the pinned case's
+        want, _ = self._verify_drawing(monkeypatch, verify, pinned, p0, mu, kwargs)
+        assert cert.to_json() == want.to_json()
+
+    def test_proved_hypotheses_draw_nothing(self, monkeypatch):
+        # every function of the pinned case is proved convex, so only the 32
+        # strictness points are drawn
+        verify, prob, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+        assert all(map(kkt._proved_convex, (prob.objective,) + prob.constraints))
+        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu, kwargs)
+        assert len(cert.hypothesis_report) == 2
+        assert all(check.holds for check in cert.hypothesis_report)
+        assert len(draws) == 32
+
+    def test_mixed_hypotheses_match_the_sampled_certificate(self, monkeypatch):
+        # a proved objective next to an undecided constraint: the same
+        # certificate as with every stored shape unknown
+        verify, _, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+
+        def mixed():
+            objective, _ = proved_p4_circle_center()
+            _, constraints = undecided_p4_circle_center()
+            return circle_problem(objective, constraints)
+
+        prob = mixed()
+        assert kkt._proved_convex(prob.objective)
+        assert not kkt._proved_convex(prob.constraints[0])
+        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu, kwargs)
+        assert len(draws) == 48
+        without_proofs(monkeypatch)
+        sampled, _ = self._verify_drawing(monkeypatch, verify, mixed(), p0, mu, kwargs)
+        assert json.dumps(cert.to_json()) == json.dumps(sampled.to_json())
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestProvedHypotheses:
+    """Proved convexity hypotheses give the certificates sampled ones give."""
+
+    @staticmethod
+    def _kkt_flat_verifications(seed: int) -> list:
+        """The certificate JSON, or the error text, of each kkt-flat verify
+        task at this seed, with the problems built now."""
+        import wl_kkt
+
+        out = []
+        for spec in wl_kkt.specs(seed):
+            loaded = pstar_problem() if spec["cfg"] is None else build_problem(spec["cfg"])
+            prob, p0 = loaded.problem, loaded.candidate
+            directions = direction_samples(prob, p0, wl_kkt.DIRECTIONS, seed=spec["seed"])
+            verify = getattr(kkt, "verify_" + spec["verify"])
+            try:
+                cert = verify(prob, p0, spec["mu"], directions, seed=spec["seed"])
+                out.append(json.dumps(cert.to_json()))
+            except IvoptError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    def test_kkt_flat_is_byte_identical_without_proofs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        proved, decide = [], kkt._proved_convex
+
+        def counted(fn):
+            proved.append(decide(fn))
+            return proved[-1]
+
+        monkeypatch.setattr(kkt, "_proved_convex", counted)
+        with_proofs = self._kkt_flat_verifications(1)
+        # most hypotheses are proved; Pstar's active g2 is not
+        assert sum(proved) > 0.9 * len(proved) and not all(proved)
+        without_proofs(monkeypatch)
+        proved.clear()
+        assert self._kkt_flat_verifications(1) == with_proofs
+        assert not any(proved)
