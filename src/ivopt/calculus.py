@@ -10,10 +10,11 @@ geodesic near the base point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NotConvergedError
-from .functions import IvFn, RealFn, values_along
+from .functions import IvFn, RealFn, path_bounds
 from .interval import Interval
 from .manifolds import Geodesic, Point, TangentDirection, exp_map
 
@@ -28,12 +29,12 @@ class DerivScheme:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.h0 <= 0.0:
-            raise ValueError("h0 must be positive")
+        for name in ("h0", "tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
         if self.levels < 2:
             raise ValueError("at least two ladder levels are required")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 DEFAULT_SCHEME = DerivScheme()
@@ -123,13 +124,12 @@ def gh_dir_deriv(
 
 
 def width_monotone_along(f: IvFn, geod: Geodesic, grid: int = 33) -> bool:
-    """True when the width is non-decreasing on a uniform grid over [0, 1]."""
+    """True when the width is non-decreasing on a uniform grid over [0, 1].
+
+    The width is evaluated on the whole grid (``path_bounds``), so one that
+    raises at a grid point raises, even after a decrease."""
     if grid < 2:
         raise ValueError("grid must contain at least two points")
     svals = [j / (grid - 1) for j in range(grid)]
-    previous = None
-    for w in values_along(f.width, geod.start, geod.end, svals):
-        if previous is not None and w < previous - MONOTONE_SLACK:
-            return False
-        previous = w
-    return True
+    w = path_bounds(f.width, geod.start, geod.end, svals)[0]
+    return not (w[1:] < w[:-1] - MONOTONE_SLACK).any()

@@ -16,10 +16,9 @@ non-strict, strict and affine measures, and rebuilds the witness from the
 winning grid index.  ``check_star_shaped`` tests membership, not values,
 and keeps its own loop.
 
-Segment values come from one array pass per segment where the manifold
-gives the path's features as arrays (``geodesic_features``, or
-``chord_features`` for ``path="chord"``) and the function is compiled; else
-the path points are evaluated one by one.
+Segment values come from ``functions.path_bounds``: one array pass per
+segment where the manifold gives the path's features as arrays and the
+function is compiled, else the path points one by one.
 
 ``DomainSampler.draw_one`` is the reference rejection sampler.  Every check
 draws through ``ProposalStream``, which tests a bulk proposer's proposals a
@@ -39,8 +38,8 @@ import numpy as np
 
 from .calculus import DEFAULT_SCHEME, DerivScheme, dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
-from .functions import IvFn, RealFn, bounds_along
-from .interval import Interval, compare_min_arrays, gh_diff
+from .functions import IvFn, RealFn, path_bounds
+from .interval import Interval, compare_min_arrays, default_center_eps_arrays, gh_diff
 from .manifolds import Manifold, Point, distance, log_map
 
 STRICT_MARGIN = 1e-10
@@ -296,22 +295,6 @@ def _bounds(v: Value) -> tuple:
     return (v.lb, v.ub) if isinstance(v, Interval) else (v, v)
 
 
-def _path_bounds(f: Fn, p: Point, q: Point, svals: list, path: str) -> tuple:
-    """f on the path from p to q at svals as (lb, ub) arrays: one array pass
-    where f and the manifold's grid features have one, else point by point,
-    raising at its point."""
-    bounds = bounds_along(f, p, q, svals, path)
-    if bounds is not None:
-        return bounds
-    manifold = p.manifold
-    along = manifold.geodesic_points if path == "geodesic" else manifold.chord_points
-    points = along(p, q, svals)
-    lb, ub = np.empty(len(svals)), np.empty(len(svals))
-    for j, pt in enumerate(points):
-        lb[j], ub[j] = _bounds(f(pt))
-    return lb, ub
-
-
 def _violations(kind: str, bound: float, interval: bool, lhs: tuple, rhs: tuple):
     """(failing mask, severity) of lhs against rhs at each grid point, for the
     measure ``kind``: "convex" (lhs above rhs: reals beyond EQ_TOL * max(1,
@@ -333,7 +316,7 @@ def _violations(kind: str, bound: float, interval: bool, lhs: tuple, rhs: tuple)
         return gap > EQ_TOL * np.maximum(1.0, np.abs(rlb)), gap
     lc, rc = 0.5 * (llb + lub), 0.5 * (rlb + rub)
     lw, rw = 0.5 * (lub - llb), 0.5 * (rub - rlb)
-    eps = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lc)), np.abs(rc))  # default_center_eps
+    eps = default_center_eps_arrays(lc, rc)
     if kind == "strict":
         tie = np.maximum(bound, eps)
         dc, dw = rc - lc, rw - lw
@@ -383,7 +366,7 @@ def _worst_on_segments(f: Fn, segments, grid: int, kind: str = "convex",
         if svals is None:
             svals = _grid_values(grid, interior=kind == "strict")
             s = np.array(svals)
-        lhs = _path_bounds(f, p, q, svals, path)
+        lhs = path_bounds(f, p, q, svals, path)
         (plb, pub), (qlb, qub) = _bounds(vp), _bounds(vq)
         with np.errstate(all="ignore"):
             rlb = (1.0 - s) * plb + s * qlb

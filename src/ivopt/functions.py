@@ -8,17 +8,16 @@ cannot express).  A function built from an expression also carries the
 expression's curvature along geodesics (``RealFn.shape``, see
 ``curvature``); any other function's shape is unknown.
 
-``values_along`` evaluates a function on a whole geodesic grid.  When every
-component is compiled from an expression, it takes one array pass: the
-manifold's ``geodesic_features`` for the grid, then each compiled closure
-(see ``expr``).  Any other function, a grid the manifold cannot give as
-arrays, and a closure that defers all go point by point instead, so the
-values, and any exception with the grid point it is raised at, are those of
-evaluating the function at each point of ``geodesic_points``.
-``bounds_along`` is that array pass alone, giving (lb, ub) arrays or None,
-on the geodesic grid or, with ``path="chord"``, on the ``chord_point`` grid.
-``bounds_on`` is the same array pass over any batch of feature arrays, such
-as a batch of sampler proposals, with the endpoints as arrays.
+``path_bounds`` is the one evaluator of a function on a path grid, the
+points of ``geodesic_points`` or of ``chord_points``, as (lb, ub) arrays.
+When every component is compiled from an expression and the manifold gives
+the grid's features as arrays, it takes one array pass, ``bounds_on``:
+each compiled closure (see ``expr``) over the features.  Any other
+function, a grid the manifold cannot give as arrays, and a closure that
+defers all go point by point instead, so the values, and any exception
+with the first grid point it is raised at, are those of evaluating the
+function at each point.  ``bounds_on`` is that array pass over any batch
+of feature arrays, such as a batch of sampler proposals.
 """
 
 from __future__ import annotations
@@ -132,60 +131,46 @@ class IvFn:
             self(p)
 
 
-def bounds_along(
+def path_bounds(
     f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float],
     path: str = "geodesic",
-) -> Optional[tuple]:
-    """f at each point of ``p.manifold.geodesic_points(p, q, svals)`` (or at
-    ``chord_point(p, q, s)`` for each s, with ``path="chord"``), as (lb, ub)
-    arrays from one array pass (see ``bounds_on``), or None.
-
-    None when the grid is empty, a component of f has no array form, the
-    manifold cannot give the grid's features as arrays, or ``bounds_on``
-    declines; evaluating f point by point then raises where it raises.
-    """
-    manifold = p.manifold
-    if len(svals) == 0 or not has_array_form(f) or not f.manifold == manifold == q.manifold:
-        return None
-    along = manifold.geodesic_features if path == "geodesic" else manifold.chord_features
-    features = along(p, q, svals)
-    return None if features is None else bounds_on(f, manifold, features)
-
-
-def values_along(
-    f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float]
-) -> Iterable:
-    """f at each point of ``p.manifold.geodesic_points(p, q, svals)``, in order.
-
-    The result is a list when the whole grid evaluates on the array path;
-    otherwise the points are evaluated lazily, so an exception is raised
-    when the caller reaches the grid point that raises it.
-    """
-    bounds = bounds_along(f, p, q, svals)
-    if bounds is None:
-        return (f(pt) for pt in p.manifold.geodesic_points(p, q, svals))
-    if isinstance(f, RealFn):
-        return bounds[0].tolist()
-    return [Interval(lb, ub) for lb, ub in zip(*(b.tolist() for b in bounds))]
+) -> tuple:
+    """f at the points of ``geodesic_points(p, q, svals)`` (``chord_points``
+    with ``path="chord"``) as (lb, ub) float64 arrays, a real v as [v, v]:
+    one ``bounds_on`` pass over the grid's features where the manifold gives
+    them and f has an array form, else f point by point, raising at the
+    first grid point that raises."""
+    m = p.manifold
+    features, points = ((m.geodesic_features, m.geodesic_points) if path == "geodesic"
+                        else (m.chord_features, m.chord_points))
+    if len(svals) and q.manifold == m:
+        bounds = bounds_on(f, m, lambda: features(p, q, svals))
+        if bounds is not None:
+            return bounds
+    lb, ub = np.empty(len(svals)), np.empty(len(svals))
+    for j, pt in enumerate(points(p, q, svals)):
+        value = f(pt)
+        lb[j], ub[j] = (value.lb, value.ub) if isinstance(value, Interval) else (value, value)
+    return lb, ub
 
 
-def has_array_form(f: Union[RealFn, IvFn]) -> bool:
-    """Whether every component of f has an array form."""
-    if isinstance(f, IvFn):
-        return f.center.compiled is not None and f.width.compiled is not None
-    return f.compiled is not None
-
-
-def bounds_on(f: Union[RealFn, IvFn], manifold: Manifold, features: dict) -> Optional[tuple]:
+def bounds_on(f: Union[RealFn, IvFn], manifold: Manifold, features) -> Optional[tuple]:
     """f over a batch of feature arrays of ``manifold`` points, as (lb, ub) arrays.
 
-    Entry j holds the endpoints of f at the j-th point bit for bit, a real
-    value v as [v, v].  None when f has no array form there: it lives on
-    another manifold, a component is not compiled or its closure defers, a
-    width is below WIDTH_FLOOR, or an endpoint is not finite; evaluating f
-    point by point then raises where it raises.
+    ``features`` is a dict of arrays, or a function giving one or None that
+    is called only when every component of f is compiled.  Entry j holds
+    the endpoints of f at the j-th point bit for bit, a real value v as
+    [v, v].  None when f has no array form there: it lives on another
+    manifold, a component is not compiled or its closure defers, there are
+    no features, a width is below WIDTH_FLOOR, or an endpoint is not
+    finite; evaluating f point by point then raises where it raises.
     """
-    if f.manifold != manifold or not has_array_form(f):
+    lanes = (f.center.compiled, f.width.compiled) if isinstance(f, IvFn) else (f.compiled,)
+    if f.manifold != manifold or None in lanes:
+        return None
+    if callable(features):
+        features = features()
+    if features is None:
         return None
     if isinstance(f, RealFn):
         values = f.compiled(features)

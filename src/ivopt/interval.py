@@ -27,9 +27,17 @@ class OrderOutcome(Enum):
     INCOMPARABLE = "Incomparable"
 
 
+CENTER_EPS = 1e-9  # the center tie band, relative to max(1, |c1|, |c2|)
+
+
 def default_center_eps(c1: float, c2: float) -> float:
     """Tolerance below which two centers are treated as tied."""
-    return 1e-9 * max(1.0, abs(c1), abs(c2))
+    return CENTER_EPS * max(1.0, abs(c1), abs(c2))
+
+
+def default_center_eps_arrays(c1, c2):
+    """``default_center_eps`` entry by entry over numpy arrays (or scalars)."""
+    return CENTER_EPS * np.maximum(np.maximum(1.0, np.abs(c1)), np.abs(c2))
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,8 @@ def compare_min_arrays(c1, w1, c2, w2, eps_c=None) -> tuple:
     bits, so each entry is what ``compare`` returns for the intervals it
     stands for.  Unlike ``compare``, it does not check ``eps_c``: callers
     pass None, 0.0 or a non-negative array."""
-    if eps_c is None:  # default_center_eps(c1, c2) entry by entry
-        eps_c = 1e-9 * np.maximum(np.maximum(1.0, np.abs(c1)), np.abs(c2))
+    if eps_c is None:
+        eps_c = default_center_eps_arrays(c1, c2)
     less = c1 < c2 - eps_c
     greater = ~less & (c2 < c1 - eps_c)
     tied = ~(less | greater)

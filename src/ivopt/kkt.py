@@ -199,6 +199,8 @@ class Problem:
 
 def active_set(prob: Problem, p0: Point, tol: float = ACTIVE_TOL) -> tuple:
     """Indices of constraints binding at p0 (0-based; reports label them g1..)."""
+    if not tol >= 0.0:
+        raise ConfigError(f"active-set tolerance must be non-negative, got {tol}")
     bad = prob.feasibility_violations(p0)
     if bad:
         detail = ", ".join(
@@ -813,9 +815,7 @@ def brute_force_improvement(
     while drawn < n:
         points, features = stream.take(n - drawn)
         drawn += len(points)
-        bounds = None
-        if features is not None:
-            bounds = bounds_on(prob.objective, points[0].manifold, features)
+        bounds = bounds_on(prob.objective, points[0].manifold, features)
         if bounds is None:
             for q in points:
                 outcome = compare(_as_interval(prob.objective(q)), v0, OrderRelation.MIN, 0.0)

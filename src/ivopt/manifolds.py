@@ -68,6 +68,14 @@ def _pd_eig(mat: np.ndarray):
     return vals, vecs
 
 
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a matrix (or of each of a stack)."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise NonPositiveDefiniteError("matrix has no Cholesky factor") from None
+
+
 def sym_power(mat: np.ndarray, s: float) -> np.ndarray:
     """Matrix power of an SPD matrix via eigendecomposition."""
     vals, vecs = _pd_eig(mat)
@@ -422,6 +430,7 @@ class Spd(Manifold):
             raise NonPositiveDefiniteError(
                 f"matrix is not positive definite (min eigenvalue {vals.min():.3e})"
             )
+        _cholesky(sym)  # every pencil from the point needs the factor
         return Point(self, _readonly(sym))
 
     def tangent(self, base: Point, raw) -> TangentDirection:
@@ -438,10 +447,7 @@ class Spd(Manifold):
         p = L L^T and eigh L^-1 q L^-T = V diag(vals) V^T.  The one seam for a pair."""
         self._check(p)
         self._check(q)
-        try:
-            low = np.linalg.cholesky(p.value)
-        except np.linalg.LinAlgError:
-            raise NonPositiveDefiniteError("matrix has no Cholesky factor") from None
+        low = _cholesky(p.value)
         inv = np.linalg.inv(low)
         mid = inv @ q.value @ inv.T
         vals, vecs = np.linalg.eigh(0.5 * (mid + mid.T))
@@ -513,6 +519,10 @@ class Spd(Manifold):
         if not (np.isfinite(sym).all() and (gap <= SYM_TOL).all()):
             return None
         if not (np.linalg.eigvalsh(sym).min(axis=1) > EIG_FLOOR).all():
+            return None
+        try:
+            _cholesky(sym)
+        except NonPositiveDefiniteError:
             return None
         signs, logdets = np.linalg.slogdet(sym)
         if not (signs > 0).all():

@@ -66,12 +66,22 @@ WIDTH_VALIDATION_SAMPLES = 64
 # -- default domain samplers ----------------------------------------------
 
 
+def _holds_bool(raw) -> bool:
+    """Whether raw is or nests a JSON true or false, which float() takes as 1 or 0."""
+    if isinstance(raw, (list, tuple)):
+        return any(_holds_bool(v) for v in raw)
+    return isinstance(raw, bool)
+
+
 def _number(value, where: str) -> float:
-    """float(value), or a ConfigError that names where the value came from."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    """float(value), or a ConfigError that names where the value came from;
+    a JSON true or false is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 def circle_domain(lo: float = 0.0, hi: float = TWO_PI) -> DomainSampler:
@@ -103,7 +113,7 @@ def euclidean_box_domain(manifold: Euclidean, bounds=None) -> DomainSampler:
     if bounds is None:
         bounds = [(-2.0, 2.0)] * manifold.dim
     try:
-        pairs = [(float(lo), float(hi)) for lo, hi in bounds]
+        pairs = [] if _holds_bool(bounds) else [(float(lo), float(hi)) for lo, hi in bounds]
     except (TypeError, ValueError):
         pairs = []
     if len(pairs) != manifold.dim or any(lo >= hi for lo, hi in pairs):
@@ -245,9 +255,11 @@ def parse_point(manifold: Manifold, raw, where: str = "candidate") -> Point:
         value = _number(raw, where)
     elif isinstance(manifold, (Euclidean, Spd)):
         try:
-            value = np.asarray(raw, dtype=float)
+            value = None if _holds_bool(raw) else np.asarray(raw, dtype=float)
         except (TypeError, ValueError):
-            raise ConfigError(f"{where} must be an array of numbers, got {raw!r}") from None
+            value = None
+        if value is None:
+            raise ConfigError(f"{where} must be an array of numbers, got {raw!r}")
     else:
         raise ConfigError(f"cannot parse a point for manifold {manifold.name}")
     try:

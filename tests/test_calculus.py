@@ -47,6 +47,12 @@ class TestScheme:
             DerivScheme(levels=1)
         with pytest.raises(ValueError):
             DerivScheme(tol=-1.0)
+        # the step and the tolerance must be finite and positive
+        for field in ("h0", "tol"):
+            for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError) as info:
+                    DerivScheme(**{field: value})
+                assert str(info.value) == f"{field} must be a finite positive number, got {value}"
 
 
 class TestRealDerivatives:

@@ -17,6 +17,7 @@ from ivopt.problems import load_problem
 from test_problems import (
     BAD_DOMAIN_CASES,
     MALFORMED_NUMBER_CASES,
+    NO_FACTOR,
     OUTSIDE_CANDIDATE,
     SPD_I,
     bad_domain_config,
@@ -258,6 +259,29 @@ class TestCheckKkt:
                    "--deriv-levels", "0"])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--deriv-h0", "nan", "h0"),
+        ("--deriv-h0", "inf", "h0"),
+        ("--deriv-tol", "nan", "tol"),
+        ("--deriv-tol", "inf", "tol"),
+    ])
+    def test_a_nonsense_scheme_number_is_refused(self, pstar_file, flag, value, field, capsys):
+        assert main(["check-kkt", "--problem", pstar_file, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be a finite positive number, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("mu", [[], ["--mu", "0,1,0"]])
+    def test_a_negative_or_nan_active_set_tolerance_is_refused(self, pstar_file, value, mu,
+                                                               capsys):
+        # g1 and g2 bind at pi/2; no tolerance may report an empty active set
+        assert main(["check-kkt", "--problem", pstar_file, "--tol", value, *mu]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: active-set tolerance must be non-negative, got {float(value)}\n")
+
     def test_feasible_point_when_the_file_candidate_is_outside_the_domain(
             self, tmp_path, capsys):
         path = tmp_path / "outside.json"
@@ -363,6 +387,8 @@ class TestMalformedNumbers:
     @pytest.mark.parametrize("command, problem, flag, text", [
         ("check-kkt", "pstar_file", "--point", "[1]"),
         ("check-convexity", "spd_file", "--at", '{"a": 1}'),
+        ("check-kkt", "pstar_file", "--point", "true"),
+        ("check-convexity", "spd_file", "--at", "[[1, 0], [0, true]]"),
     ])
     def test_a_malformed_point_flag_is_an_error_line(self, request, command, problem,
                                                       flag, text, capsys):
@@ -422,6 +448,7 @@ class TestMalformedPoints:
         ("[[1, 0], [0, -1]]", "matrix is not positive definite (min eigenvalue -1.000e+00)"),
         ("[[1, 2], [0, 1]]", "matrix asymmetry 2.000e+00 exceeds tolerance 1.0e-08"),
         ("[1, 0, 0, 1]", "expected a 2x2 matrix, got shape (4,)"),
+        (json.dumps(NO_FACTOR.tolist()), "matrix has no Cholesky factor"),
     ])
     def test_flag_point_is_named(self, spd_file, command, flag, text, cause, capsys):
         assert main([command, "--problem", spd_file, flag, text]) == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ivopt import expr
+from ivopt.calculus import width_monotone_along
 from ivopt.errors import (
     ConfigError,
     DomainError,
@@ -29,10 +30,10 @@ from ivopt.functions import (
     iv_linear_combination,
     lift_real,
     linear_combination,
+    path_bounds,
     smooth_registry,
     two_branch_classify,
     two_branch_membership,
-    values_along,
 )
 from ivopt.interval import Interval
 from ivopt.manifolds import Circle, Euclidean, Spd
@@ -239,9 +240,10 @@ class TestRegistry:
             assert math.isfinite(fn(p)), name
 
 
-# -- values_along: the array path against the point-by-point loop ---------
+# -- path_bounds: the array pass against the point-by-point loop ----------
 
 PARITY_MANIFOLDS = (CIRCLE, EUCLIDEAN2, Euclidean(3), SPD2, Spd(3))
+PATHS = ("geodesic", "chord")
 
 
 def _random_expression(rng: random.Random, names: tuple, depth: int) -> str:
@@ -265,43 +267,61 @@ def _random_expression(rng: random.Random, names: tuple, depth: int) -> str:
     return f"-{sub()}"
 
 
-def _outcome(values):
-    """Bits of the values produced before any exception, and that exception."""
+def _point_by_point(f, p, q, svals, path="geodesic"):
+    """Bits of f's (lb, ub) at each path point, a real v as (v, v), up to the
+    first exception, and that exception."""
+    along = p.manifold.geodesic_points if path == "geodesic" else p.manifold.chord_points
     got = []
     try:
-        for v in values:
-            parts = (v.lb, v.ub) if isinstance(v, Interval) else (v,)
-            got.append(tuple(float(x).hex() for x in parts))
+        for pt in along(p, q, svals):
+            v = f(pt)
+            got.append(tuple(float(x).hex() for x in (
+                (v.lb, v.ub) if isinstance(v, Interval) else (v, v))))
     except Exception as exc:  # the parity is on whatever the scalar path raises
         return got, (type(exc), str(exc))
     return got, None
 
 
-def _point_by_point(f, p, q, svals):
-    return (f(pt) for pt in p.manifold.geodesic_points(p, q, svals))
+def _expected(want):
+    """``path_bounds``' outcome for a point-by-point one: every value, or the
+    exception alone."""
+    return want if want[1] is None else (None, want[1])
 
 
-class TestValuesAlong:
+def _bounds(f, p, q, svals, path="geodesic"):
+    """``path_bounds``' outcome in ``_point_by_point``'s form."""
+    try:
+        lb, ub = path_bounds(f, p, q, svals, path)
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+    assert lb.dtype == ub.dtype == np.float64
+    return [(a.hex(), b.hex()) for a, b in zip(lb.tolist(), ub.tolist())], None
+
+
+class TestPathBounds:
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("manifold", PARITY_MANIFOLDS, ids=str)
-    def test_random_expressions_match_the_scalar_loop_bitwise(self, manifold):
+    def test_random_expressions_match_the_scalar_loop_bitwise(self, manifold, path):
         rng = random.Random(str(manifold))
         np_rng = np.random.default_rng(rng.randrange(2**31))
         names = manifold.feature_names
+        along = manifold.geodesic_features if path == "geodesic" else manifold.chord_features
         array_path = 0
         for _ in range(60):
             f = RealFn.from_expression(_random_expression(rng, names, 4), manifold)
             p, q = manifold.random_point(np_rng), manifold.random_point(np_rng)
             svals = [j / 16 for j in range(17)]
-            want = _outcome(_point_by_point(f, p, q, svals))
-            assert _outcome(values_along(f, p, q, svals)) == want, f.name
+            want = _point_by_point(f, p, q, svals, path)
+            assert _bounds(f, p, q, svals, path) == _expected(want), f.name
             if want[1] is None:
                 # every point evaluates, so the array path must not defer
-                assert f.compiled(manifold.geodesic_features(p, q, svals)) is not None, f.name
+                assert f.compiled(along(p, q, svals)) is not None, f.name
                 array_path += 1
         assert array_path >= 20
 
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("manifold", PARITY_MANIFOLDS, ids=str)
-    def test_interval_functions_match_the_scalar_loop(self, manifold):
+    def test_interval_functions_match_the_scalar_loop(self, manifold, path):
         rng = random.Random(str(manifold) + "iv")
         np_rng = np.random.default_rng(rng.randrange(2**31))
         names = manifold.feature_names
@@ -311,8 +331,8 @@ class TestValuesAlong:
             f = IvFn.from_expressions(center, width, manifold)
             p, q = manifold.random_point(np_rng), manifold.random_point(np_rng)
             svals = [j / 8 for j in range(1, 8)]
-            assert _outcome(values_along(f, p, q, svals)) == _outcome(
-                _point_by_point(f, p, q, svals)), f.name
+            assert _bounds(f, p, q, svals, path) == _expected(
+                _point_by_point(f, p, q, svals, path)), f.name
 
     # theta runs 0.5, 0.75, 1.0, 1.25, 1.5 on this grid
     EDGE_P, EDGE_Q, EDGE_S = 0.5, 1.5, [j / 4 for j in range(5)]
@@ -335,41 +355,53 @@ class TestValuesAlong:
         else:
             f = IvFn.from_expressions(center, width, CIRCLE)
         p, q = CIRCLE.point(self.EDGE_P), CIRCLE.point(self.EDGE_Q)
-        want = _outcome(_point_by_point(f, p, q, self.EDGE_S))
+        want = _point_by_point(f, p, q, self.EDGE_S)
         assert want[1] is not None and want[1][0] is error and len(want[0]) == at
-        assert _outcome(values_along(f, p, q, self.EDGE_S)) == want
+        assert _bounds(f, p, q, self.EDGE_S) == _expected(want)
 
-    def test_a_caller_stopping_early_never_meets_a_later_failure(self):
-        f = RealFn.from_expression("ln(1 - theta)", CIRCLE)
-        values = values_along(f, CIRCLE.point(self.EDGE_P), CIRCLE.point(self.EDGE_Q),
-                              self.EDGE_S)
-        assert next(iter(values)) == math.log(0.5)
+    def test_the_width_gate_meets_a_failure_after_a_decrease(self):
+        # on the grid s = j/32 from theta = 0 to 1 the width first falls at
+        # s = 1/32, and raises from s = 1/2 on: the whole grid is evaluated
+        def width(pt):
+            if pt.value >= 0.5:
+                raise DomainError("width undefined from theta = 1/2")
+            return 1.0 - pt.value
 
-    def test_opaque_callables_run_point_by_point(self, monkeypatch):
+        f = IvFn(RealFn(CIRCLE, lambda pt: 0.0), RealFn(CIRCLE, width, name="opaque"))
+        assert not width_monotone_along(f, CIRCLE.geodesic(CIRCLE.point(0.0),
+                                                           CIRCLE.point(15 / 32)))
+        with pytest.raises(DomainError, match="^width undefined from theta = 1/2$"):
+            width_monotone_along(f, CIRCLE.geodesic(CIRCLE.point(0.0), CIRCLE.point(1.0)))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_opaque_callables_run_point_by_point(self, monkeypatch, path):
         def no_arrays(*args):
             raise AssertionError("an opaque function must not ask for feature arrays")
 
         monkeypatch.setattr(Circle, "geodesic_features", no_arrays)
+        monkeypatch.setattr(Circle, "chord_features", no_arrays)
         seen = []
         opaque = RealFn(CIRCLE, lambda pt: seen.append(pt) or pt.value**2, name="opaque")
         p, q = CIRCLE.point(0.5), CIRCLE.point(2.0)
         svals = [j / 8 for j in range(9)]
-        assert list(values_along(opaque, p, q, svals)) == [
-            opaque(pt) for pt in CIRCLE.geodesic_points(p, q, svals)]
+        assert _bounds(opaque, p, q, svals, path) == _point_by_point(opaque, p, q, svals, path)
         assert len(seen) == 2 * len(svals)
         g = RealFn.from_expression("theta^2", CIRCLE)
         for f in (linear_combination(1.0, g, 2.0, g), lift_real(g)):
-            assert _outcome(values_along(f, p, q, svals)) == _outcome(
-                _point_by_point(f, p, q, svals))
+            assert _bounds(f, p, q, svals, path) == _expected(
+                _point_by_point(f, p, q, svals, path))
 
-    def test_builtins_run_point_by_point(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_builtins_run_point_by_point(self, path):
         f = builtin_iv("two_branch_objective")
         p, q = SPD2.point(I2), SPD2.point(np.diag([2.0, 2.0]))
         svals = [j / 4 for j in range(5)]
         assert f.center.compiled is None
-        assert _outcome(values_along(f, p, q, svals)) == _outcome(
-            _point_by_point(f, p, q, svals))
+        want = _point_by_point(f, p, q, svals, path)
+        assert want[1] is None
+        assert _bounds(f, p, q, svals, path) == want
 
     def test_empty_grid(self):
         f = RealFn.from_expression("theta", CIRCLE)
-        assert list(values_along(f, CIRCLE.point(0.5), CIRCLE.point(1.0), [])) == []
+        lb, ub = path_bounds(f, CIRCLE.point(0.5), CIRCLE.point(1.0), [])
+        assert lb.shape == ub.shape == (0,) and lb.dtype == np.float64

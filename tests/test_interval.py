@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,8 @@ from ivopt.interval import (
     add,
     combine,
     compare,
+    default_center_eps,
+    default_center_eps_arrays,
     format_interval,
     gh_diff,
     hausdorff,
@@ -204,6 +207,11 @@ class TestCompare:
         assert compare(t1, t2) is OrderOutcome.GREATER
         # exact mode sees the center difference
         assert compare(t1, t2, eps_c=0.0) is OrderOutcome.LESS
+
+    @given(c1=st.floats(allow_nan=False), c2=st.floats(allow_nan=False))
+    def test_center_tolerance_array_twin_is_bitwise(self, c1, c2):
+        twin = default_center_eps_arrays(np.array([c1]), np.array([c2]))
+        assert twin.tolist() == [default_center_eps(c1, c2)]
 
     @pytest.mark.parametrize("eps_c", [-1.0, float("nan")])
     @pytest.mark.parametrize("rel", list(OrderRelation), ids=lambda r: r.value)

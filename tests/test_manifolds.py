@@ -188,6 +188,21 @@ class TestSpd:
         assert feats["logdet"] == pytest.approx(math.log(4.0), abs=1e-12)
         assert feats["trace"] == pytest.approx(4.0)
 
+    # above EIG_FLOOR by eigvalsh (min eigenvalue about 3.6e-12), yet with no
+    # Cholesky factor, so no pencil, distance, log or grid could start from it
+    ROT = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    NO_FACTOR = ROT @ np.diag([1e5, 2e-12]) @ ROT.T
+
+    def test_point_requires_a_cholesky_factor(self):
+        assert np.linalg.eigvalsh(symmetrize(self.NO_FACTOR)).min() > 1e-12
+        with pytest.raises(NonPositiveDefiniteError, match="^matrix has no Cholesky factor$"):
+            SPD.point(self.NO_FACTOR)
+
+    def test_a_stack_with_a_matrix_without_a_cholesky_factor_is_refused(self):
+        sym, features = SPD._stack(np.stack([I2, 2.0 * I2]))
+        assert features["trace"].tolist() == [2.0, 4.0]
+        assert SPD._stack(np.stack([I2, self.NO_FACTOR])) is None
+
     @pytest.mark.parametrize("manifold", [Spd(1), SPD, Spd(3)], ids=str)
     def test_log_and_distance_match_their_formulas_bitwise(self, manifold):
         rng = np.random.default_rng(17)
@@ -423,8 +438,7 @@ class TestChordFeatures:
         assert str(info.value) == "matrix entries must be finite"
 
     def test_spd_chord_through_an_overflowing_point_gives_none_and_raises_there(self):
-        from ivopt.convexity import _path_bounds
-        from ivopt.functions import IvFn
+        from ivopt.functions import IvFn, path_bounds
 
         # the chord point at s = 1.25 is diag(1e308, 1)
         p, q = SPD.point(I2), SPD.point(np.diag([8e307, 1.0]))
@@ -434,7 +448,7 @@ class TestChordFeatures:
             warnings.simplefilter("error", RuntimeWarning)
             assert SPD.chord_features(p, q, [0.0, 0.5, 1.25]) is None
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
-            _path_bounds(f, p, q, [0.0, 0.5, 1.25], "chord")
+            path_bounds(f, p, q, [0.0, 0.5, 1.25], "chord")
 
     # p = I, q = diag(1/2, 1): the chord point at s is diag(1 - s/2, 1), which
     # stops being positive definite at s = 2, beyond the checks' grids
@@ -442,8 +456,7 @@ class TestChordFeatures:
     FAIL_AT = 8  # s = 2
 
     def test_spd_chord_point_at_the_eig_floor_gives_none_and_raises_there(self):
-        from ivopt.convexity import _path_bounds
-        from ivopt.functions import RealFn
+        from ivopt.functions import RealFn, path_bounds
 
         p, q = SPD.point(I2), SPD.point(np.diag([0.5, 1.0]))
         assert SPD.chord_features(p, q, self.SVALS) is None
@@ -458,7 +471,7 @@ class TestChordFeatures:
         for f in (RealFn.from_expression("-logdet", SPD),
                   RealFn(SPD, lambda pt: -SPD.features(pt)["logdet"])):
             with pytest.raises(NonPositiveDefiniteError) as got:
-                _path_bounds(f, p, q, self.SVALS, "chord")
+                path_bounds(f, p, q, self.SVALS, "chord")
             assert str(got.value) == str(expected.value)
 
 

@@ -131,6 +131,8 @@ def test_unsamplable_domain_numbers_are_rejected(manifold, objective, candidate,
 
 CIRCLE_M = {"kind": "circle"}
 SPD_I = [[1.0, 0.0], [0.0, 1.0]]
+ROT = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+NO_FACTOR = ROT @ np.diag([1e5, 2e-12]) @ ROT.T
 
 # problem files with a value that is not a number, or not a list of them,
 # where one is due: (manifold, objective, candidate, options.domain, key)
@@ -147,6 +149,14 @@ MALFORMED_NUMBERS = {
     "circle-list": (CIRCLE_M, "theta^2", [1], {}, "candidate"),
     "circle-theta-list": (CIRCLE_M, "theta^2", {"theta": [1]}, {}, "candidate.theta"),
     "euclid-object": (EUCLID1, "x1^2", {"x": 1}, {}, "candidate"),
+    # a JSON true or false is a Python bool, which float() takes as 1 or 0
+    "scale-bool": (SPD_2, "logdet^2", SPD_I, {"scale": True}, "options.domain.scale"),
+    "arc-bool": (CIRCLE_M, "theta^2", 0.5, {"arc": [False, True]}, "options.domain.arc"),
+    "box-bool": (EUCLID1, "x1^2", [0.5], {"box": [[False, True]]}, "options.domain.box"),
+    "circle-bool": (CIRCLE_M, "theta^2", True, {}, "candidate"),
+    "circle-theta-bool": (CIRCLE_M, "theta^2", {"theta": False}, {}, "candidate.theta"),
+    "euclid-bool": ({"kind": "euclidean", "dim": 2}, "x1^2", [True, False], {}, "candidate"),
+    "spd-bool": (SPD_2, "logdet^2", [[1.0, 0.0], [0.0, True]], {}, "candidate"),
 }
 MALFORMED_NUMBER_CASES = pytest.mark.parametrize(
     "manifold, objective, candidate, domain, key",
@@ -164,10 +174,14 @@ def test_malformed_numbers_name_their_key(manifold, objective, candidate, domain
 @pytest.mark.parametrize("manifold, text, flag", [
     (CIRCLE, "[1]", "--point"),
     (SPD2, '{"a": 1}', "--at"),
+    (CIRCLE, "true", "--point"),
+    (CIRCLE, '{"theta": false}', "--point.theta"),
+    (Euclidean(2), "[1, true]", "--point"),
+    (SPD2, "[[1, 0], [0, true]]", "--at"),
 ])
 def test_malformed_point_text_names_the_flag(manifold, text, flag):
     with pytest.raises(ConfigError, match="^" + flag + " must "):
-        parse_point_text(manifold, text, flag)
+        parse_point_text(manifold, text, flag.split(".")[0])
 
 
 def test_numbers_accepted_before_stay_accepted():
@@ -190,6 +204,8 @@ def test_numbers_accepted_before_stay_accepted():
     ({"kind": "circle"}, "theta", 7.0, "candidate", "angle 7.0 outside the chart range"),
     ({"kind": "circle"}, "theta", {"theta": -1}, "candidate.theta",
      "angle -1.0 outside the chart range"),
+    # its smallest eigenvalue passes the floor, but it has no Cholesky factor
+    (SPD_2, "trace", NO_FACTOR.tolist(), "candidate", "matrix has no Cholesky factor"),
 ])
 def test_a_point_the_manifold_rejects_names_its_key(spec, objective, raw, where, cause):
     cfg = {"manifold": spec, "objective": {"real": objective}, "candidate": raw}
