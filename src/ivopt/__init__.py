@@ -94,14 +94,12 @@ from .kkt import (
 from .manifolds import (
     Circle,
     Euclidean,
-    Geodesic,
     Manifold,
     Point,
     Spd,
     TangentDirection,
     distance,
     exp_map,
-    geodesic_at,
     inner,
     log_map,
     sym_exp,

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotConvergedError
-from .functions import IvFn, RealFn, path_bounds
+from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval
-from .manifolds import Geodesic, Point, TangentDirection, exp_map
+from .manifolds import Point, TangentDirection, exp_map
 
 MONOTONE_SLACK = 1e-10
+WIDTH_GRID = 33  # points of the width gate's uniform grid over [0, 1]
 RICH_ORDER = 2  # deepest Richardson extrapolant of the step ladder
 
 
@@ -123,13 +124,11 @@ def gh_dir_deriv(
     )
 
 
-def width_monotone_along(f: IvFn, geod: Geodesic, grid: int = 33) -> bool:
-    """True when the width is non-decreasing on a uniform grid over [0, 1].
+def width_monotone_along(f: IvFn, p: Point, q: Point) -> bool:
+    """True when the width is non-decreasing along the geodesic from p to q,
+    on the uniform grid of WIDTH_GRID points over [0, 1].
 
     The width is evaluated on the whole grid (``path_bounds``), so one that
     raises at a grid point raises, even after a decrease."""
-    if grid < 2:
-        raise ValueError("grid must contain at least two points")
-    svals = [j / (grid - 1) for j in range(grid)]
-    w = path_bounds(f.width, geod.start, geod.end, svals)[0]
+    w = path_bounds(f.width, p, q, path_grid(WIDTH_GRID))[0]
     return not (w[1:] < w[:-1] - MONOTONE_SLACK).any()

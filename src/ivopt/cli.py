@@ -21,6 +21,7 @@ from .convexity import check_convex, check_convex_at
 from .errors import ConfigError, IvoptError
 from .interval import Interval, OrderRelation, compare, format_interval, parse_interval
 from .kkt import (
+    ACTIVE_TOL,
     SplitMode,
     active_set,
     direction_samples,
@@ -293,8 +294,8 @@ def build_parser() -> _Parser:
     p_kkt.add_argument("--directions", type=int, default=16,
                        help="sampled tangent directions (default: 16)")
     p_kkt.add_argument("--seed", type=int, default=None, help="sampling seed")
-    p_kkt.add_argument("--tol", type=float, default=1e-8,
-                       help="active-set tolerance (default: 1e-8)")
+    p_kkt.add_argument("--tol", type=float, default=ACTIVE_TOL,
+                       help=f"active-set tolerance (default: {ACTIVE_TOL:g})")
     p_kkt.add_argument("--mode", choices=[m.value for m in SplitMode], default=None,
                        help="split mode for interval-constraint problems "
                             "(default: the mode the sampled center implies)")

@@ -16,9 +16,10 @@ non-strict, strict and affine measures, and rebuilds the witness from the
 winning grid index.  ``check_star_shaped`` tests membership, not values,
 and keeps its own loop.
 
-Segment values come from ``functions.path_bounds``: one array pass per
-segment where the manifold gives the path's features as arrays and the
-function is compiled, else the path points one by one.
+Segment values come from ``functions.path_bounds`` on the grid of
+``functions.path_grid``: one array pass per segment where the manifold gives
+the path's features as arrays (``path_features``) and the function is
+compiled, else the path points (``path_points``) one by one.
 
 ``DomainSampler.draw_one`` is the reference rejection sampler.  Every check
 draws through ``ProposalStream``, which tests a bulk proposer's proposals a
@@ -38,13 +39,14 @@ import numpy as np
 
 from .calculus import DEFAULT_SCHEME, DerivScheme, dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
-from .functions import IvFn, RealFn, path_bounds
+from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval, compare_min_arrays, default_center_eps_arrays, gh_diff
 from .manifolds import Manifold, Point, distance, log_map
 
 STRICT_MARGIN = 1e-10
 EQ_TOL = 1e-9
 DERIV_EPS = 1e-7
+MIN_DIST = 1e-8  # a sampled point at least this far from the base point is distinct
 # consecutive rejected proposals before a draw gives up
 MAX_TRIES = 1000
 
@@ -285,11 +287,6 @@ def _check_sizes(grid: int = 2, **counts: int) -> None:
         raise ValueError("grid must contain at least two points")
 
 
-def _grid_values(grid: int, interior: bool):
-    first, last = (1, grid - 1) if interior else (0, grid)
-    return [j / (grid - 1) for j in range(first, last)]
-
-
 def _bounds(v: Value) -> tuple:
     """(lb, ub) of a value, a real v as (v, v)."""
     return (v.lb, v.ub) if isinstance(v, Interval) else (v, v)
@@ -364,7 +361,7 @@ def _worst_on_segments(f: Fn, segments, grid: int, kind: str = "convex",
             base = (p, f(p))
         vp, vq = base[1], f(q)
         if svals is None:
-            svals = _grid_values(grid, interior=kind == "strict")
+            svals = path_grid(grid, interior=kind == "strict")
             s = np.array(svals)
         lhs = path_bounds(f, p, q, svals, path)
         (plb, pub), (qlb, qub) = _bounds(vp), _bounds(vq)
@@ -408,7 +405,7 @@ def check_convex(
     if path not in ("geodesic", "chord"):
         raise ValueError(f"unknown path kind {path!r}")
     _check_sizes(grid, pairs=pairs)
-    segments = _drawn_pairs(dom, pairs, seed, 1e-8 if strict else 0.0)
+    segments = _drawn_pairs(dom, pairs, seed, MIN_DIST if strict else 0.0)
     return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", path=path)
 
 
@@ -423,7 +420,7 @@ def check_convex_at(
 ) -> ConvexityReport:
     """Test the convexity inequality on geodesics from a fixed base point."""
     _check_sizes(grid, targets=targets)
-    stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8 if strict else 0.0)
+    stream = ProposalStream(dom, np.random.default_rng(seed), MIN_DIST if strict else 0.0)
     segments = ((p0, q) for q in stream.points(targets, apart_from=p0))
     return _worst_on_segments(f, segments, grid, "strict" if strict else "convex")
 
@@ -495,10 +492,10 @@ def check_star_shaped(
     _check_sizes(grid, targets=targets)
     if not dom.membership(p0):
         raise ValueError("base point is not a member of the sampled set")
-    svals = _grid_values(grid, interior=True)
+    svals = path_grid(grid, interior=True)
     stream = ProposalStream(dom, np.random.default_rng(seed))
     for used, q in enumerate(stream.points(targets), 1):
-        for s, pt in zip(svals, p0.manifold.geodesic_points(p0, q, svals)):
+        for s, pt in zip(svals, p0.manifold.path_points(p0, q, svals)):
             if not dom.membership(pt):
                 return ConvexityReport(
                     Verdict.COUNTEREXAMPLE,
@@ -543,11 +540,11 @@ def check_gradient_inequality(
     _check_sizes(targets=targets)
     worst, used, skipped = None, 0, 0
     f_p0 = f(p0)
-    stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8)
+    stream = ProposalStream(dom, np.random.default_rng(seed), MIN_DIST)
     for q in stream.points(targets, apart_from=p0):
         x = log_map(p0, q)
         if isinstance(f, IvFn):
-            if not width_monotone_along(f, p0.manifold.geodesic(p0, q)):
+            if not width_monotone_along(f, p0, q):
                 skipped += 1
                 continue
             deriv = gh_dir_deriv(f, p0, x, scheme).value
@@ -607,7 +604,7 @@ def check_local_min(
     _check_sizes(targets=targets)
     check_at = check_cw_convex_at if isinstance(f, IvFn) else check_convex_at
     cw_report = check_at(f, p0, dom, targets=min(targets, 16), seed=seed)
-    stream = ProposalStream(dom, np.random.default_rng(seed), 1e-8)
+    stream = ProposalStream(dom, np.random.default_rng(seed), MIN_DIST)
     for used, q in enumerate(stream.points(targets, apart_from=p0), 1):
         x = log_map(p0, q)
         if isinstance(f, IvFn):

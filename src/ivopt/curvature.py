@@ -1,7 +1,7 @@
 """Curvature of expressions along geodesics, decided by composition rules.
 
 ``geodesic_shape(tree, manifold)`` gives a parsed expression's ``Shape``
-along the geodesics that ``manifold.geodesic_features`` walks: its curvature
+along the geodesics that ``manifold.path_features`` walks: its curvature
 (affine, convex, concave or unknown), the signs its values can take, and its
 value when it names no feature.  The rules are those of disciplined convex
 programming (Grant, Boyd & Ye, "Disciplined convex programming", 2006) in

@@ -8,10 +8,11 @@ cannot express).  A function built from an expression also carries the
 expression's curvature along geodesics (``RealFn.shape``, see
 ``curvature``); any other function's shape is unknown.
 
-``path_bounds`` is the one evaluator of a function on a path grid, the
-points of ``geodesic_points`` or of ``chord_points``, as (lb, ub) arrays.
-When every component is compiled from an expression and the manifold gives
-the grid's features as arrays, it takes one array pass, ``bounds_on``:
+``path_grid`` is the one uniform grid over [0, 1], and ``path_bounds`` the
+one evaluator of a function on a path grid, the manifold's ``path_points``
+along the geodesic or the chord, as (lb, ub) arrays.  When every component
+is compiled from an expression and the manifold gives the grid's features
+as arrays (``path_features``), it takes one array pass, ``bounds_on``:
 each compiled closure (see ``expr``) over the features.  Any other
 function, a grid the manifold cannot give as arrays, and a closure that
 defers all go point by point instead, so the values, and any exception
@@ -131,24 +132,30 @@ class IvFn:
             self(p)
 
 
+def path_grid(grid: int, interior: bool = False) -> list:
+    """s = j / (grid - 1) for j = 0 .. grid - 1, without the ends if ``interior``."""
+    first, last = (1, grid - 1) if interior else (0, grid)
+    return [j / (grid - 1) for j in range(first, last)]
+
+
 def path_bounds(
     f: Union[RealFn, IvFn], p: Point, q: Point, svals: Sequence[float],
     path: str = "geodesic",
 ) -> tuple:
-    """f at the points of ``geodesic_points(p, q, svals)`` (``chord_points``
-    with ``path="chord"``) as (lb, ub) float64 arrays, a real v as [v, v]:
-    one ``bounds_on`` pass over the grid's features where the manifold gives
+    """f at the points of ``path_points(p, q, svals, path)``, path "geodesic"
+    or "chord", as (lb, ub) float64 arrays, a real v as [v, v]: one
+    ``bounds_on`` pass over the grid's features where the manifold gives
     them and f has an array form, else f point by point, raising at the
     first grid point that raises."""
+    if path not in ("geodesic", "chord"):
+        raise ValueError(f"unknown path kind {path!r}")
     m = p.manifold
-    features, points = ((m.geodesic_features, m.geodesic_points) if path == "geodesic"
-                        else (m.chord_features, m.chord_points))
     if len(svals) and q.manifold == m:
-        bounds = bounds_on(f, m, lambda: features(p, q, svals))
+        bounds = bounds_on(f, m, lambda: m.path_features(p, q, svals, path))
         if bounds is not None:
             return bounds
     lb, ub = np.empty(len(svals)), np.empty(len(svals))
-    for j, pt in enumerate(points(p, q, svals)):
+    for j, pt in enumerate(m.path_points(p, q, svals, path)):
         value = f(pt)
         lb[j], ub[j] = (value.lb, value.ub) if isinstance(value, Interval) else (value, value)
     return lb, ub

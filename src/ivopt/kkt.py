@@ -9,7 +9,8 @@ Three problem classes are supported, inferred from the value kinds:
 All verifiers run one pipeline, in this order:
 
 1. precheck -- multiplier count and signs, feasibility, and complementary
-   slackness against the active set;
+   slackness: a positive multiplier needs an active constraint whose value
+   it scales to within RESID_TOL of zero;
 2. convexity hypotheses at the candidate (reported, never gating) --
    proved by the curvature rules (``curvature``) where they decide, and
    sampled otherwise, with the same report either way;
@@ -56,6 +57,7 @@ from .calculus import (
     width_monotone_along,
 )
 from .convexity import (
+    MIN_DIST,
     DomainSampler,
     Proposals,
     ProposalStream,
@@ -218,15 +220,10 @@ def active_set(prob: Problem, p0: Point, tol: float = ACTIVE_TOL) -> tuple:
     return tuple(out)
 
 
-def direction_samples(
-    prob: Problem,
-    p0: Point,
-    n: int,
-    seed: int = 0,
-    min_dist: float = 1e-8,
-) -> List[TangentDirection]:
-    """Tangent directions from p0 toward n sampled distinct feasible points."""
-    stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed), min_dist)
+def direction_samples(prob: Problem, p0: Point, n: int, seed: int = 0) -> List[TangentDirection]:
+    """Tangent directions from p0 toward n sampled feasible points, each at
+    least MIN_DIST from p0."""
+    stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed), MIN_DIST)
     return [log_map(p0, q) for q in stream.points(n, apart_from=p0)]
 
 
@@ -471,7 +468,10 @@ class KktCertificate:
 
 
 def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
-    """Validate multipliers, feasibility, and structural slackness."""
+    """Validate multipliers and feasibility, and check complementary
+    slackness: a multiplier above SLACK_TOL needs an active constraint g
+    with mu * |g(p0)| <= RESID_TOL (an interval g by its Hausdorff distance
+    to [0, 0]), whatever tolerance made it active."""
     if len(mu) != len(prob.constraints):
         raise ConfigError(
             f"expected {len(prob.constraints)} multipliers, got {len(mu)}"
@@ -480,12 +480,17 @@ def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
         raise ConfigError("multipliers must be nonnegative")
     J = active_set(prob, p0, tol)
     for i, m in enumerate(mu):
-        if m > SLACK_TOL and i not in J:
-            reason = (
-                f"complementary slackness fails: multiplier for "
-                f"{prob.constraint_label(i)} is {m} but the constraint is inactive"
-            )
-            return J, reason
+        if m <= SLACK_TOL:
+            continue
+        label = prob.constraint_label(i)
+        if i not in J:
+            return J, (f"complementary slackness fails: multiplier for {label} "
+                       f"is {m} but the constraint is inactive")
+        value = prob.constraints[i](p0)
+        gap = hausdorff(value, ZERO) if isinstance(value, Interval) else abs(value)
+        if m * gap > RESID_TOL:
+            return J, (f"complementary slackness fails: multiplier for {label} "
+                       f"is {m} but {label} is {value} at the candidate")
     return J, None
 
 
@@ -632,7 +637,7 @@ def _verify(
     for fn, label in labelled:
         if isinstance(fn, IvFn):
             for k, x in enumerate(directions):
-                if not width_monotone_along(fn, p0.manifold.geodesic(p0, exp_map(p0, x))):
+                if not width_monotone_along(fn, p0, exp_map(p0, x)):
                     return gate(label, "along sampled geodesics", k, [])
 
     terms = [(tested, 1.0, "objective")]
@@ -820,7 +825,7 @@ def brute_force_improvement(
             for q in points:
                 outcome = compare(_as_interval(prob.objective(q)), v0, OrderRelation.MIN, 0.0)
                 if outcome is OrderOutcome.LESS or (
-                    strict and outcome is OrderOutcome.EQUAL and distance(p0, q) > 1e-8
+                    strict and outcome is OrderOutcome.EQUAL and distance(p0, q) > MIN_DIST
                 ):
                     return q
             continue
@@ -830,7 +835,7 @@ def brute_force_improvement(
         )
         # the first LESS, or with strict the first EQUAL at a distinct point
         for j in np.flatnonzero(less | (strict & ~greater)).tolist():
-            if less[j] or distance(p0, points[j]) > 1e-8:
+            if less[j] or distance(p0, points[j]) > MIN_DIST:
                 return points[j]
     return None
 

@@ -7,13 +7,14 @@
 * ``Spd(dim)`` -- symmetric positive definite matrices with the affine
   invariant metric g_p(X, Y) = tr(p^-1 X p^-1 Y).
 
-Points and tangents are immutable.  ``geodesic_features`` gives a geodesic
-grid's features as float64 arrays, entry j equal bit for bit to the features
-of the j-th ``geodesic_points`` point, and ``chord_features`` those of the
-``chord_points`` grid; both give None when a grid point is invalid, and the
-caller meets the error where that point raises it.  On ``Spd`` one Cholesky
-pencil per pair gives a grid's logdet and trace in closed form, with no
-matrix per grid point; its points memoise the same features, and one
+Points and tangents are immutable.  Every geometry walks two paths, the
+geodesic and the chord (ambient mixing; on the flat geometries the chord is
+the geodesic), through one seam: ``path_points`` gives a path grid's points
+lazily and ``path_features`` its features as float64 arrays, entry j equal
+bit for bit to the features of the j-th point, or None when a grid point is
+invalid; the caller meets the error where that point raises it.  On ``Spd``
+one Cholesky pencil per pair gives a grid's logdet and trace in closed form,
+with no matrix per grid point; its points memoise the same features, and one
 validity rule decides for points and arrays alike.
 """
 
@@ -122,19 +123,6 @@ class TangentDirection:
         return TangentDirection(self.base, _readonly(a * np.asarray(self.value)))
 
 
-@dataclass(frozen=True, eq=False)
-class Geodesic:
-    start: Point
-    end: Point
-
-    def __post_init__(self):
-        if self.start.manifold != self.end.manifold:
-            raise ManifoldMismatchError("geodesic endpoints live on different manifolds")
-
-    def at(self, s: float) -> Point:
-        return self.start.manifold.geodesic_point(self.start, self.end, s)
-
-
 class Manifold:
     """Common surface for the three geometries."""
 
@@ -149,36 +137,26 @@ class Manifold:
         raise NotImplementedError
 
     # -- geometry ------------------------------------------------------
-    def geodesic(self, p: Point, q: Point) -> Geodesic:
-        self._check(p)
-        self._check(q)
-        return Geodesic(p, q)
-
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
         raise NotImplementedError
-
-    def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
-        """Geodesic points at each s in svals, in order, produced lazily: a point
-        that fails validation raises when the caller reaches it."""
-        for s in svals:
-            yield self.geodesic_point(p, q, s)
-
-    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """Feature name -> array over the grid, or None if a point is invalid;
-        entry j equals ``features`` of the j-th point of ``geodesic_points``."""
-        return None
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         """Interpolation in ambient coordinates (straight-line mixing)."""
         raise NotImplementedError
 
-    def chord_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
-        """``geodesic_points`` for the points ``chord_point`` gives at svals."""
+    def path_points(self, p: Point, q: Point, svals: Sequence[float],
+                    path: str = "geodesic") -> Iterator[Point]:
+        """The points ``geodesic_point`` (``chord_point`` with path="chord")
+        gives at each s in svals, in order, produced lazily: a point that
+        fails validation raises when the caller reaches it."""
+        point = self.geodesic_point if path == "geodesic" else self.chord_point
         for s in svals:
-            yield self.chord_point(p, q, s)
+            yield point(p, q, s)
 
-    def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """``geodesic_features`` for the points ``chord_point`` gives at svals."""
+    def path_features(self, p: Point, q: Point, svals: Sequence[float],
+                      path: str = "geodesic") -> Optional[dict]:
+        """Feature name -> array over the grid, or None if a point is invalid;
+        entry j equals ``features`` of the j-th point of ``path_points``."""
         return None
 
     def log(self, p: Point, q: Point) -> TangentDirection:
@@ -255,7 +233,9 @@ class Euclidean(Manifold):
         self._check(q)
         return self.point(_mix(p.value, q.value, s))
 
-    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+    def path_features(self, p: Point, q: Point, svals: Sequence[float],
+                      path: str = "geodesic") -> Optional[dict]:
+        """A flat chord is the geodesic, so ``path`` is not read."""
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)[:, None]
@@ -266,8 +246,6 @@ class Euclidean(Manifold):
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
-
-    chord_features = geodesic_features
 
     def log(self, p: Point, q: Point) -> TangentDirection:
         self._check(p)
@@ -334,7 +312,9 @@ class Circle(Manifold):
         self._check(q)
         return self.point((1.0 - s) * p.value + s * q.value)
 
-    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
+    def path_features(self, p: Point, q: Point, svals: Sequence[float],
+                      path: str = "geodesic") -> Optional[dict]:
+        """A flat chord is the geodesic, so ``path`` is not read."""
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)
@@ -356,8 +336,6 @@ class Circle(Manifold):
 
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return self.geodesic_point(p, q, s)
-
-    chord_features = geodesic_features
 
     def log(self, p: Point, q: Point) -> TangentDirection:
         self._check(p)
@@ -479,7 +457,8 @@ class Spd(Manifold):
             ok = (eig > 0.0).all(axis=1) & np.isfinite(logdet) & np.isfinite(2.0 * trace)
         return b, eig, {"logdet": logdet, "trace": trace}, ok
 
-    def _points(self, p: Point, q: Point, svals: Sequence[float], path: str) -> Iterator[Point]:
+    def path_points(self, p: Point, q: Point, svals: Sequence[float],
+                    path: str = "geodesic") -> Iterator[Point]:
         """``_path``'s points in order, memoised; one breaking the rule raises there."""
         b, eig, features, ok = self._path(p, q, svals, path)
         with np.errstate(all="ignore"):  # a point that overflows is never handed out
@@ -495,16 +474,17 @@ class Spd(Manifold):
                 raise DomainError("matrix entries must be finite")
             yield self._memoised(values[j], logdets[j], traces[j])
 
-    def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
-        return next(self._points(p, q, (s,), "geodesic"))
-
-    def geodesic_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
-        return self._points(p, q, svals, "geodesic")
-
-    def geodesic_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """``geodesic_points``' features, or None when one breaks ``_path``'s rule."""
-        _, _, features, ok = self._path(p, q, svals, "geodesic")
+    def path_features(self, p: Point, q: Point, svals: Sequence[float],
+                      path: str = "geodesic") -> Optional[dict]:
+        """``path_points``' features, or None when one breaks ``_path``'s rule."""
+        _, _, features, ok = self._path(p, q, svals, path)
         return features if ok.all() else None
+
+    def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
+        return next(self.path_points(p, q, (s,)))
+
+    def chord_point(self, p: Point, q: Point, s: float) -> Point:
+        return next(self.path_points(p, q, (s,), "chord"))
 
     def _stack(self, raw: np.ndarray):
         """(sym, features) of a stack of matrices that all pass ``point``'s
@@ -534,17 +514,6 @@ class Spd(Manifold):
         pt = Point(self, value)
         object.__setattr__(pt, "_features", {"logdet": logdet, "trace": trace})
         return pt
-
-    def chord_point(self, p: Point, q: Point, s: float) -> Point:
-        return next(self._points(p, q, (s,), "chord"))
-
-    def chord_points(self, p: Point, q: Point, svals: Sequence[float]) -> Iterator[Point]:
-        return self._points(p, q, svals, "chord")
-
-    def chord_features(self, p: Point, q: Point, svals: Sequence[float]) -> Optional[dict]:
-        """The ``chord_point`` grid's features, or None when one breaks ``_path``'s rule."""
-        _, _, features, ok = self._path(p, q, svals, "chord")
-        return features if ok.all() else None
 
     def log(self, p: Point, q: Point) -> TangentDirection:
         b, vals = self._pencil(p, q)
@@ -622,11 +591,6 @@ class Spd(Manifold):
 
 
 # -- module-level operation surface -------------------------------------
-
-
-def geodesic_at(geod: Geodesic, s: float) -> Point:
-    """Point at parameter s along the geodesic (0 -> start, 1 -> end)."""
-    return geod.at(s)
 
 
 def log_map(p: Point, q: Point) -> TangentDirection:

@@ -193,26 +193,16 @@ class TestWidthMonotone:
     def test_constant_width_passes(self):
         f = builtin_iv("two_branch_objective")
         p0 = SPD2.point(I2)
-        geod = SPD2.geodesic(p0, SPD2.point(2.0 * I2))
-        assert width_monotone_along(f, geod)
+        assert width_monotone_along(f, p0, SPD2.point(2.0 * I2))
 
         zero = IvFn.from_expressions("theta", "0", CIRCLE)
-        geod = CIRCLE.geodesic(CIRCLE.point(0.5), CIRCLE.point(2.0))
-        assert width_monotone_along(zero, geod)
+        assert width_monotone_along(zero, CIRCLE.point(0.5), CIRCLE.point(2.0))
 
     def test_decreasing_width_detected(self):
         f = IvFn.from_expressions("0", "theta", CIRCLE)
-        geod = CIRCLE.geodesic(CIRCLE.point(HALF_PI), CIRCLE.point(0.0))
-        assert not width_monotone_along(f, geod)
+        assert not width_monotone_along(f, CIRCLE.point(HALF_PI), CIRCLE.point(0.0))
         # the reversed geodesic has increasing width
-        rev = CIRCLE.geodesic(CIRCLE.point(0.0), CIRCLE.point(HALF_PI))
-        assert width_monotone_along(f, rev)
-
-    def test_grid_validated(self):
-        f = IvFn.from_expressions("0", "1", CIRCLE)
-        geod = CIRCLE.geodesic(CIRCLE.point(0.0), CIRCLE.point(1.0))
-        with pytest.raises(ValueError):
-            width_monotone_along(f, geod, grid=1)
+        assert width_monotone_along(f, CIRCLE.point(0.0), CIRCLE.point(HALF_PI))
 
 
 class TestForwardDifferenceAgreement:

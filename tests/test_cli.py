@@ -282,6 +282,16 @@ class TestCheckKkt:
         assert captured.err == (
             f"error: active-set tolerance must be non-negative, got {float(value)}\n")
 
+    def test_a_large_active_set_tolerance_does_not_excuse_slackness(self, pstar_file, capsys):
+        # the tolerance makes g3 active at theta = 1, where g3 is about -1.69:
+        # the multiplier found for it fails complementary slackness
+        assert main(["check-kkt", "--problem", pstar_file, "--point", "1.0",
+                     "--tol", "1e9"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "Inconclusive: complementary slackness fails: multiplier for g3 is ")
+        assert "active set: g1,g2,g3\n" in out
+
     def test_feasible_point_when_the_file_candidate_is_outside_the_domain(
             self, tmp_path, capsys):
         path = tmp_path / "outside.json"

@@ -270,10 +270,9 @@ def _random_expression(rng: random.Random, names: tuple, depth: int) -> str:
 def _point_by_point(f, p, q, svals, path="geodesic"):
     """Bits of f's (lb, ub) at each path point, a real v as (v, v), up to the
     first exception, and that exception."""
-    along = p.manifold.geodesic_points if path == "geodesic" else p.manifold.chord_points
     got = []
     try:
-        for pt in along(p, q, svals):
+        for pt in p.manifold.path_points(p, q, svals, path):
             v = f(pt)
             got.append(tuple(float(x).hex() for x in (
                 (v.lb, v.ub) if isinstance(v, Interval) else (v, v))))
@@ -305,7 +304,6 @@ class TestPathBounds:
         rng = random.Random(str(manifold))
         np_rng = np.random.default_rng(rng.randrange(2**31))
         names = manifold.feature_names
-        along = manifold.geodesic_features if path == "geodesic" else manifold.chord_features
         array_path = 0
         for _ in range(60):
             f = RealFn.from_expression(_random_expression(rng, names, 4), manifold)
@@ -315,7 +313,7 @@ class TestPathBounds:
             assert _bounds(f, p, q, svals, path) == _expected(want), f.name
             if want[1] is None:
                 # every point evaluates, so the array path must not defer
-                assert f.compiled(along(p, q, svals)) is not None, f.name
+                assert f.compiled(manifold.path_features(p, q, svals, path)) is not None, f.name
                 array_path += 1
         assert array_path >= 20
 
@@ -368,18 +366,16 @@ class TestPathBounds:
             return 1.0 - pt.value
 
         f = IvFn(RealFn(CIRCLE, lambda pt: 0.0), RealFn(CIRCLE, width, name="opaque"))
-        assert not width_monotone_along(f, CIRCLE.geodesic(CIRCLE.point(0.0),
-                                                           CIRCLE.point(15 / 32)))
+        assert not width_monotone_along(f, CIRCLE.point(0.0), CIRCLE.point(15 / 32))
         with pytest.raises(DomainError, match="^width undefined from theta = 1/2$"):
-            width_monotone_along(f, CIRCLE.geodesic(CIRCLE.point(0.0), CIRCLE.point(1.0)))
+            width_monotone_along(f, CIRCLE.point(0.0), CIRCLE.point(1.0))
 
     @pytest.mark.parametrize("path", PATHS)
     def test_opaque_callables_run_point_by_point(self, monkeypatch, path):
         def no_arrays(*args):
             raise AssertionError("an opaque function must not ask for feature arrays")
 
-        monkeypatch.setattr(Circle, "geodesic_features", no_arrays)
-        monkeypatch.setattr(Circle, "chord_features", no_arrays)
+        monkeypatch.setattr(Circle, "path_features", no_arrays)
         seen = []
         opaque = RealFn(CIRCLE, lambda pt: seen.append(pt) or pt.value**2, name="opaque")
         p, q = CIRCLE.point(0.5), CIRCLE.point(2.0)
@@ -405,3 +401,10 @@ class TestPathBounds:
         f = RealFn.from_expression("theta", CIRCLE)
         lb, ub = path_bounds(f, CIRCLE.point(0.5), CIRCLE.point(1.0), [])
         assert lb.shape == ub.shape == (0,) and lb.dtype == np.float64
+
+    @pytest.mark.parametrize("svals", [[], [0.0, 0.5, 1.0]])
+    def test_unknown_path_is_refused(self, svals):
+        p, q = SPD2.point(I2), SPD2.point(np.diag([2.0, 3.0]))
+        for f in (RealFn.from_expression("logdet", SPD2), builtin_iv("two_branch_objective")):
+            with pytest.raises(ValueError, match="^unknown path kind 'geodesc'$"):
+                path_bounds(f, p, q, svals, "geodesc")

@@ -270,6 +270,25 @@ class TestVerifyP2:
         assert "g3" in cert.reason
         assert cert.residuals == ()
 
+    def test_slackness_is_checked_by_the_constraint_value(self):
+        # a huge active-set tolerance makes every constraint active at
+        # theta = 1, which is not optimal; g3 is about -1.69 there, so a
+        # multiplier on it fails complementary slackness
+        prob, p0 = PSTAR.problem, CIRCLE.point(1.0)
+        assert active_set(prob, p0, tol=1e9) == (0, 1, 2)
+        assert brute_force_improvement(prob, p0, n=200, seed=0) is not None
+        g3 = prob.constraints[2](p0)
+        directions = direction_samples(prob, p0, 12)
+        cert = verify_p2(prob, p0, (0.0, 0.0, 0.641989), directions, tol=1e9)
+        assert cert.verdict is KktVerdict.INCONCLUSIVE
+        assert cert.reason == ("complementary slackness fails: multiplier for g3 is "
+                               f"0.641989 but g3 is {g3} at the candidate")
+        assert cert.residuals == ()
+        # mu * |g3| within RESID_TOL passes the check
+        small = 0.5 * kkt.RESID_TOL / abs(g3)
+        cert = verify_p2(prob, p0, (0.0, 0.0, small), directions, tol=1e9)
+        assert "complementary slackness" not in cert.reason
+
     def test_multiplier_validation(self):
         with pytest.raises(ConfigError):
             verify_p2(PSTAR.problem, PSTAR.candidate, (0.0, 1.0),
@@ -489,6 +508,17 @@ class TestVerifyP4:
         with pytest.raises(ModeMismatchError):
             verify_p4(prob, p0, (1.0, 0.0, 0.0), directions,
                       mode=SplitMode.CENTER_CONSTANT)
+
+    def test_slackness_is_checked_by_the_hausdorff_distance(self):
+        # g1 = <theta - 3, 0.5> is [-1.5, -0.5] at theta = 2, 1.5 from [0, 0]
+        f = IvFn.from_expressions("(theta - 2)^2", "0.1", CIRCLE)
+        g1 = IvFn.from_expressions("theta - 3", "0.5", CIRCLE)
+        prob, p0 = Problem(CIRCLE, f, (g1,), circle_domain()), CIRCLE.point(2.0)
+        assert active_set(prob, p0, tol=2.0) == (0,)
+        cert = verify_p4(prob, p0, (1.0,), direction_samples(prob, p0, 4), tol=2.0)
+        assert cert.verdict is KktVerdict.INCONCLUSIVE
+        assert cert.reason == ("complementary slackness fails: multiplier for g1 is 1.0 "
+                               f"but g1 is {g1(p0)} at the candidate")
 
     def test_label_guard(self):
         with pytest.raises(ConfigError):

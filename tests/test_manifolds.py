@@ -6,23 +6,23 @@ import warnings
 import numpy as np
 import pytest
 
+from ivopt.calculus import width_monotone_along
 from ivopt.convexity import DomainSampler, Verdict, check_star_shaped
 from ivopt.errors import (
     DomainError,
     ManifoldMismatchError,
     NonPositiveDefiniteError,
 )
+from ivopt.functions import IvFn
 from ivopt.manifolds import (
     ANGLE_SLACK,
     TWO_PI,
     Circle,
     Euclidean,
-    Geodesic,
     Point,
     Spd,
     distance,
     exp_map,
-    geodesic_at,
     inner,
     log_map,
     sym_exp,
@@ -48,8 +48,8 @@ class TestEuclidean:
         p, q = E1.point([0.0]), E1.point([4.0])
         mid = E1.geodesic_point(p, q, 0.25)
         assert mid.value[0] == pytest.approx(1.0, abs=1e-15)
-        assert geodesic_at(Geodesic(p, q), 0.0).close_to(p)
-        assert geodesic_at(Geodesic(p, q), 1.0).close_to(q)
+        assert E1.geodesic_point(p, q, 0.0).close_to(p)
+        assert E1.geodesic_point(p, q, 1.0).close_to(q)
 
     def test_distance_pythagoras(self):
         assert distance(E2.point([0, 0]), E2.point([3, 4])) == pytest.approx(5.0)
@@ -262,7 +262,7 @@ class TestSpdGeodesicGrid:
             p, q = manifold.random_point(rng), manifold.random_point(rng)
             for n in (3, 9, 33):  # the full 3-point grid is s = 0, 0.5, 1
                 svals = _grid(n, interior)
-                points = list(manifold.geodesic_points(p, q, svals))
+                points = list(manifold.path_points(p, q, svals))
                 assert len(points) == len(svals)
                 for s, pt in zip(svals, points):
                     value, feats = _closed_form_point(manifold, p, q, s)
@@ -280,12 +280,12 @@ class TestSpdGeodesicGrid:
 
     def test_grid_points_are_read_only(self):
         p, q = SPD.point(I2), SPD.point(np.diag([2.0, 3.0]))
-        pt = next(SPD.geodesic_points(p, q, [0.5]))
+        pt = next(SPD.path_points(p, q, [0.5]))
         with pytest.raises(ValueError):
             pt.value[0, 0] = 1.0
 
     def test_empty_grid_builds_nothing(self):
-        assert list(SPD.geodesic_points(SPD.point(I2), SPD.point(2.0 * I2), [])) == []
+        assert list(SPD.path_points(SPD.point(I2), SPD.point(2.0 * I2), [])) == []
 
     # p = x I and q = y I with x = 3.7e307 and y = 1.5 * 2^1022, both valid
     # points: the grid point at s has trace 2 x (y/x)^s, and twice that trace
@@ -303,7 +303,7 @@ class TestSpdGeodesicGrid:
         assert str(expected.value) == "matrix entries must be finite"
         built = []
         with pytest.raises(DomainError) as got:
-            for pt in SPD.geodesic_points(p, q, self.SVALS):
+            for pt in SPD.path_points(p, q, self.SVALS):
                 built.append(pt)
         assert len(built) == self.FAIL_AT
         assert str(got.value) == str(expected.value)
@@ -335,29 +335,31 @@ class TestGeodesicFeatures:
         for _ in range(10):
             p, q = manifold.random_point(rng), manifold.random_point(rng)
             for svals in (_grid(2, False), _grid(9, True), _grid(33, False)):
-                arrays = manifold.geodesic_features(p, q, svals)
-                assert sorted(arrays) == sorted(manifold.feature_names)
-                for j, pt in enumerate(manifold.geodesic_points(p, q, svals)):
-                    for name, value in manifold.features(pt).items():
-                        assert float(arrays[name][j]).hex() == float(value).hex(), (name, j)
+                for path in ("geodesic", "chord"):
+                    arrays = manifold.path_features(p, q, svals, path)
+                    assert sorted(arrays) == sorted(manifold.feature_names)
+                    for j, pt in enumerate(manifold.path_points(p, q, svals, path)):
+                        for name, value in manifold.features(pt).items():
+                            assert float(arrays[name][j]).hex() == float(value).hex(), (
+                                path, name, j)
 
     @pytest.mark.parametrize("manifold", [S1, E2, Euclidean(3), Spd(1), SPD, Spd(3)], ids=str)
     def test_empty_grid_gives_empty_arrays(self, manifold):
         rng = np.random.default_rng(3)
         p, q = manifold.random_point(rng), manifold.random_point(rng)
-        for along in (manifold.geodesic_features, manifold.chord_features):
-            arrays = along(p, q, [])
+        for path in ("geodesic", "chord"):
+            arrays = manifold.path_features(p, q, [], path)
             assert sorted(arrays) == sorted(manifold.feature_names)
             assert all(a.shape == (0,) and a.dtype == float for a in arrays.values())
-        assert list(manifold.geodesic_points(p, q, [])) == []
+        assert list(manifold.path_points(p, q, [])) == []
 
     def test_circle_clamps_like_point_and_rejects_like_point(self):
         p, q = S1.point(0.0), S1.point(TWO_PI)
         svals = [-1e-11, 1.0 + 1e-11]  # inside ANGLE_SLACK of the chart ends
-        arrays = S1.geodesic_features(p, q, svals)
-        assert arrays["theta"].tolist() == [pt.value for pt in S1.geodesic_points(p, q, svals)]
+        arrays = S1.path_features(p, q, svals)
+        assert arrays["theta"].tolist() == [pt.value for pt in S1.path_points(p, q, svals)]
         assert arrays["theta"].tolist() == [0.0, TWO_PI]
-        assert S1.geodesic_features(p, q, [0.5, 1.5]) is None
+        assert S1.path_features(p, q, [0.5, 1.5]) is None
         with pytest.raises(DomainError):
             S1.geodesic_point(p, q, 1.5)
 
@@ -365,8 +367,8 @@ class TestGeodesicFeatures:
         p, q = E2.point([1e308, 0.0]), E2.point([-1e308, 0.0])
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            assert E2.geodesic_features(p, q, [0.0, 3.0]) is None
-            assert E2.chord_features(p, q, [0.0, 3.0]) is None
+            assert E2.path_features(p, q, [0.0, 3.0]) is None
+            assert E2.path_features(p, q, [0.0, 3.0], "chord") is None
         assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         with pytest.raises(DomainError):
             E2.geodesic_point(p, q, 3.0)
@@ -376,10 +378,10 @@ class TestGeodesicFeatures:
         p, q = SPD.point(grid.P_BIG), SPD.point(grid.Q_BIG)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert SPD.geodesic_features(p, q, grid.SVALS) is None
-            assert SPD.geodesic_features(p, q, grid.SVALS[grid.FAIL_AT:]) is None
-            arrays = SPD.geodesic_features(p, q, grid.SVALS[: grid.FAIL_AT])
-        points = SPD.geodesic_points(p, q, grid.SVALS[: grid.FAIL_AT])
+            assert SPD.path_features(p, q, grid.SVALS) is None
+            assert SPD.path_features(p, q, grid.SVALS[grid.FAIL_AT:]) is None
+            arrays = SPD.path_features(p, q, grid.SVALS[: grid.FAIL_AT])
+        points = SPD.path_points(p, q, grid.SVALS[: grid.FAIL_AT])
         assert [_hex(SPD.features(pt)) for pt in points] == [
             {name: float(arrays[name][j]).hex() for name in arrays} for j in range(grid.FAIL_AT)]
 
@@ -389,15 +391,15 @@ class TestGeodesicFeatures:
         # and 1: at s = 16, 2^-1264 underflows to 0 while logdet and trace stay
         # finite, so only the positivity of vals^s rules the point out
         p, q = SPD.point(np.diag([2.0**40, 1.0])), SPD.point(np.diag([2.0**-39, 1.0]))
-        assert SPD.geodesic_features(p, q, [0.0, 1.0, 8.0]) is not None
-        assert SPD.geodesic_features(p, q, [0.0, 1.0, 16.0]) is None
+        assert SPD.path_features(p, q, [0.0, 1.0, 8.0]) is not None
+        assert SPD.path_features(p, q, [0.0, 1.0, 16.0]) is None
         with pytest.raises(NonPositiveDefiniteError) as got:
-            list(SPD.geodesic_points(p, q, [0.0, 1.0, 16.0]))
+            list(SPD.path_points(p, q, [0.0, 1.0, 16.0]))
         assert str(got.value) == (
             "matrix is not positive definite (min eigenvalue 0.000e+00 relative to p)")
 
 class TestChordFeatures:
-    """``chord_features`` against its reference, ``chord_point`` + ``features``."""
+    """Chord ``path_features`` against its reference, ``chord_point`` + ``features``."""
 
     @pytest.mark.parametrize("manifold", [S1, E2, Euclidean(3), Spd(1), SPD, Spd(3)], ids=str)
     def test_arrays_match_chord_point_features_bitwise(self, manifold):
@@ -406,9 +408,10 @@ class TestChordFeatures:
             p, q = manifold.random_point(rng), manifold.random_point(rng)
             # full grids: 3 points are s = 0, 0.5, 1; 9 and 33 hold them too
             for svals in (_grid(3, False), _grid(9, False), _grid(33, False), _grid(9, True)):
-                arrays = manifold.chord_features(p, q, svals)
+                arrays = manifold.path_features(p, q, svals, "chord")
                 assert sorted(arrays) == sorted(manifold.feature_names)
-                for j, (s, pt) in enumerate(zip(svals, manifold.chord_points(p, q, svals))):
+                points = manifold.path_points(p, q, svals, "chord")
+                for j, (s, pt) in enumerate(zip(svals, points)):
                     single = manifold.chord_point(p, q, s)
                     assert np.asarray(pt.value).tobytes() == np.asarray(single.value).tobytes()
                     feats = manifold.features(single)
@@ -417,15 +420,26 @@ class TestChordFeatures:
                         assert float(arrays[name][j]).hex() == float(value).hex(), (name, s)
 
     def test_flat_chords_are_geodesics(self):
-        assert Circle.chord_features is Circle.geodesic_features
-        assert Euclidean.chord_features is Euclidean.geodesic_features
+        # the flat geometries' path_features do not read the path
+        rng = np.random.default_rng(7)
+        svals = _grid(33, False) + [-0.5, 1.5]  # beyond the ends, a circle grid fails
+        for manifold in (E2, Euclidean(3), S1):
+            for _ in range(10):
+                p, q = manifold.random_point(rng), manifold.random_point(rng)
+                geodesic, chord = (manifold.path_features(p, q, svals, path)
+                                   for path in ("geodesic", "chord"))
+                if geodesic is None:
+                    assert chord is None
+                else:
+                    assert {name: a.tobytes() for name, a in chord.items()} == {
+                        name: a.tobytes() for name, a in geodesic.items()}
 
     def test_spd_non_finite_chord_point_gives_none(self):
         p, q = SPD.point(np.diag([8e307, 1.0])), SPD.point(np.diag([8.5e307, 1.0]))
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
-            assert SPD.chord_features(p, q, [0.0, 3.0]) is None
+            assert SPD.path_features(p, q, [0.0, 0.5, 1.0], "chord") is not None
+            assert SPD.path_features(p, q, [0.0, 3.0], "chord") is None
         assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         with pytest.raises(DomainError, match="finite"):
             SPD.chord_point(p, q, 3.0)
@@ -443,10 +457,10 @@ class TestChordFeatures:
         # the chord point at s = 1.25 is diag(1e308, 1)
         p, q = SPD.point(I2), SPD.point(np.diag([8e307, 1.0]))
         f = IvFn.from_expressions("logdet", "trace", SPD)
-        assert SPD.chord_features(p, q, [0.0, 0.5, 1.0]) is not None
+        assert SPD.path_features(p, q, [0.0, 0.5, 1.0], "chord") is not None
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert SPD.chord_features(p, q, [0.0, 0.5, 1.25]) is None
+            assert SPD.path_features(p, q, [0.0, 0.5, 1.25], "chord") is None
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             path_bounds(f, p, q, [0.0, 0.5, 1.25], "chord")
 
@@ -459,9 +473,9 @@ class TestChordFeatures:
         from ivopt.functions import RealFn, path_bounds
 
         p, q = SPD.point(I2), SPD.point(np.diag([0.5, 1.0]))
-        assert SPD.chord_features(p, q, self.SVALS) is None
-        assert SPD.chord_features(p, q, self.SVALS[self.FAIL_AT:]) is None
-        assert SPD.chord_features(p, q, self.SVALS[: self.FAIL_AT]) is not None
+        assert SPD.path_features(p, q, self.SVALS, "chord") is None
+        assert SPD.path_features(p, q, self.SVALS[self.FAIL_AT:], "chord") is None
+        assert SPD.path_features(p, q, self.SVALS[: self.FAIL_AT], "chord") is not None
         with pytest.raises(NonPositiveDefiniteError) as expected:
             SPD.chord_point(p, q, self.SVALS[self.FAIL_AT])
         assert str(expected.value) == (
@@ -504,9 +518,8 @@ class TestSpdClosedForm:
                 big_p, big_q = mp.matrix(p.value.tolist()), mp.matrix(q.value.tolist())
                 half, inv_half = mp.powm(big_p, mp.mpf(1) / 2), mp.powm(big_p, -mp.mpf(1) / 2)
                 lam, vec = mp.eigsy(inv_half * big_q * inv_half)
-                for path, along in (("geodesic", manifold.geodesic_features),
-                                    ("chord", manifold.chord_features)):
-                    arrays = along(p, q, self.SVALS)
+                for path in ("geodesic", "chord"):
+                    arrays = manifold.path_features(p, q, self.SVALS, path)
                     for j, s in enumerate(self.SVALS):
                         if path == "geodesic":
                             power = mp.diag([lam[i] ** mp.mpf(s) for i in range(dim)])
@@ -531,7 +544,7 @@ class TestSpdClosedForm:
             _, vals = manifold._pencil(p, q)
             total = sum(np.log(vals).tolist())
             start = manifold.features(p)["logdet"]
-            arrays = manifold.geodesic_features(p, q, self.SVALS)
+            arrays = manifold.path_features(p, q, self.SVALS)
             for s, got in zip(self.SVALS, arrays["logdet"].tolist()):
                 exact = float(mp.mpf(start) + mp.mpf(s) * mp.mpf(total))
                 assert abs(got - exact) <= math.ulp(exact) + math.ulp(s * total)
@@ -546,8 +559,9 @@ class TestSpdClosedForm:
             rot = _random_orthogonal(rng, dim)
             p, q = manifold.random_point(rng), manifold.random_point(rng)
             p2, q2 = (manifold.point(rot @ x.value @ rot.T) for x in (p, q))
-            for along in (manifold.geodesic_features, manifold.chord_features):
-                arrays, turned = along(p, q, self.SVALS), along(p2, q2, self.SVALS)
+            for path in ("geodesic", "chord"):
+                arrays = manifold.path_features(p, q, self.SVALS, path)
+                turned = manifold.path_features(p2, q2, self.SVALS, path)
                 for name in manifold.feature_names:
                     assert np.allclose(turned[name], arrays[name], rtol=1e-13, atol=1e-13)
             for s in (0.25, 0.5, 1.5):
@@ -588,9 +602,8 @@ class TestRandomizedGeometry:
     @pytest.mark.parametrize("manifold", [E2, S1, SPD], ids=lambda m: m.name)
     def test_geodesic_endpoint_consistency(self, manifold):
         for p, q in self._pairs(manifold, 1000):
-            geod = manifold.geodesic(p, q)
-            assert distance(geod.at(0.0), p) <= 1e-10
-            assert distance(geod.at(1.0), q) <= 1e-10
+            assert distance(manifold.geodesic_point(p, q, 0.0), p) <= 1e-10
+            assert distance(manifold.geodesic_point(p, q, 1.0), q) <= 1e-10
 
     @pytest.mark.parametrize("manifold", [E2, S1, SPD], ids=lambda m: m.name)
     def test_exp_log_inversion(self, manifold):
@@ -636,8 +649,10 @@ class TestCrossManifoldSafety:
             inner(p, same, distant)
 
     def test_geodesic_mixed_endpoints_rejected(self):
-        with pytest.raises(ManifoldMismatchError):
-            Geodesic(S1.point(1.0), E1.point([1.0]))
+        f = IvFn.from_expressions("theta", "1", S1)
+        for p, q in ((S1.point(1.0), E1.point([1.0])), (E1.point([1.0]), S1.point(1.0))):
+            with pytest.raises(ManifoldMismatchError):
+                width_monotone_along(f, p, q)
 
     def test_value_equal_manifolds_interoperate(self):
         # structurally identical manifold objects compare equal, so points

@@ -26,7 +26,7 @@ def test_star_import_binds_the_public_names_only():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(bound) == public | {"__version__"}
-    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 96
+    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 94
 
 
 def test_no_submodule_is_exported():

@@ -322,13 +322,18 @@ def test_points_are_drawn_as_they_are_asked_for():
 def test_min_dist_rejections_count_toward_max_tries():
     prob = circle_problem("theta", "theta - 3")
     p0 = CIRCLE.point(1.0)
+
+    def apart(prob: Problem, n: int, seed: int, min_dist: float):
+        stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed), min_dist)
+        return lambda: list(stream.points(n, apart_from=p0))
+
     for seed in range(10):
         for min_dist in (0.5, 1.5):
-            assert outcome(lambda: direction_samples(prob, p0, 12, seed, min_dist)) == outcome(
-                lambda: direction_samples(scalar_only(prob), p0, 12, seed, min_dist))
+            assert outcome(apart(prob, 12, seed, min_dist)) == outcome(
+                apart(scalar_only(prob), 12, seed, min_dist))
     # every member within 2 of p0: the min_dist test alone exhausts the sampler
     near = circle_problem("theta", "theta - 3", hi=3.0)
-    assert outcome(lambda: direction_samples(near, p0, 1, 0, 5.0)) == (
+    assert outcome(apart(near, 1, 0, 5.0)) == (
         "raised", "SamplerExhaustedError",
         "sampler problem|feasible found no admissible point in 1000 proposals")
     # runs of min_dist rejections: 500, 999, then one that exhausts at 1000
