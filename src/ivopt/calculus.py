@@ -1,11 +1,15 @@
-"""Directional derivatives along geodesics via extrapolated one-sided quotients.
+"""One-sided directional derivatives along geodesics.
 
-The scalar path evaluates forward difference quotients on a geometric step
-ladder h0, h0/2, ... and applies Richardson extrapolation.  The interval
-path differentiates center and width separately and reassembles the
-derivative as an interval with halfwidth |width rate|; the center/width
-decomposition is only asserted when the width is non-decreasing along the
-geodesic near the base point.
+A real function built from an expression is differentiated exactly by its
+dual lane (``expr.compile_dual``) over the manifold's ``feature_rates``.
+Any other function (a builtin, a ``reduce_p4`` or ``linear_combination``
+closure, a user callable) has no expression, so forward difference
+quotients on a geometric step ladder h0, h0/2, ... are extrapolated by
+Richardson's rule (``DerivScheme``).  The interval path differentiates
+center and width separately and reassembles the derivative as an interval
+with halfwidth |width rate|; the center/width decomposition is only
+asserted when the width is non-decreasing on the step ladder near the base
+point.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotConvergedError
+from .errors import DomainError, ManifoldMismatchError, NotConvergedError
 from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval
 from .manifolds import Point, TangentDirection, exp_map
@@ -69,7 +73,18 @@ def dir_deriv(
     x: TangentDirection,
     scheme: DerivScheme = DEFAULT_SCHEME,
 ) -> float:
-    """One-sided directional derivative of a real function at p along x."""
+    """One-sided directional derivative of a real function at p along x: exact
+    from f's dual lane where f has one, else extrapolated on the ladder.
+    Where f(p) raises, both raise the same."""
+    if f.dual is not None:
+        m = f.manifold
+        try:
+            rates = m.feature_rates(p, x)
+        except (DomainError, ManifoldMismatchError):
+            f(p)
+            raise
+        values = m.features(p)
+        return f.dual({name: (values[name], rates[name]) for name in values})[1]
     f_p = f(p)
 
     def quotient(h: float) -> float:

@@ -41,7 +41,7 @@ from .calculus import DEFAULT_SCHEME, DerivScheme, dir_deriv, gh_dir_deriv, widt
 from .errors import SamplerExhaustedError
 from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval, compare_min_arrays, default_center_eps_arrays, gh_diff
-from .manifolds import Manifold, Point, distance, log_map
+from .manifolds import Manifold, Point, check_path, distance, log_map
 
 STRICT_MARGIN = 1e-10
 EQ_TOL = 1e-9
@@ -402,8 +402,7 @@ def check_convex(
     ``path="chord"`` replaces the geodesic with straight-line mixing in
     ambient coordinates, which probes ordinary convexity instead.
     """
-    if path not in ("geodesic", "chord"):
-        raise ValueError(f"unknown path kind {path!r}")
+    check_path(path)
     _check_sizes(grid, pairs=pairs)
     segments = _drawn_pairs(dom, pairs, seed, MIN_DIST if strict else 0.0)
     return _worst_on_segments(f, segments, grid, "strict" if strict else "convex", path=path)

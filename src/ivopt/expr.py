@@ -32,6 +32,14 @@ before their operator, so the first fault met is the one raised.
   differ by an ulp.  It defers, returning None, wherever the scalar lane
   could raise at some entry; a caller that gets None evaluates point by
   point and meets the exception there.
+- The dual lane (``compile_dual``) maps feature (value, rate) pairs to the
+  expression's (value, one-sided rate) by forward-mode differentiation;
+  constants stay plain floats.  The value half applies the scalar lane's
+  ops, so it raises what the scalar lane raises.  In the rate half abs at
+  0 has rate |du|, and ``DomainError`` is raised where the rate is not
+  finite from the right: ``sqrt`` at 0 and ``u^v`` at u = 0 with v < 1,
+  each with du != 0, and ``u^v`` with dv != 0 and u <= 0.  A non-finite
+  rate raises ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -227,6 +235,33 @@ def compile_scalar(node: Node) -> Callable[[dict], float]:
     return run
 
 
+class _RateFault(Exception):
+    """Raised inside a dual-lane closure where a rate is not finite from the right."""
+
+
+def compile_dual(node: Node, scalar: Callable[[dict], float]) -> Callable[[dict], tuple]:
+    """The dual lane of ``node`` (module docstring), compiled on its first call.
+    A rate fault raises once ``scalar``, the node's scalar lane, has evaluated
+    the values without a fault of its own."""
+    body = [node]  # the tree until the first call, then its closure
+
+    def run(features: dict) -> tuple:
+        if not callable(body[0]):
+            body[0] = _compile(body[0], _DUAL_OPS, _DUAL_CALLS)
+        try:
+            out = body[0](features)
+        except _RateFault as fault:
+            scalar({name: pair[0] for name, pair in features.items()})
+            raise DomainError(*fault.args) from None
+        value, rate = out if out.__class__ is tuple else (out, 0.0)  # a constant
+        for what, x in (("expression", value), ("expression's rate", rate)):
+            if not math.isfinite(x):
+                raise NonFiniteError(f"{what} evaluated to {x}")
+        return value, rate
+
+    return run
+
+
 class _Defer(Exception):
     """Raised inside an array-lane closure where the scalar lane could raise."""
 
@@ -264,8 +299,8 @@ def _compile(node: Node, ops: dict, calls: dict):
 
         return lookup
     if isinstance(node, Neg):
-        operand = _compile(node.operand, ops, calls)
-        return lambda features: -operand(features)
+        operand, neg = _compile(node.operand, ops, calls), ops["neg"]
+        return lambda features: neg(operand(features))
     if isinstance(node, Call):
         arg = _compile(node.args[0], ops, calls)
         apply = calls.get(node.fn) or _fails(UnknownFunctionError, node.fn, 0)
@@ -352,6 +387,70 @@ _SCALAR_CALLS = {name: _named_overflow(name, fn)
                  for name, fn in {**_MATH, "ln": _ln, "sqrt": _sqrt}.items()}
 _ARRAY_CALLS = {name: partial(_entrywise, fn) for name, fn in _MATH.items()}
 _SCALAR_CALLS["abs"] = _ARRAY_CALLS["abs"] = abs
+_SCALAR_OPS["neg"] = _ARRAY_OPS["neg"] = operator.neg
+
+
+def _dual_binary(value_op, rate):
+    """A dual-lane operator: value_op on the values, then rate(value, u, du, w, dw)."""
+    def op(a, b):
+        if a.__class__ is not tuple and b.__class__ is not tuple:
+            return value_op(a, b)
+        u, du = a if a.__class__ is tuple else (a, 0.0)
+        w, dw = b if b.__class__ is tuple else (b, 0.0)
+        value = value_op(u, w)
+        return value, rate(value, u, du, w, dw)
+
+    return op
+
+
+def _dual_unary(value_fn, rate):
+    """A dual-lane function: value_fn on the value, then rate(value, u, du)."""
+    def apply(a):
+        if a.__class__ is not tuple:
+            return value_fn(a)
+        value = value_fn(a[0])
+        return value, rate(value, *a)
+
+    return apply
+
+
+def _power_rate(v, u, du, w, dw):
+    if dw != 0.0:
+        if u <= 0.0:
+            raise _RateFault(f"{u} ^ {w} has no rate where the exponent moves "
+                             "and the base is not positive")
+        return v * (dw * math.log(u) + w * du / u)
+    if du == 0.0 or w == 0.0:
+        return 0.0
+    if u != 0.0:
+        return w * (v / u) * du
+    if w < 1.0:
+        raise _RateFault(f"0 ^ {w} has no finite rate where the base moves")
+    return du if w == 1.0 else 0.0
+
+
+def _sqrt_rate(v, u, du):
+    if v == 0.0 and du != 0.0:
+        raise _RateFault("sqrt at 0 has no finite rate where its argument moves")
+    return du / (2.0 * v) if du != 0.0 else 0.0
+
+
+_DUAL_OPS = {name: _dual_binary(_SCALAR_OPS[name], rate) for name, rate in {
+    "+": lambda v, u, du, w, dw: du + dw,
+    "-": lambda v, u, du, w, dw: du - dw,
+    "*": lambda v, u, du, w, dw: du * w + u * dw,
+    "/": lambda v, u, du, w, dw: (du - v * dw) / w,
+    "^": _power_rate,
+}.items()}
+_DUAL_OPS["neg"] = _dual_unary(operator.neg, lambda v, u, du: -du)
+_DUAL_CALLS = {name: _dual_unary(_SCALAR_CALLS[name], rate) for name, rate in {
+    "ln": lambda v, u, du: du / u,
+    "exp": lambda v, u, du: v * du,
+    "sin": lambda v, u, du: math.cos(u) * du,
+    "cos": lambda v, u, du: -math.sin(u) * du,
+    "sqrt": _sqrt_rate,
+    "abs": lambda v, u, du: du if u > 0.0 else -du if u < 0.0 else abs(du),
+}.items()}
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

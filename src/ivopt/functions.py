@@ -63,6 +63,9 @@ class RealFn:
     # fn's shape along geodesics (``curvature.geodesic_shape``), for functions
     # built from an expression; unknown for any other callable
     shape: Shape = UNKNOWN_SHAPE
+    # fn's dual lane over a dict of feature (value, rate) pairs
+    # (``expr.compile_dual``), for functions built from an expression
+    dual: Optional[Callable[[dict], tuple]] = None
 
     def __call__(self, p: Point) -> float:
         if p.manifold != self.manifold:
@@ -86,7 +89,8 @@ class RealFn:
         scalar = expr_mod.compile_scalar(tree)
         return cls(manifold, lambda p: scalar(manifold.features(p)),
                    name if name is not None else text, expr_mod.compile_node(tree),
-                   curvature_mod.geodesic_shape(tree, manifold))
+                   curvature_mod.geodesic_shape(tree, manifold),
+                   expr_mod.compile_dual(tree, scalar))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +151,6 @@ def path_bounds(
     ``bounds_on`` pass over the grid's features where the manifold gives
     them and f has an array form, else f point by point, raising at the
     first grid point that raises."""
-    if path not in ("geodesic", "chord"):
-        raise ValueError(f"unknown path kind {path!r}")
     m = p.manifold
     if len(svals) and q.manifold == m:
         bounds = bounds_on(f, m, lambda: m.path_features(p, q, svals, path))

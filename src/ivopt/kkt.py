@@ -133,15 +133,7 @@ class Problem:
         return not self.feasibility_violations(p)
 
     def feasibility_violations(self, p: Point) -> list:
-        out = []
-        for i, g in enumerate(self.constraints):
-            value = g(p)
-            if isinstance(value, Interval):
-                if not leq_min(value, ZERO):
-                    out.append((i, value))
-            elif value > FEAS_TOL:
-                out.append((i, value))
-        return out
+        return _violations([g(p) for g in self.constraints])
 
     def feasible_sampler(self) -> DomainSampler:
         """The domain sampler restricted to feasible points.
@@ -199,25 +191,33 @@ class Problem:
         return out
 
 
+def _violations(values: list) -> list:
+    """(index, value) of each constraint value that is infeasible."""
+    return [(i, value) for i, value in enumerate(values)
+            if (not leq_min(value, ZERO) if isinstance(value, Interval) else value > FEAS_TOL)]
+
+
+def _gap(value: Union[float, Interval]) -> float:
+    """A constraint value's distance to zero, an interval's by Hausdorff distance."""
+    return hausdorff(value, ZERO) if isinstance(value, Interval) else abs(value)
+
+
 def active_set(prob: Problem, p0: Point, tol: float = ACTIVE_TOL) -> tuple:
     """Indices of constraints binding at p0 (0-based; reports label them g1..)."""
+    return _constraints_at(prob, p0, tol)[1]
+
+
+def _constraints_at(prob: Problem, p0: Point, tol: float) -> tuple:
+    """(values, active set) at p0, each constraint evaluated once, in order;
+    an infeasible p0 raises InfeasibleCandidateError."""
     if not tol >= 0.0:
         raise ConfigError(f"active-set tolerance must be non-negative, got {tol}")
-    bad = prob.feasibility_violations(p0)
+    values = [g(p0) for g in prob.constraints]
+    bad = _violations(values)
     if bad:
-        detail = ", ".join(
-            f"{prob.constraint_label(i)}={v}" for i, v in bad
-        )
+        detail = ", ".join(f"{prob.constraint_label(i)}={v}" for i, v in bad)
         raise InfeasibleCandidateError(f"candidate violates: {detail}")
-    out = []
-    for i, g in enumerate(prob.constraints):
-        value = g(p0)
-        if isinstance(value, Interval):
-            if hausdorff(value, ZERO) <= tol:
-                out.append(i)
-        elif abs(value) <= tol:
-            out.append(i)
-    return tuple(out)
+    return values, tuple(i for i, value in enumerate(values) if _gap(value) <= tol)
 
 
 def direction_samples(prob: Problem, p0: Point, n: int, seed: int = 0) -> List[TangentDirection]:
@@ -478,7 +478,7 @@ def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
         )
     if any(m < 0.0 for m in mu):
         raise ConfigError("multipliers must be nonnegative")
-    J = active_set(prob, p0, tol)
+    values, J = _constraints_at(prob, p0, tol)
     for i, m in enumerate(mu):
         if m <= SLACK_TOL:
             continue
@@ -486,11 +486,9 @@ def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
         if i not in J:
             return J, (f"complementary slackness fails: multiplier for {label} "
                        f"is {m} but the constraint is inactive")
-        value = prob.constraints[i](p0)
-        gap = hausdorff(value, ZERO) if isinstance(value, Interval) else abs(value)
-        if m * gap > RESID_TOL:
+        if m * _gap(values[i]) > RESID_TOL:
             return J, (f"complementary slackness fails: multiplier for {label} "
-                       f"is {m} but {label} is {value} at the candidate")
+                       f"is {m} but {label} is {values[i]} at the candidate")
     return J, None
 
 

@@ -15,13 +15,16 @@ bit for bit to the features of the j-th point, or None when a grid point is
 invalid; the caller meets the error where that point raises it.  On ``Spd``
 one Cholesky pencil per pair gives a grid's logdet and trace in closed form,
 with no matrix per grid point; its points memoise the same features, and one
-validity rule decides for points and arrays alike.
+validity rule decides for points and arrays alike.  Every walk first refuses
+an unknown path kind (``check_path``).  ``feature_rates`` gives the features'
+one-sided rates along exp_p(s x) at s = 0, for the dual lane of ``expr``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -33,6 +36,12 @@ EIG_FLOOR = 1e-12
 ANGLE_SLACK = 1e-9
 CLOSE_TOL = 1e-9  # Point.close_to
 TWO_PI = 2.0 * math.pi
+
+
+def check_path(path: str) -> None:
+    """Refuse a path kind other than "geodesic" and "chord"."""
+    if path not in ("geodesic", "chord"):
+        raise ValueError(f"unknown path kind {path!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -149,6 +158,7 @@ class Manifold:
         """The points ``geodesic_point`` (``chord_point`` with path="chord")
         gives at each s in svals, in order, produced lazily: a point that
         fails validation raises when the caller reaches it."""
+        check_path(path)
         point = self.geodesic_point if path == "geodesic" else self.chord_point
         for s in svals:
             yield point(p, q, s)
@@ -157,6 +167,7 @@ class Manifold:
                       path: str = "geodesic") -> Optional[dict]:
         """Feature name -> array over the grid, or None if a point is invalid;
         entry j equals ``features`` of the j-th point of ``path_points``."""
+        check_path(path)
         return None
 
     def log(self, p: Point, q: Point) -> TangentDirection:
@@ -172,6 +183,10 @@ class Manifold:
         raise NotImplementedError
 
     def features(self, p: Point) -> dict:
+        raise NotImplementedError
+
+    def feature_rates(self, p: Point, x: TangentDirection) -> dict:
+        """Feature name -> its one-sided rate d/ds at s = 0 along exp_p(s x)."""
         raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
@@ -209,7 +224,7 @@ class Euclidean(Manifold):
     def name(self) -> str:
         return f"Euclidean({self.dim})"
 
-    @property
+    @cached_property
     def feature_names(self) -> tuple:
         return tuple(f"x{i + 1}" for i in range(self.dim))
 
@@ -235,7 +250,8 @@ class Euclidean(Manifold):
 
     def path_features(self, p: Point, q: Point, svals: Sequence[float],
                       path: str = "geodesic") -> Optional[dict]:
-        """A flat chord is the geodesic, so ``path`` is not read."""
+        """A flat chord is the geodesic, so ``path`` is only checked."""
+        check_path(path)
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)[:, None]
@@ -268,7 +284,11 @@ class Euclidean(Manifold):
 
     def features(self, p: Point) -> dict:
         self._check(p)
-        return {f"x{i + 1}": float(v) for i, v in enumerate(p.value)}
+        return dict(zip(self.feature_names, p.value.tolist()))
+
+    def feature_rates(self, p: Point, x: TangentDirection) -> dict:
+        self._check_tangent(p, x)
+        return dict(zip(self.feature_names, x.value.tolist()))
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
         return self.point(rng.normal(0.0, scale, size=self.dim))
@@ -314,7 +334,8 @@ class Circle(Manifold):
 
     def path_features(self, p: Point, q: Point, svals: Sequence[float],
                       path: str = "geodesic") -> Optional[dict]:
-        """A flat chord is the geodesic, so ``path`` is not read."""
+        """A flat chord is the geodesic, so ``path`` is only checked."""
+        check_path(path)
         self._check(p)
         self._check(q)
         s = np.asarray(svals, dtype=float)
@@ -359,6 +380,14 @@ class Circle(Manifold):
     def features(self, p: Point) -> dict:
         self._check(p)
         return {"theta": p.value}
+
+    def feature_rates(self, p: Point, x: TangentDirection) -> dict:
+        """theta' = x; a geodesic that leaves the chart at once has no rate."""
+        self._check_tangent(p, x)
+        if (p.value == 0.0 and x.value < 0.0) or (p.value == TWO_PI and x.value > 0.0):
+            raise DomainError(f"the geodesic from angle {p.value} along {x.value} "
+                              "leaves the chart at once")
+        return {"theta": x.value}
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
         return self.point(rng.uniform(0.0, TWO_PI))
@@ -440,6 +469,7 @@ class Spd(Manifold):
         the chord, so logdet = logdet p + sum(log eig[j]) and trace = sum(|b_i|^2
         eig[j, i]), on the chord (1 - s) tr p + s tr q.  ok is the validity rule:
         eig[j] > 0, logdet and 2 trace finite (|entry| <= trace: no overflow)."""
+        check_path(path)
         b, vals = self._pencil(p, q)
         start = self.features(p)
         s = np.asarray(svals, dtype=float)
@@ -547,6 +577,12 @@ class Spd(Manifold):
             feats = {"logdet": float(logdet), "trace": float(np.trace(p.value))}
             object.__setattr__(p, "_features", feats)
         return dict(p._features)
+
+    def feature_rates(self, p: Point, x: TangentDirection) -> dict:
+        """logdet' = tr(p^-1 X) = tr(L^-1 X L^-T) with p = L L^T, trace' = tr X."""
+        self._check_tangent(p, x)
+        inv = np.linalg.inv(_cholesky(p.value))
+        return {"logdet": float(np.sum((inv @ x.value) * inv)), "trace": float(np.trace(x.value))}
 
     def random_point(self, rng: np.random.Generator, scale: float = 0.7) -> Point:
         return self.random_points(rng, 1, scale)[1](0)

@@ -215,6 +215,20 @@ class TestCheckKkt:
         assert len(payload["found_mu"]) == 3
         assert payload["found_mu"][2] == 0.0
 
+    @pytest.mark.parametrize("scale", ["1", "1e2", "1e4"])
+    def test_scaled_spd_barrier_optimum_at_every_scale(self, scale, tmp_path, capsys):
+        # minimise a*(trace - 3*logdet) subject to logdet <= 1: e^(1/2) I is
+        # the closed-form optimum; the step ladder did not settle at a = 1e4
+        half = math.exp(0.5)
+        cfg = {"manifold": {"kind": "spd", "dim": 2},
+               "objective": {"real": f"{scale}*(trace - 3*logdet)"},
+               "constraints": [{"real": "logdet - 1"}],
+               "candidate": [[half, 0.0], [0.0, half]], "options": {"seed": 3}}
+        path = tmp_path / "barrier.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["check-kkt", "--problem", str(path), "--find-mu", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "StrictOptimal"
+
     def test_interior_point_is_inconclusive(self, pstar_file, capsys):
         rc = main(["check-kkt", "--problem", pstar_file, "--point", "0.3",
                    "--directions", "8", "--seed", "0"])

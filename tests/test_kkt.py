@@ -173,6 +173,44 @@ class TestActiveSet:
             active_set(PSTAR.problem, CIRCLE.point(2.0))
         assert "g1" in str(info.value)
 
+    @staticmethod
+    def counted(prob, p0, fault=None):
+        """prob with each constraint counting its evaluations at p0; constraint
+        ``fault`` raises there, and so does the one after it."""
+        counts = [0] * len(prob.constraints)
+
+        def wrap(i, g):
+            def fn(p):
+                if p is p0:
+                    counts[i] += 1
+                    if fault is not None and i >= fault:
+                        raise ZeroDivisionError(f"g{i + 1}")
+                return g(p)
+            return RealFn(g.manifold, fn, name=g.name)
+
+        constraints = [wrap(i, g) for i, g in enumerate(prob.constraints)]
+        return Problem(prob.manifold, prob.objective, constraints, prob.domain), counts
+
+    def test_each_constraint_is_evaluated_once_at_the_candidate(self):
+        prob, counts = self.counted(PSTAR.problem, PSTAR.candidate)
+        assert active_set(prob, PSTAR.candidate) == (0, 1)
+        assert counts == [1, 1, 1]
+        counts[:] = [0, 0, 0]
+        # the verifiers' precheck: the active set and complementary slackness
+        assert kkt._precheck(prob, PSTAR.candidate, (0.0, 1.0, 0.0), 1e-8) == ((0, 1), None)
+        assert counts == [1, 1, 1]
+
+    def test_a_raising_constraint_raises_first_in_order(self):
+        prob, counts = self.counted(PSTAR.problem, PSTAR.candidate, fault=1)
+        for call in (lambda: active_set(prob, PSTAR.candidate),
+                     lambda: kkt._precheck(prob, PSTAR.candidate, (0.0, 1.0, 0.0), 1e-8),
+                     lambda: verify_p2(prob, PSTAR.candidate, (0.0, 1.0, 0.0),
+                                       pstar_directions(4))):
+            counts[:] = [0, 0, 0]
+            with pytest.raises(ZeroDivisionError, match="^g2$"):
+                call()
+            assert counts == [1, 1, 0]
+
 
 class TestDirectionSamples:
     def test_deterministic_under_seed(self):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from ivopt.calculus import width_monotone_along
-from ivopt.convexity import DomainSampler, Verdict, check_star_shaped
+from ivopt.convexity import DomainSampler, Verdict, check_convex, check_star_shaped
 from ivopt.errors import (
     DomainError,
     ManifoldMismatchError,
     NonPositiveDefiniteError,
 )
-from ivopt.functions import IvFn
+from ivopt.functions import IvFn, RealFn
 from ivopt.manifolds import (
     ANGLE_SLACK,
     TWO_PI,
@@ -670,3 +670,38 @@ class TestCrossManifoldSafety:
         assert S1.point(1.5).to_json() == {"theta": 1.5}
         assert E2.point([1.0, 2.0]).to_json() == [1.0, 2.0]
         assert SPD.point(2.0 * I2).to_json() == [[2.0, 0.0], [0.0, 2.0]]
+
+
+class TestPathKind:
+    """Every walk of a path grid refuses a path kind other than the two."""
+
+    ENDS = {"euclidean": (E2, [0.0, 1.0], [1.0, 2.0]), "circle": (S1, 1.0, 2.0),
+            "spd": (SPD, I2, np.diag([2.0, 3.0]))}
+
+    @pytest.mark.parametrize("name", sorted(ENDS))
+    def test_unknown_path_is_refused(self, name):
+        manifold, a, b = self.ENDS[name]
+        p, q = manifold.point(a), manifold.point(b)
+        for path in ("geodesc", "nonsense", "Chord", ""):
+            message = f"^unknown path kind {path!r}$"
+            with pytest.raises(ValueError, match=message):
+                manifold.path_features(p, q, [0.5], path)
+            with pytest.raises(ValueError, match=message):
+                list(manifold.path_points(p, q, [0.5], path))
+            with pytest.raises(ValueError, match=message):
+                list(manifold.path_points(p, q, [], path))
+        for path in ("geodesic", "chord"):
+            assert len(list(manifold.path_points(p, q, [0.0, 0.5], path))) == 2
+            assert manifold.path_features(p, q, [0.0, 0.5], path) is not None
+
+    @pytest.mark.parametrize("name", sorted(ENDS))
+    def test_check_convex_refuses_before_any_draw(self, name):
+        manifold = self.ENDS[name][0]
+
+        def sample(rng):
+            raise AssertionError("a point was drawn")
+
+        dom = DomainSampler(membership=lambda p: True, sample=sample)
+        f = RealFn.from_expression(manifold.feature_names[0], manifold)
+        with pytest.raises(ValueError, match="^unknown path kind 'geodesc'$"):
+            check_convex(f, dom, pairs=2, grid=3, path="geodesc")

@@ -495,10 +495,11 @@ def test_huge_spd_scales_raise_without_a_warning(scale):
 
 
 def opaque(f):
-    """f behind a plain callable: no array form, evaluated point by point."""
+    """f behind a plain callable: no array form, evaluated point by point; its
+    dual lane is kept, so its derivatives are f's."""
     if isinstance(f, IvFn):
         return IvFn(opaque(f.center), opaque(f.width), name=f.name)
-    return RealFn(f.manifold, lambda p: f(p), name=f.name)
+    return RealFn(f.manifold, lambda p: f(p), name=f.name, dual=f.dual)
 
 
 E2 = Euclidean(2)
