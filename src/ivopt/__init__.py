@@ -10,14 +10,7 @@ sufficient optimality conditions with multiplier search.
 
 from types import ModuleType as _ModuleType
 
-from .calculus import (
-    DEFAULT_SCHEME,
-    DerivScheme,
-    GhDerivative,
-    dir_deriv,
-    gh_dir_deriv,
-    width_monotone_along,
-)
+from .calculus import GhDerivative, dir_deriv, gh_dir_deriv, width_monotone_along
 from .convexity import (
     ConvexityReport,
     Counterexample,

@@ -2,19 +2,18 @@
 
 A real function built from an expression is differentiated exactly by its
 dual lane (``expr.compile_dual``) over the manifold's ``feature_rates``.
-Any other function (a builtin, a ``reduce_p4`` or ``linear_combination``
-closure, a user callable) has no expression, so forward difference
-quotients on a geometric step ladder h0, h0/2, ... are extrapolated by
-Richardson's rule (``DerivScheme``).  The interval path differentiates
-center and width separately and reassembles the derivative as an interval
-with halfwidth |width rate|; the center/width decomposition is only
-asserted when the width is non-decreasing on the step ladder near the base
-point.
+Any other function (a builtin, a ``linear_combination`` closure or one of
+``reduce_p4`` without ``pfix``, a user callable) has no expression, so
+forward difference quotients on the step ladder LADDER_H0, LADDER_H0/2, ...
+are extrapolated by Richardson's rule until two estimates agree within
+LADDER_TOL.  The interval path differentiates center and width separately
+and reassembles the derivative as an interval with halfwidth |width rate|;
+the center/width decomposition is only asserted when the width's one-sided
+rate is non-negative (within MONOTONE_SLACK).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ManifoldMismatchError, NotConvergedError
@@ -25,32 +24,17 @@ from .manifolds import Point, TangentDirection, exp_map
 MONOTONE_SLACK = 1e-10
 WIDTH_GRID = 33  # points of the width gate's uniform grid over [0, 1]
 RICH_ORDER = 2  # deepest Richardson extrapolant of the step ladder
+LADDER_H0 = 1e-2  # first step of the ladder; each level halves it
+LADDER_LEVELS = 6
+LADDER_TOL = 1e-6  # agreement of consecutive estimates that ends the ladder
 
 
-@dataclass(frozen=True)
-class DerivScheme:
-    h0: float = 1e-2
-    levels: int = 6
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("h0", "tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite positive number, got {value}")
-        if self.levels < 2:
-            raise ValueError("at least two ladder levels are required")
-
-
-DEFAULT_SCHEME = DerivScheme()
-
-
-def _extrapolated_limit(quotient, scheme: DerivScheme, what: str) -> float:
+def _extrapolated_limit(quotient, what: str) -> float:
     """Run the Neville tableau over the step ladder until estimates settle."""
     rows = []  # rows[k][j]: depth-j extrapolant at level k
     last = None
-    for k in range(scheme.levels):
-        h = scheme.h0 * 0.5**k
+    for k in range(LADDER_LEVELS):
+        h = LADDER_H0 * 0.5**k
         row = [quotient(h)]
         depth = min(k, RICH_ORDER)
         for j in range(1, depth + 1):
@@ -58,21 +42,16 @@ def _extrapolated_limit(quotient, scheme: DerivScheme, what: str) -> float:
             row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))
         rows.append(row)
         estimate = row[-1]
-        if last is not None and abs(estimate - last) <= scheme.tol:
+        if last is not None and abs(estimate - last) <= LADDER_TOL:
             return estimate
         last = estimate
     raise NotConvergedError(
-        f"{what}: ladder estimates did not settle within {scheme.tol} "
-        f"after {scheme.levels} levels (last gap {abs(rows[-1][-1] - rows[-2][-1]):.3e})"
+        f"{what}: ladder estimates did not settle within {LADDER_TOL} "
+        f"after {LADDER_LEVELS} levels (last gap {abs(rows[-1][-1] - rows[-2][-1]):.3e})"
     )
 
 
-def dir_deriv(
-    f: RealFn,
-    p: Point,
-    x: TangentDirection,
-    scheme: DerivScheme = DEFAULT_SCHEME,
-) -> float:
+def dir_deriv(f: RealFn, p: Point, x: TangentDirection) -> float:
     """One-sided directional derivative of a real function at p along x: exact
     from f's dual lane where f has one, else extrapolated on the ladder.
     Where f(p) raises, both raise the same."""
@@ -90,7 +69,7 @@ def dir_deriv(
     def quotient(h: float) -> float:
         return (f(exp_map(p, x, h)) - f_p) / h
 
-    return _extrapolated_limit(quotient, scheme, f.name or "dir_deriv")
+    return _extrapolated_limit(quotient, f.name or "dir_deriv")
 
 
 @dataclass(frozen=True)
@@ -109,33 +88,21 @@ class GhDerivative:
         }
 
 
-def gh_dir_deriv(
-    f: IvFn,
-    p: Point,
-    x: TangentDirection,
-    scheme: DerivScheme = DEFAULT_SCHEME,
-) -> GhDerivative:
+def gh_dir_deriv(f: IvFn, p: Point, x: TangentDirection) -> GhDerivative:
     """Interval directional derivative at p along x.
 
-    The returned value is <center rate, |width rate|>.  When the width is
-    non-decreasing on the sampled step ladder the pair (center rate,
-    width rate) is the valid center/width decomposition; otherwise the
-    flag is lowered and only the assembled interval limit is meaningful.
+    The returned value is <center rate, |width rate|>.  When the width's
+    one-sided rate is non-negative the pair (center rate, width rate) is the
+    valid center/width decomposition; otherwise the flag is lowered and only
+    the assembled interval limit is meaningful.
     """
-    dc = dir_deriv(f.center, p, x, scheme)
-    dw = dir_deriv(f.width, p, x, scheme)
-
-    widths = [f.width(p)]
-    for k in range(scheme.levels - 1, -1, -1):
-        widths.append(f.width(exp_map(p, x, scheme.h0 * 0.5**k)))
-    monotone = all(
-        widths[i + 1] >= widths[i] - MONOTONE_SLACK for i in range(len(widths) - 1)
-    )
+    dc = dir_deriv(f.center, p, x)
+    dw = dir_deriv(f.width, p, x)
     return GhDerivative(
         value=Interval.from_center_width(dc, abs(dw)),
         center_part=dc,
         width_part=dw,
-        monotone_width_ok=monotone,
+        monotone_width_ok=dw >= -MONOTONE_SLACK,
     )
 
 

@@ -16,7 +16,6 @@ import os
 import sys
 from typing import Optional
 
-from .calculus import DEFAULT_SCHEME, DerivScheme
 from .convexity import check_convex, check_convex_at
 from .errors import ConfigError, IvoptError
 from .interval import Interval, OrderRelation, compare, format_interval, parse_interval
@@ -161,7 +160,6 @@ def _cmd_check_kkt(args) -> int:
     else:
         raise ConfigError("no candidate: pass --point or set 'candidate' in the file")
 
-    scheme = DerivScheme(h0=args.deriv_h0, levels=args.deriv_levels, tol=args.deriv_tol)
     dirs = direction_samples(prob, p0, args.directions, seed=seed)
 
     found_mu = None
@@ -169,7 +167,7 @@ def _cmd_check_kkt(args) -> int:
         mu = _parse_mu(args.mu, len(prob.constraints))
     else:
         J = active_set(prob, p0, tol=args.tol)
-        found_mu = find_multipliers(prob, p0, J, dirs, scheme)
+        found_mu = find_multipliers(prob, p0, J, dirs)
         if found_mu is None:
             message = "no feasible multipliers over the sampled directions"
             if args.json:
@@ -181,12 +179,12 @@ def _cmd_check_kkt(args) -> int:
 
     label = prob.label
     if label == "P2":
-        cert = verify_p2(prob, p0, mu, dirs, scheme, tol=args.tol, seed=seed)
+        cert = verify_p2(prob, p0, mu, dirs, tol=args.tol, seed=seed)
     elif label == "P3":
-        cert = verify_p3(prob, p0, mu, dirs, scheme, tol=args.tol, seed=seed)
+        cert = verify_p3(prob, p0, mu, dirs, tol=args.tol, seed=seed)
     else:
         mode = SplitMode(args.mode) if args.mode else None
-        cert = verify_p4(prob, p0, mu, dirs, scheme, mode=mode, tol=args.tol, seed=seed)
+        cert = verify_p4(prob, p0, mu, dirs, mode=mode, tol=args.tol, seed=seed)
 
     if args.json:
         payload = cert.to_json()
@@ -299,12 +297,6 @@ def build_parser() -> _Parser:
     p_kkt.add_argument("--mode", choices=[m.value for m in SplitMode], default=None,
                        help="split mode for interval-constraint problems "
                             "(default: the mode the sampled center implies)")
-    p_kkt.add_argument("--deriv-h0", type=float, default=DEFAULT_SCHEME.h0,
-                       help="initial derivative step (default: 1e-2)")
-    p_kkt.add_argument("--deriv-levels", type=int, default=DEFAULT_SCHEME.levels,
-                       help="step-halving levels (default: 6)")
-    p_kkt.add_argument("--deriv-tol", type=float, default=DEFAULT_SCHEME.tol,
-                       help="derivative convergence tolerance (default: 1e-6)")
     p_kkt.add_argument("--json", action="store_true", help="emit a JSON certificate")
     p_kkt.set_defaults(handler=_cmd_check_kkt)
 

@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .calculus import DEFAULT_SCHEME, DerivScheme, dir_deriv, gh_dir_deriv, width_monotone_along
+from .calculus import dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
 from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval, compare_min_arrays, default_center_eps_arrays, gh_diff
@@ -526,7 +526,6 @@ def check_gradient_inequality(
     p0: Point,
     dom: DomainSampler,
     targets: int = 32,
-    scheme: DerivScheme = DEFAULT_SCHEME,
     seed: int = 0,
 ) -> ConvexityReport:
     """Test derivative(p0 -> q) <= f(q) - f(p0) on sampled targets.
@@ -546,11 +545,11 @@ def check_gradient_inequality(
             if not width_monotone_along(f, p0, q):
                 skipped += 1
                 continue
-            deriv = gh_dir_deriv(f, p0, x, scheme).value
+            deriv = gh_dir_deriv(f, p0, x).value
             rhs = gh_diff(f(q), f_p0)
             severity = _deriv_violation(deriv, rhs)
         else:
-            deriv = dir_deriv(f, p0, x, scheme)
+            deriv = dir_deriv(f, p0, x)
             rhs = f(q) - f_p0
             gap = deriv - rhs
             severity = gap if gap > DERIV_EPS * max(1.0, abs(rhs)) else None
@@ -590,7 +589,6 @@ def check_local_min(
     p0: Point,
     dom: DomainSampler,
     targets: int = 32,
-    scheme: DerivScheme = DEFAULT_SCHEME,
     seed: int = 0,
 ) -> LocalMinReport:
     """Test the first-order minimality criterion at p0 over sampled directions.
@@ -607,10 +605,10 @@ def check_local_min(
     for used, q in enumerate(stream.points(targets, apart_from=p0), 1):
         x = log_map(p0, q)
         if isinstance(f, IvFn):
-            deriv = gh_dir_deriv(f, p0, x, scheme)
+            deriv = gh_dir_deriv(f, p0, x)
             slope, value = deriv.center_part, deriv.value
         else:
-            slope = value = dir_deriv(f, p0, x, scheme)
+            slope = value = dir_deriv(f, p0, x)
         if slope < -DERIV_EPS:
             witness = {"target": q, "derivative": value}
             return LocalMinReport("NotMinimumWitness", witness, cw_report, used)

@@ -18,7 +18,9 @@ All verifiers run one pipeline, in this order:
    the active constraints must have a non-decreasing width along the
    sampled geodesics;
 4. per-direction residual -- the stationarity sum along each sampled
-   tangent direction, real or interval as the value kinds dictate;
+   tangent direction, real or interval as the value kinds dictate; an
+   interval term whose width's one-sided rate is negative at the candidate
+   gates the verdict as in stage 3;
 5. strictness -- pairwise distinct tested values on sampled feasible
    points upgrade Optimal to StrictOptimal.
 
@@ -43,19 +45,13 @@ two-phase simplex with Bland's rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .calculus import (
-    DEFAULT_SCHEME,
-    DerivScheme,
-    dir_deriv,
-    gh_dir_deriv,
-    width_monotone_along,
-)
+from .calculus import dir_deriv, gh_dir_deriv, width_monotone_along
 from .convexity import (
     MIN_DIST,
     DomainSampler,
@@ -354,7 +350,6 @@ def find_multipliers(
     p0: Point,
     J: Sequence[int],
     directions: Sequence[TangentDirection],
-    scheme: DerivScheme = DEFAULT_SCHEME,
 ) -> Optional[tuple]:
     """Feasible multipliers over the sampled directions, or None.
 
@@ -367,12 +362,12 @@ def find_multipliers(
     _require_directions(directions)
     J = tuple(J)
     obj_c = _center_fn(prob.objective)
-    df = np.array([dir_deriv(obj_c, p0, x, scheme) for x in directions])
+    df = np.array([dir_deriv(obj_c, p0, x) for x in directions])
     dg = np.zeros((len(directions), len(J)))
     for j, i in enumerate(J):
         g_c = _center_fn(prob.constraints[i])
         for k, x in enumerate(directions):
-            dg[k, j] = dir_deriv(g_c, p0, x, scheme)
+            dg[k, j] = dir_deriv(g_c, p0, x)
     free = _solve_multiplier_lp(df, dg)
     if free is None:
         return None
@@ -577,7 +572,6 @@ def _verify(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    scheme: DerivScheme,
     tol: float,
     seed: int,
     split: bool = False,
@@ -646,12 +640,12 @@ def _verify(
         total = None
         for fn, weight, label in terms:
             if isinstance(fn, IvFn):
-                deriv = gh_dir_deriv(fn, p0, x, scheme)
+                deriv = gh_dir_deriv(fn, p0, x)
                 if not deriv.monotone_width_ok:
-                    return gate(label, "on the step ladder", k, residuals)
+                    return gate(label, "at the candidate", k, residuals)
                 d = deriv.value
             else:
-                d = dir_deriv(fn, p0, x, scheme)
+                d = dir_deriv(fn, p0, x)
             if interval_sum and not isinstance(d, Interval):
                 d = Interval.point(d)
             if total is None:
@@ -687,14 +681,13 @@ def verify_p2(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    scheme: DerivScheme = DEFAULT_SCHEME,
     tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Real objective, real constraints: stationarity over sampled directions."""
     if prob.label != "P2":
         raise ConfigError(f"verify_p2 expects a P2 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, scheme, tol, seed)
+    return _verify(prob, p0, mu, directions, tol, seed)
 
 
 def verify_p3(
@@ -702,7 +695,6 @@ def verify_p3(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    scheme: DerivScheme = DEFAULT_SCHEME,
     tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
@@ -716,7 +708,7 @@ def verify_p3(
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3 expects a P3 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, scheme, tol, seed)
+    return _verify(prob, p0, mu, directions, tol, seed)
 
 
 def verify_p3_split(
@@ -724,7 +716,6 @@ def verify_p3_split(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    scheme: DerivScheme = DEFAULT_SCHEME,
     mode: SplitMode = SplitMode.CENTER_NONCONSTANT,
     tol: float = ACTIVE_TOL,
     seed: int = 0,
@@ -738,7 +729,7 @@ def verify_p3_split(
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3_split expects a P3 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, scheme, tol, seed, split=True, mode=mode)
+    return _verify(prob, p0, mu, directions, tol, seed, split=True, mode=mode)
 
 
 def verify_p4(
@@ -746,7 +737,6 @@ def verify_p4(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    scheme: DerivScheme = DEFAULT_SCHEME,
     mode: SplitMode = SplitMode.CENTER_NONCONSTANT,
     tol: float = ACTIVE_TOL,
     seed: int = 0,
@@ -761,7 +751,7 @@ def verify_p4(
     """
     if prob.label != "P4":
         raise ConfigError(f"verify_p4 expects a P4 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, scheme, tol, seed, split=True, mode=mode)
+    return _verify(prob, p0, mu, directions, tol, seed, split=True, mode=mode)
 
 
 def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:
@@ -772,7 +762,8 @@ def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:
     its width function.  Requiring width <= 0 with nonnegative widths
     forces the width to zero there, which is the intended equality reading.
     Passing pfix freezes the center/width choice at that single point
-    instead of re-deciding per evaluation.
+    instead of re-deciding per evaluation; the chosen component keeps its
+    array, dual and curvature lanes.
     """
     if prob.label != "P4":
         raise ConfigError(f"reduce_p4 expects a P4 problem, got {prob.label}")
@@ -780,9 +771,7 @@ def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:
     for g in prob.constraints:
         if pfix is not None:
             chosen = g.center if abs(g.center(pfix)) > ACTIVE_TOL else g.width
-            reduced.append(
-                RealFn(prob.manifold, chosen.fn, name=f"reduced[{g.name}]")
-            )
+            reduced.append(replace(chosen, name=f"reduced[{g.name}]"))
         else:
             def fn(p: Point, g=g) -> float:
                 c = g.center(p)

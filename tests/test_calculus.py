@@ -1,17 +1,13 @@
 """Directional derivatives: extrapolated quotients and the interval split."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ivopt.calculus import (
-    DEFAULT_SCHEME,
-    DerivScheme,
-    dir_deriv,
-    gh_dir_deriv,
-    width_monotone_along,
-)
+from ivopt import calculus
+from ivopt.calculus import dir_deriv, gh_dir_deriv, width_monotone_along
 from ivopt.errors import DomainError, NotConvergedError
 from ivopt.functions import (
     CIRCLE,
@@ -32,27 +28,6 @@ HALF_PI = math.pi / 2.0
 def circle_dir(p0_theta, target_theta):
     p0 = CIRCLE.point(p0_theta)
     return p0, log_map(p0, CIRCLE.point(target_theta))
-
-
-class TestScheme:
-    def test_defaults(self):
-        assert DEFAULT_SCHEME.h0 == 1e-2
-        assert DEFAULT_SCHEME.levels == 6
-        assert DEFAULT_SCHEME.tol == 1e-6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DerivScheme(h0=0.0)
-        with pytest.raises(ValueError):
-            DerivScheme(levels=1)
-        with pytest.raises(ValueError):
-            DerivScheme(tol=-1.0)
-        # the step and the tolerance must be finite and positive
-        for field in ("h0", "tol"):
-            for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
-                with pytest.raises(ValueError) as info:
-                    DerivScheme(**{field: value})
-                assert str(info.value) == f"{field} must be a finite positive number, got {value}"
 
 
 class TestRealDerivatives:
@@ -116,13 +91,14 @@ class TestRealDerivatives:
         with pytest.raises(NotConvergedError):
             dir_deriv(RealFn(CIRCLE, f.fn), p0, x)
 
-    def test_tight_tolerance_can_fail_to_settle(self):
+    def test_an_unsettled_ladder_names_its_tolerance_and_depth(self):
         f = RealFn.from_expression("sqrt(abs(theta - pi/2))", CIRCLE)
         p0, x = circle_dir(HALF_PI, 0.0)
         with pytest.raises(DomainError):
-            dir_deriv(f, p0, x, DerivScheme(levels=4))
-        with pytest.raises(NotConvergedError):
-            dir_deriv(RealFn(CIRCLE, f.fn), p0, x, DerivScheme(levels=4))
+            dir_deriv(f, p0, x)
+        with pytest.raises(NotConvergedError, match="^cusp: ladder estimates did not "
+                                                    "settle within 1e-06 after 6 levels"):
+            dir_deriv(RealFn(CIRCLE, f.fn, name="cusp"), p0, x)
 
 
 class TestGhDerivatives:
@@ -186,6 +162,36 @@ class TestGhDerivatives:
         assert d.value.center == pytest.approx(1.0, abs=1e-6)
         assert d.value.halfwidth == pytest.approx(1.0, abs=1e-6)
         assert d.width_part == pytest.approx(-1.0, abs=1e-6)
+
+    def test_the_flag_is_the_sign_of_the_width_rate_at_the_chart_edge(self):
+        # a step of the old width walk (1e-2 along -1) left the chart here
+        f = IvFn.from_expressions("theta^2", "0.1*theta + 1", CIRCLE)
+        p0 = CIRCLE.point(1e-3)
+        d = gh_dir_deriv(f, p0, CIRCLE.tangent(p0, -1.0))
+        assert (d.center_part, d.width_part) == (-0.002, -0.1)
+        assert d.value == Interval.from_center_width(-0.002, 0.1)
+        assert not d.monotone_width_ok
+
+    def test_an_expression_takes_no_step_and_no_width_evaluation(self, monkeypatch):
+        f = IvFn.from_expressions("(theta - 1)^2", "theta + 1", CIRCLE)
+        calls = {"exp_map": 0, "width": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(calculus, "exp_map", counted("exp_map", calculus.exp_map))
+        width = dataclasses.replace(f.width, fn=counted("width", f.width.fn))
+        counted_f = IvFn(f.center, width, f.name)
+        p0 = CIRCLE.point(2.0)
+        d = gh_dir_deriv(counted_f, p0, CIRCLE.tangent(p0, 0.5))
+        assert (d.center_part, d.width_part, d.monotone_width_ok) == (1.0, 0.5, True)
+        assert calls == {"exp_map": 0, "width": 0}
+        # the same wrappers count an opaque width's ladder
+        gh_dir_deriv(IvFn(f.center, RealFn(CIRCLE, width.fn)), p0, CIRCLE.tangent(p0, 0.5))
+        assert calls["exp_map"] > 0 and calls["width"] > 0
 
     def test_json_shape(self):
         f = IvFn.from_expressions("theta", "1", CIRCLE)

@@ -237,9 +237,14 @@ def test_functions_without_an_expression_get_no_proof():
         iv_linear_combination(1.0, iv, 2.0, iv),
         lift_real(f),
         *reduce_p4(p4).constraints,
-        *reduce_p4(p4, CIRCLE.point(1.0)).constraints,
     ]
     assert not any(map(kkt._proved_convex, unproved))
+    # a frozen reduction is the chosen component: the width 0 at theta = 1,
+    # the center theta - 1 at theta = 2
+    for theta, shape in ((1.0, p4.constraints[0].width.shape),
+                         (2.0, p4.constraints[0].center.shape)):
+        (g,) = reduce_p4(p4, CIRCLE.point(theta)).constraints
+        assert g.shape == shape and kkt._proved_convex(g)
 
 
 # -- rules that keep a proof inside every operator's domain -------------------

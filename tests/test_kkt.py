@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ivopt import curvature, kkt
+from ivopt.calculus import dir_deriv
 from ivopt.convexity import DomainSampler, ProposalStream
 from ivopt.errors import (
     ConfigError,
@@ -429,7 +430,8 @@ class TestVerifyP3:
 
     def test_width_dip_finer_than_the_grid_gates_on_the_step_ladder(self):
         # the width falls on [1, 1.001] only: the grid along the geodesic to
-        # theta = 2 steps over the dip, the derivative's step ladder does not
+        # theta = 2 steps over the dip, the width's rate at the candidate
+        # (2*(1 - 1.001) = -0.002) does not
         prob = Problem(
             CIRCLE,
             IvFn.from_expressions("(theta - 1)^2", "(theta - 1.001)^2", CIRCLE),
@@ -441,7 +443,7 @@ class TestVerifyP3:
         cert = verify_p3(prob, p0, (), dirs)
         assert cert.verdict is KktVerdict.INCONCLUSIVE
         assert cert.reason == (
-            "objective width non-decreasing on the step ladder: fails along direction 1"
+            "objective width non-decreasing at the candidate: fails along direction 1"
         )
         assert [r.index for r in cert.residuals] == [0]
         gate = cert.hypothesis_report[-1]
@@ -604,6 +606,21 @@ class TestReduceP4:
         probe = SPD2.point(np.diag([1.0, 1.7]))
         for got, want in zip(reduced.constraints, originals):
             assert got(probe) == pytest.approx(want(probe), abs=1e-12)
+
+    def test_a_frozen_choice_keeps_the_component_lanes(self):
+        prob = Problem(
+            CIRCLE,
+            IvFn.from_expressions("(theta - 4)^2", "1", CIRCLE),
+            (IvFn.from_expressions("1e4*exp(theta)", "0.1", CIRCLE),),
+            circle_domain(),
+        )
+        p0 = CIRCLE.point(4.0)
+        (g,) = reduce_p4(prob, pfix=p0).constraints
+        center = prob.constraints[0].center
+        assert g.name == "reduced[<1e4*exp(theta), 0.1>]"
+        assert (g.compiled, g.dual, g.shape) == (center.compiled, center.dual, center.shape)
+        # exact from the center's dual lane; the step ladder did not settle here
+        assert dir_deriv(g, p0, CIRCLE.tangent(p0, 0.5)) == 272990.75016572117
 
     def test_lifted_reduction_matches_originals_on_samples(self):
         prob = lifted_two_branch_problem()

@@ -26,7 +26,7 @@ def test_star_import_binds_the_public_names_only():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(bound) == public | {"__version__"}
-    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 94
+    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 92
 
 
 def test_no_submodule_is_exported():
@@ -41,7 +41,7 @@ def test_no_submodule_is_exported():
 def test_exports_are_callables_classes_and_constants():
     bound = star_import()
     constants = {name for name, value in bound.items() if not callable(value)}
-    assert constants == {"DEFAULT_SCHEME", "ZERO", "__version__"}
+    assert constants == {"ZERO", "__version__"}
     assert bound["__version__"] == ivopt.__version__
     for name in ("verify_p2", "verify_p3", "verify_p3_split", "verify_p4",
                  "check_convex", "check_convex_at", "Interval", "SplitMode", "Spd"):
