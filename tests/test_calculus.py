@@ -30,6 +30,14 @@ def circle_dir(p0_theta, target_theta):
     return p0, log_map(p0, CIRCLE.point(target_theta))
 
 
+class TestScheme:
+    def test_defaults(self):
+        assert calculus.LADDER_H0 == 1e-2
+        assert calculus.LADDER_LEVELS == 6
+        assert calculus.LADDER_TOL == 1e-6
+        assert calculus.RICH_ORDER == 2
+
+
 class TestRealDerivatives:
     """Closed forms for the half-arc scenario at the quarter turn."""
 

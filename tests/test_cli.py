@@ -270,13 +270,17 @@ class TestCheckKkt:
         assert main(["check-kkt", "--problem", pstar_file, "--mu", mu]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_the_derivative_scheme_is_not_an_option(self, pstar_file, capsys):
-        rc = main(["check-kkt", "--problem", pstar_file, "--mu", "0,1,0",
-                   "--deriv-h0", "0.01"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--deriv-h0", "0.01"),
+        ("--deriv-levels", "6"),
+        ("--deriv-tol", "1e-6"),
+    ])
+    def test_the_derivative_scheme_is_not_an_option(self, pstar_file, flag, value, capsys):
+        rc = main(["check-kkt", "--problem", pstar_file, "--mu", "0,1,0", flag, value])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage error: unrecognized arguments: --deriv-h0")
+        assert captured.err.startswith(f"usage error: unrecognized arguments: {flag}")
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     @pytest.mark.parametrize("mu", [[], ["--mu", "0,1,0"]])
