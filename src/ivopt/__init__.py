@@ -32,7 +32,6 @@ from .errors import (
     InfeasibleCandidateError,
     IvoptError,
     ManifoldMismatchError,
-    ModeMismatchError,
     NegativeWidthError,
     NonFiniteError,
     NonPositiveDefiniteError,
@@ -73,7 +72,6 @@ from .kkt import (
     KktCertificate,
     KktVerdict,
     Problem,
-    SplitMode,
     active_set,
     brute_force_improvement,
     direction_samples,

@@ -4,15 +4,13 @@ Subcommands: order, check-convexity, check-kkt, repro.  Exit codes are 0
 for a successful run with a positive verdict, 2 when the verdict is
 inconclusive, a counterexample was found, or a reproduction row mismatches,
 and 1 for usage or runtime errors.  The sampling seed resolves in order:
---seed flag, IVOPT_SEED environment variable, the problem file's
-options.seed, then 0.
+--seed flag, the problem file's options.seed, then 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -21,7 +19,6 @@ from .errors import ConfigError, IvoptError
 from .interval import Interval, OrderRelation, compare, format_interval, parse_interval
 from .kkt import (
     ACTIVE_TOL,
-    SplitMode,
     active_set,
     direction_samples,
     find_multipliers,
@@ -49,15 +46,7 @@ def _dump_json(obj) -> None:
 def _resolve_seed(flag_seed: Optional[int], file_seed: Optional[int] = None) -> int:
     if flag_seed is not None:
         return flag_seed
-    env = os.environ.get("IVOPT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"IVOPT_SEED must be an integer, got {env!r}") from None
-    if file_seed is not None:
-        return file_seed
-    return 0
+    return 0 if file_seed is None else file_seed
 
 
 def _fmt_value(value) -> str:
@@ -183,8 +172,7 @@ def _cmd_check_kkt(args) -> int:
     elif label == "P3":
         cert = verify_p3(prob, p0, mu, dirs, tol=args.tol, seed=seed)
     else:
-        mode = SplitMode(args.mode) if args.mode else None
-        cert = verify_p4(prob, p0, mu, dirs, mode=mode, tol=args.tol, seed=seed)
+        cert = verify_p4(prob, p0, mu, dirs, tol=args.tol, seed=seed)
 
     if args.json:
         payload = cert.to_json()
@@ -285,18 +273,13 @@ def build_parser() -> _Parser:
     p_kkt = sub.add_parser("check-kkt", help="sufficient-condition optimality check")
     p_kkt.add_argument("--problem", required=True, help="problem file (JSON)")
     p_kkt.add_argument("--point", help="candidate point (defaults to the file's)")
-    group = p_kkt.add_mutually_exclusive_group()
-    group.add_argument("--mu", help="comma-separated multipliers, one per constraint")
-    group.add_argument("--find-mu", action="store_true",
-                       help="search for feasible multipliers (default)")
+    p_kkt.add_argument("--mu", help="comma-separated multipliers, one per constraint "
+                                    "(default: search for feasible ones)")
     p_kkt.add_argument("--directions", type=int, default=16,
                        help="sampled tangent directions (default: 16)")
     p_kkt.add_argument("--seed", type=int, default=None, help="sampling seed")
     p_kkt.add_argument("--tol", type=float, default=ACTIVE_TOL,
                        help=f"active-set tolerance (default: {ACTIVE_TOL:g})")
-    p_kkt.add_argument("--mode", choices=[m.value for m in SplitMode], default=None,
-                       help="split mode for interval-constraint problems "
-                            "(default: the mode the sampled center implies)")
     p_kkt.add_argument("--json", action="store_true", help="emit a JSON certificate")
     p_kkt.set_defaults(handler=_cmd_check_kkt)
 

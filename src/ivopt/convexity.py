@@ -278,13 +278,14 @@ class ConvexityReport:
         }
 
 
-def _check_sizes(grid: int = 2, **counts: int) -> None:
-    """Refuse, before anything is drawn, a count below 1 or a grid below 2."""
+def _check_sizes(grid: int = 3, **counts: int) -> None:
+    """Refuse, before anything is drawn, a count below 1 or a grid below 3:
+    a grid of 2 tests only the path's ends, where every inequality holds."""
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
-    if grid < 2:
-        raise ValueError("grid must contain at least two points")
+    if grid < 3:
+        raise ValueError("grid must contain at least three points")
 
 
 def _bounds(v: Value) -> tuple:

@@ -33,10 +33,6 @@ class InfeasibleCandidateError(IvoptError):
     """The candidate point violates at least one constraint."""
 
 
-class ModeMismatchError(IvoptError):
-    """The requested verification mode disagrees with the sampled behaviour of the objective."""
-
-
 class SamplerExhaustedError(IvoptError):
     """Rejection sampling failed to produce enough admissible points."""
 

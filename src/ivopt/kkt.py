@@ -24,8 +24,9 @@ All verifiers run one pipeline, in this order:
 5. strictness -- pairwise distinct tested values on sampled feasible
    points upgrade Optimal to StrictOptimal.
 
-The split forms (P3 split, P4) test the center or the width of the
-objective; the same feasible points decide that choice and strictness.
+The split forms (P3 split, P4) test the center of the objective, or its
+width where the center is constant within CONST_TOL on the sampled
+feasible points; the same points decide strictness.
 Verdicts are Optimal, StrictOptimal, or Inconclusive and are always
 relative to the recorded samples; the conditions are sufficient only, so
 no verdict ever asserts non-optimality.
@@ -59,7 +60,7 @@ from .convexity import (
     ProposalStream,
     _cw_convex_at,
 )
-from .errors import ConfigError, InfeasibleCandidateError, ModeMismatchError, NotConvergedError
+from .errors import ConfigError, InfeasibleCandidateError, NotConvergedError
 from .functions import IvFn, RealFn, bounds_on
 from .interval import (
     ZERO,
@@ -383,11 +384,6 @@ class KktVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class SplitMode(Enum):
-    CENTER_NONCONSTANT = "CenterNonConstant"
-    CENTER_CONSTANT = "CenterConstant"
-
-
 @dataclass(frozen=True)
 class HypothesisCheck:
     name: str
@@ -471,8 +467,8 @@ def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
         raise ConfigError(
             f"expected {len(prob.constraints)} multipliers, got {len(mu)}"
         )
-    if any(m < 0.0 for m in mu):
-        raise ConfigError("multipliers must be nonnegative")
+    if not all(0.0 <= m < np.inf for m in mu):
+        raise ConfigError("multipliers must be finite and nonnegative")
     values, J = _constraints_at(prob, p0, tol)
     for i, m in enumerate(mu):
         if m <= SLACK_TOL:
@@ -544,27 +540,10 @@ def _convexity_hypotheses(
     return checks
 
 
-def _split_component(prob: Problem, points: list, mode: Optional[SplitMode]) -> SplitMode:
-    """The split mode the sampled centers allow.
-
-    A given mode is returned when the centers agree with it, else
-    ModeMismatchError is raised; None picks the mode they imply.
-    """
+def _center_constant(prob: Problem, points: list) -> bool:
+    """Whether the objective's center spreads by at most CONST_TOL over points."""
     centers = [prob.objective.center(q) for q in points]
-    spread = max(centers) - min(centers) if centers else 0.0
-    constant = spread <= CONST_TOL
-    if mode is None:
-        return SplitMode.CENTER_CONSTANT if constant else SplitMode.CENTER_NONCONSTANT
-    if mode is SplitMode.CENTER_CONSTANT and not constant:
-        raise ModeMismatchError(
-            f"center varies by {spread:.3e} on sampled feasible points; "
-            "use CenterNonConstant"
-        )
-    if mode is SplitMode.CENTER_NONCONSTANT and constant:
-        raise ModeMismatchError(
-            "center is constant on sampled feasible points; use CenterConstant"
-        )
-    return mode
+    return max(centers) - min(centers) <= CONST_TOL
 
 
 def _verify(
@@ -575,16 +554,14 @@ def _verify(
     tol: float,
     seed: int,
     split: bool = False,
-    mode: Optional[SplitMode] = None,
 ) -> KktCertificate:
     """The stationarity pipeline shared by every verifier.
 
     Stages: precheck, convexity hypotheses, width gate, per-direction
     residual, strictness.  Unsplit checks test the objective; split checks
-    test the center or width component the mode selects.  The residual is
-    an interval when an interval-valued function enters it, a float
-    otherwise.  Strictness points are drawn once and, on the split path,
-    also decide the mode.
+    test its center, or its width where the center is constant on the
+    strictness points, which are drawn once.  The residual is an interval
+    when an interval-valued function enters it, a float otherwise.
     """
     def certificate(residuals, hyp, verdict, reason):
         return KktCertificate(
@@ -617,10 +594,10 @@ def _verify(
     tested, what, of, points = prob.objective, "objective", "", None
     if split:
         points = _feasible_points(prob, p0, STRICT_SAMPLES, seed)
-        if _split_component(prob, points, mode) is SplitMode.CENTER_NONCONSTANT:
-            tested, what = prob.objective.center, "center"
-        else:
+        if _center_constant(prob, points):
             tested, what = prob.objective.width, "width"
+        else:
+            tested, what = prob.objective.center, "center"
         of = f" of the {what}"
     labelled = [(prob.objective, "objective")]
     labelled += [(prob.constraints[i], prob.constraint_label(i)) for i in J]
@@ -716,20 +693,18 @@ def verify_p3_split(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    mode: SplitMode = SplitMode.CENTER_NONCONSTANT,
     tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Split form of the P3 check: test one component as a real condition.
 
-    CenterNonConstant tests the center function and can certify strict
-    optimality through it; CenterConstant (center flat on samples) tests
-    the width function instead.  The mode must match the sampled behaviour
-    of the center, otherwise ModeMismatchError is raised.
+    The center function is tested, and can certify strict optimality
+    through it; where the center is constant on the sampled feasible points
+    the width function is tested instead.
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3_split expects a P3 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, tol, seed, split=True, mode=mode)
+    return _verify(prob, p0, mu, directions, tol, seed, split=True)
 
 
 def verify_p4(
@@ -737,21 +712,21 @@ def verify_p4(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    mode: SplitMode = SplitMode.CENTER_NONCONSTANT,
     tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Interval objective and constraints.
 
-    The tested component of the objective enters as a degenerate interval
-    and the active constraints contribute interval directional derivatives
+    The objective's center, or its width where the center is constant on
+    the sampled feasible points, enters as a degenerate interval and the
+    active constraints contribute interval directional derivatives
     scaled by their multipliers; the sum must dominate [0,0] in the
     minimization order.  Constraint widths must be non-decreasing along
     the sampled geodesics, else the verdict is Inconclusive.
     """
     if prob.label != "P4":
         raise ConfigError(f"verify_p4 expects a P4 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, tol, seed, split=True, mode=mode)
+    return _verify(prob, p0, mu, directions, tol, seed, split=True)
 
 
 def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:

@@ -393,7 +393,7 @@ class TestLocalMin:
 
 
 class TestNothingSampled:
-    """A count below 1 or a grid below 2 is refused before anything is drawn."""
+    """A count below 1 or a grid below 3 is refused before anything is drawn."""
 
     @staticmethod
     def _undrawable() -> DomainSampler:
@@ -411,7 +411,7 @@ class TestNothingSampled:
         yield lambda: check_convex_at(f, p0, dom, targets=count, grid=grid)
         yield lambda: check_cw_convex_at(f, p0, dom, targets=count, grid=grid)
         yield lambda: check_star_shaped(dom, p0, targets=count, grid=grid)
-        if grid >= 2:  # the derivative checks have no grid
+        if grid >= 3:  # the derivative checks have no grid
             yield lambda: check_gradient_inequality(f, p0, dom, targets=count)
             yield lambda: check_local_min(f, p0, dom, targets=count)
 
@@ -423,18 +423,18 @@ class TestNothingSampled:
             with pytest.raises(ValueError, match="must be at least 1"):
                 call()
 
-    @pytest.mark.parametrize("count, grid", [(4, 1), (4, 0), (4, -2)])
+    @pytest.mark.parametrize("count, grid", [(4, 2), (4, 1), (4, 0), (4, -2)])
     def test_grid_too_small(self, count, grid):
         calls = list(self._calls(count, grid))
         assert len(calls) == 6
         for call in calls:
-            with pytest.raises(ValueError, match="grid must contain at least two points"):
+            with pytest.raises(ValueError, match="grid must contain at least three points"):
                 call()
 
     def test_one_sample_is_enough(self):
         dom = circle_domain(1.0, 2.0)
         f = RealFn.from_expression("(theta - 1.5)^2", CIRCLE)
-        assert check_convex(f, dom, pairs=1, grid=2).samples_used == 1
+        assert check_convex(f, dom, pairs=1, grid=3).samples_used == 1
         assert check_local_min(f, CIRCLE.point(1.5), dom, targets=1).samples_used == 1
 
 
@@ -610,7 +610,7 @@ class TestViolationCore:
 # -- pinned reports ----------------------------------------------------------
 
 PINNED_REPORTS_PATH = Path(__file__).parent / "data" / "convexity_reports.json"
-PINNED_GRIDS = (2, 9, 17, 33)
+PINNED_GRIDS = (9, 17, 33)
 FLOAT_MAX = "1.7976931348623157e308"
 
 

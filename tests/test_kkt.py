@@ -10,12 +10,7 @@ import pytest
 from ivopt import curvature, kkt
 from ivopt.calculus import dir_deriv
 from ivopt.convexity import DomainSampler, ProposalStream
-from ivopt.errors import (
-    ConfigError,
-    InfeasibleCandidateError,
-    IvoptError,
-    ModeMismatchError,
-)
+from ivopt.errors import ConfigError, InfeasibleCandidateError, IvoptError
 from ivopt.functions import (
     CIRCLE,
     EUCLIDEAN1,
@@ -31,7 +26,6 @@ from ivopt.interval import Interval
 from ivopt.kkt import (
     KktVerdict,
     Problem,
-    SplitMode,
     _solve_multiplier_lp,
     active_set,
     brute_force_improvement,
@@ -336,6 +330,13 @@ class TestVerifyP2:
             verify_p2(PSTAR.problem, PSTAR.candidate, (0.0, -1.0, 0.0),
                       pstar_directions(2))
 
+    @pytest.mark.parametrize("mu", [(math.nan, 1.0, 0.0), (0.0, 1.0, math.inf),
+                                    (0.0, -math.inf, 0.0)])
+    def test_non_finite_multipliers_are_refused(self, mu):
+        # NaN passes a sign test, and neither NaN nor inf is a JSON number
+        with pytest.raises(ConfigError, match="^multipliers must be finite and nonnegative$"):
+            verify_p2(PSTAR.problem, PSTAR.candidate, mu, pstar_directions(2))
+
     def test_label_guard(self):
         with pytest.raises(ConfigError):
             verify_p2(PSTARSTAR.problem, PSTARSTAR.candidate, (0.0, 0.0, 0.0),
@@ -461,9 +462,9 @@ class TestVerifyP3Split:
         )
         p0 = CIRCLE.point(HALF_PI)
         cert = verify_p3_split(prob, p0, (0.0, 1.0, 0.0),
-                               direction_samples(prob, p0, 12),
-                               mode=SplitMode.CENTER_NONCONSTANT)
+                               direction_samples(prob, p0, 12))
         assert cert.verdict is KktVerdict.STRICT_OPTIMAL
+        assert cert.reason.startswith("stationarity of the center holds")
 
     def test_constant_center_tested_through_width(self):
         prob = Problem(
@@ -475,9 +476,24 @@ class TestVerifyP3Split:
         )
         p0 = CIRCLE.point(HALF_PI)
         cert = verify_p3_split(prob, p0, (0.0, 1.0, 0.0),
-                               direction_samples(prob, p0, 12),
-                               mode=SplitMode.CENTER_CONSTANT)
+                               direction_samples(prob, p0, 12))
         assert cert.verdict is KktVerdict.STRICT_OPTIMAL
+        assert cert.reason.startswith("stationarity of the width holds")
+
+    @pytest.mark.parametrize("center, component", [
+        ("5 + 1e-12*theta", "width"),  # spread below CONST_TOL on the samples
+        ("5 + 1e-6*theta", "center"),
+    ])
+    def test_the_center_spread_picks_the_component(self, center, component):
+        prob = Problem(
+            CIRCLE,
+            IvFn.from_expressions(center, "(theta - pi/2)^2 + 1", CIRCLE),
+            circle_real_constraints(),
+            circle_domain(),
+        )
+        p0 = CIRCLE.point(HALF_PI)
+        cert = verify_p3_split(prob, p0, (0.0, 1.0, 0.0), direction_samples(prob, p0, 8))
+        assert cert.reason.startswith(f"stationarity of the {component} ")
 
     def test_fully_constant_objective_is_plain_optimal(self):
         prob = Problem(
@@ -488,32 +504,8 @@ class TestVerifyP3Split:
         )
         p0 = CIRCLE.point(HALF_PI)
         cert = verify_p3_split(prob, p0, (0.0, 0.0, 0.0),
-                               direction_samples(prob, p0, 8),
-                               mode=SplitMode.CENTER_CONSTANT)
+                               direction_samples(prob, p0, 8))
         assert cert.verdict is KktVerdict.OPTIMAL
-
-    def test_mode_mismatch_detected(self):
-        prob = Problem(
-            CIRCLE,
-            IvFn.from_expressions("(theta - pi/2)^2", "0", CIRCLE),
-            circle_real_constraints(),
-            circle_domain(),
-        )
-        p0 = CIRCLE.point(HALF_PI)
-        directions = direction_samples(prob, p0, 4)
-        with pytest.raises(ModeMismatchError):
-            verify_p3_split(prob, p0, (0.0, 1.0, 0.0), directions,
-                            mode=SplitMode.CENTER_CONSTANT)
-        flat = Problem(
-            CIRCLE,
-            IvFn.from_expressions("5", "1", CIRCLE),
-            circle_real_constraints(),
-            circle_domain(),
-        )
-        with pytest.raises(ModeMismatchError):
-            verify_p3_split(flat, p0, (0.0, 1.0, 0.0),
-                            direction_samples(flat, p0, 4),
-                            mode=SplitMode.CENTER_NONCONSTANT)
 
 
 def lifted_two_branch_problem():
@@ -535,19 +527,10 @@ class TestVerifyP4:
         prob = lifted_two_branch_problem()
         p0 = SPD2.point(I2)
         cert = verify_p4(prob, p0, (1.0, 0.0, 0.0),
-                         direction_samples(prob, p0, 12),
-                         mode=SplitMode.CENTER_NONCONSTANT)
+                         direction_samples(prob, p0, 12))
         assert cert.verdict is KktVerdict.OPTIMAL
         assert cert.label == "P4"
         assert cert.active_labels == ("g1",)
-
-    def test_mode_mismatch(self):
-        prob = lifted_two_branch_problem()
-        p0 = SPD2.point(I2)
-        directions = direction_samples(prob, p0, 4)
-        with pytest.raises(ModeMismatchError):
-            verify_p4(prob, p0, (1.0, 0.0, 0.0), directions,
-                      mode=SplitMode.CENTER_CONSTANT)
 
     def test_slackness_is_checked_by_the_hausdorff_distance(self):
         # g1 = <theta - 3, 0.5> is [-1.5, -0.5] at theta = 2, 1.5 from [0, 0]
@@ -684,7 +667,7 @@ E2_QUAD = "(x1 - 1)^2 + (x2 - 1)^2"  # (0.5, 0.5) is its minimiser on x1 + x2 <=
 def _pinned_cases() -> dict:
     """Verifier runs with given multipliers on circle and Euclidean problems.
 
-    name -> (verifier, problem, candidate, multipliers, keyword arguments).
+    name -> (verifier, problem, candidate, multipliers).
     """
     circle = lambda objective, constraints=(): Problem(
         CIRCLE, objective, constraints, circle_domain()
@@ -703,83 +686,74 @@ def _pinned_cases() -> dict:
     flat_center = iv_circle("5", "(theta - pi/2)^2 + 1")
     bowl = iv_circle("(theta - pi/2)^2", "(theta - pi/2)^2 + 1")
     cap = CIRCLE.point(2.5)
-    cnc, cc = {"mode": SplitMode.CENTER_NONCONSTANT}, {"mode": SplitMode.CENTER_CONSTANT}
     return {
-        "p2-circle-half-arc": (verify_p2, PSTAR.problem, PSTAR.candidate, (0.0, 1.0, 0.0), {}),
-        "p2-circle-slackness": (verify_p2, PSTAR.problem, PSTAR.candidate, (0.0, 0.0, 1.0), {}),
+        "p2-circle-half-arc": (verify_p2, PSTAR.problem, PSTAR.candidate, (0.0, 1.0, 0.0)),
+        "p2-circle-slackness": (verify_p2, PSTAR.problem, PSTAR.candidate, (0.0, 0.0, 1.0)),
         "p2-circle-descent": (
-            verify_p2, circle(RealFn.from_expression("theta^2", CIRCLE)), half_arc, (), {}),
+            verify_p2, circle(RealFn.from_expression("theta^2", CIRCLE)), half_arc, ()),
         "p2-euclid-halfspace": (
             verify_p2, plane(RealFn.from_expression(E2_QUAD, EUCLIDEAN2), halfspace),
-            corner, (1.0,), {}),
+            corner, (1.0,)),
         "p3-circle-bowl": (
-            verify_p3, circle(bowl, circle_real_constraints()), half_arc, (0.0, 1.0, 0.0), {}),
+            verify_p3, circle(bowl, circle_real_constraints()), half_arc, (0.0, 1.0, 0.0)),
         "p3-circle-descent": (
-            verify_p3, circle(iv_circle("theta", "1")), pi_pt, (), {}),
+            verify_p3, circle(iv_circle("theta", "1")), pi_pt, ()),
         "p3-circle-decreasing-width": (
-            verify_p3, circle(iv_circle("(theta - pi)^2", "2*pi - theta")), pi_pt, (), {}),
+            verify_p3, circle(iv_circle("(theta - pi)^2", "2*pi - theta")), pi_pt, ()),
         "p3-euclid-halfspace": (
             verify_p3, plane(iv_plane(E2_QUAD, f"0.5*({E2_QUAD}) + 0.25"), halfspace),
-            corner, (1.0,), {}),
+            corner, (1.0,)),
         "p3_split-circle-center": (
             verify_p3_split, circle(recast, circle_real_constraints()), half_arc,
-            (0.0, 1.0, 0.0), cnc),
+            (0.0, 1.0, 0.0)),
         "p3_split-circle-width": (
             verify_p3_split, circle(flat_center, circle_real_constraints()), half_arc,
-            (0.0, 1.0, 0.0), cc),
-        "p3_split-circle-mismatch": (
-            verify_p3_split, circle(recast, circle_real_constraints()), half_arc,
-            (0.0, 1.0, 0.0), cc),
+            (0.0, 1.0, 0.0)),
         "p3_split-circle-flat": (
             verify_p3_split, circle(iv_circle("5", "1"), circle_real_constraints()), half_arc,
-            (0.0, 0.0, 0.0), cc),
+            (0.0, 0.0, 0.0)),
         "p3_split-euclid-center": (
-            verify_p3_split, plane(iv_plane(E2_QUAD, "0.25"), halfspace), corner, (1.0,), cnc),
+            verify_p3_split, plane(iv_plane(E2_QUAD, "0.25"), halfspace), corner, (1.0,)),
         "p3_split-euclid-width": (
             verify_p3_split, plane(iv_plane("3", f"{E2_QUAD} + 1"), halfspace),
-            corner, (1.0,), cc),
+            corner, (1.0,)),
         "p4-circle-center": (
             verify_p4, circle(iv_circle("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2"), iv_arc_cap),
-            cap, (3.0,), cnc),
+            cap, (3.0,)),
         "p4-circle-center-zero-multiplier": (
             verify_p4, circle(iv_circle("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2"), iv_arc_cap),
-            cap, (0.0,), cnc),
+            cap, (0.0,)),
         "p4-circle-interior": (
             verify_p4, circle(iv_circle("(theta - 4)^2", "0.5*(theta - 2)^2 + 0.2"), iv_arc_cap),
-            CIRCLE.point(2.0), (0.0,), cnc),
+            CIRCLE.point(2.0), (0.0,)),
         "p4-circle-constraint-width-gate": (
             verify_p4,
             circle(iv_circle("(theta - 4)^2", "0.5*(theta - 4)^2 + 0.2"),
                    (iv_circle("theta - 2.5", "((theta - 2.5)*(theta - 1.5))^2"),)),
-            cap, (3.0,), cnc),
+            cap, (3.0,)),
         "p4-circle-width": (
             verify_p4, circle(iv_circle("2", "(theta - 4)^2 + 0.2"), iv_arc_cap),
-            cap, (3.0,), cc),
+            cap, (3.0,)),
         "p4-euclid-center": (
             verify_p4, plane(iv_plane(E2_QUAD, f"0.5*({E2_QUAD}) + 0.25"), iv_halfspace),
-            corner, (1.0,), cnc),
+            corner, (1.0,)),
         "p4-euclid-width": (
             verify_p4, plane(iv_plane("3", f"{E2_QUAD} + 0.5"), iv_halfspace),
-            corner, (1.0,), cc),
-        "p4-euclid-mismatch": (
-            verify_p4, plane(iv_plane(E2_QUAD, "0.25"), iv_halfspace), corner, (1.0,), cc),
+            corner, (1.0,)),
     }
 
 
 def pinned_certificates() -> dict:
-    """Certificate JSON, or the error text, of every pinned case.
+    """Certificate JSON of every pinned case.
 
     The fixture at PINNED_PATH holds this output as captured before the
     verifiers were folded into one pipeline; regenerate it only for an
     intended change of verifier output.
     """
     out = {}
-    for name, (verify, prob, p0, mu, kwargs) in _pinned_cases().items():
+    for name, (verify, prob, p0, mu) in _pinned_cases().items():
         directions = direction_samples(prob, p0, 8, seed=3)
-        try:
-            out[name] = verify(prob, p0, mu, directions, seed=3, **kwargs).to_json()
-        except IvoptError as exc:
-            out[name] = f"{type(exc).__name__}: {exc}"
+        out[name] = verify(prob, p0, mu, directions, seed=3).to_json()
     return out
 
 
@@ -797,9 +771,6 @@ class TestPinnedCertificates:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_certificate_matches(self, name, current):
         got, want = current[name], PINNED[name]
-        if isinstance(want, str):
-            assert got == want
-            return
         assert set(got) == set(want)
         for key in want:
             if key != "residuals":
@@ -811,26 +782,24 @@ class TestPinnedCertificates:
                 assert np.allclose(g[part], w[part], rtol=0.0, atol=1e-12), part
 
     def test_fixture_covers_every_verdict_and_mode(self):
-        verdicts = {c["verdict"] for c in PINNED.values() if isinstance(c, dict)}
+        verdicts = {c["verdict"] for c in PINNED.values()}
         assert verdicts == {"Optimal", "StrictOptimal", "Inconclusive"}
-        reasons = " | ".join(c["reason"] for c in PINNED.values() if isinstance(c, dict))
+        reasons = " | ".join(c["reason"] for c in PINNED.values())
         for text in ("(residual [", "(residual -", "stationarity of the center fails",
                      "stationarity of the width", "along sampled geodesics",
                      "complementary slackness", "repeat on sampled feasible points"):
             assert text in reasons
-        errors = [c for c in PINNED.values() if isinstance(c, str)]
-        assert errors and all(e.startswith("ModeMismatchError: ") for e in errors)
 
 
 class TestNoDirections:
     @pytest.mark.parametrize("name", sorted(_pinned_cases()))
     def test_every_verifier_refuses_an_empty_direction_list(self, name):
         # stationarity over no direction would certify anything
-        verify, prob, p0, mu, kwargs = _pinned_cases()[name]
+        verify, prob, p0, mu = _pinned_cases()[name]
         with pytest.raises(ConfigError, match="no directions to test"):
-            verify(prob, p0, mu, [], seed=3, **kwargs)
+            verify(prob, p0, mu, [], seed=3)
         with pytest.raises(ConfigError, match="no directions to test"):
-            verify(prob, p0, mu, direction_samples(prob, p0, 0, seed=3), seed=3, **kwargs)
+            verify(prob, p0, mu, direction_samples(prob, p0, 0, seed=3), seed=3)
 
     def test_find_multipliers_refuses_an_empty_direction_list(self):
         # all-zero multipliers over no direction would be a vacuous answer
@@ -855,34 +824,22 @@ class TestOnePipeline:
 
     @pytest.mark.parametrize("name", [
         "p3_split-circle-center", "p3_split-euclid-width",
-        "p4-circle-center", "p4-euclid-width", "p4-euclid-mismatch",
+        "p4-circle-center", "p4-euclid-width",
     ])
     def test_split_verifiers_draw_feasible_points_once(self, name, monkeypatch):
         calls = self._count_draws(monkeypatch)
-        verify, prob, p0, mu, kwargs = _pinned_cases()[name]
-        directions = direction_samples(prob, p0, 4, seed=3)
-        try:
-            verify(prob, p0, mu, directions, seed=3, **kwargs)
-        except ModeMismatchError:
-            pass
+        verify, prob, p0, mu = _pinned_cases()[name]
+        verify(prob, p0, mu, direction_samples(prob, p0, 4, seed=3), seed=3)
         assert len(calls) == 1
 
     def test_unsplit_failure_draws_nothing(self, monkeypatch):
         calls = self._count_draws(monkeypatch)
-        verify, prob, p0, mu, kwargs = _pinned_cases()["p2-circle-descent"]
+        verify, prob, p0, mu = _pinned_cases()["p2-circle-descent"]
         cert = verify(prob, p0, mu, direction_samples(prob, p0, 4, seed=3), seed=3)
         assert cert.verdict is KktVerdict.INCONCLUSIVE
         assert calls == []
 
-    @pytest.mark.parametrize("name", ["p4-circle-center", "p4-euclid-width",
-                                      "p3_split-circle-width"])
-    def test_mode_none_picks_the_sampled_mode(self, name):
-        verify, prob, p0, mu, kwargs = _pinned_cases()[name]
-        directions = direction_samples(prob, p0, 8, seed=3)
-        picked = verify(prob, p0, mu, directions, mode=None, seed=3)
-        assert picked.to_json() == verify(prob, p0, mu, directions, seed=3, **kwargs).to_json()
-
-    def _verify_drawing(self, monkeypatch, verify, prob, p0, mu, kwargs) -> tuple:
+    def _verify_drawing(self, monkeypatch, verify, prob, p0, mu) -> tuple:
         """(certificate, points drawn) of one run on 4 directions, counting the
         points the proposal streams hand out plus any draw_one call made
         outside a stream."""
@@ -908,7 +865,7 @@ class TestOnePipeline:
         with monkeypatch.context() as patch:
             patch.setattr(ProposalStream, "take", counting_take)
             patch.setattr(DomainSampler, "draw_one", counting_draw_one)
-            cert = verify(prob, p0, mu, directions, seed=3, **kwargs)
+            cert = verify(prob, p0, mu, directions, seed=3)
         return cert, draws
 
     def test_hypotheses_draw_their_targets_once(self, monkeypatch):
@@ -916,24 +873,24 @@ class TestOnePipeline:
         # checked componentwise, each with a component the curvature rules
         # cannot decide: 16 hypothesis targets plus 32 strictness points (four
         # 16-target redraws plus 32 before the targets were shared)
-        verify, pinned, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+        verify, pinned, p0, mu = _pinned_cases()["p4-circle-center"]
         prob = circle_problem(*undecided_p4_circle_center())
         assert not any(map(kkt._proved_convex, (prob.objective,) + prob.constraints))
-        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu, kwargs)
+        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu)
         assert cert.active_set == (0,)
         assert len(cert.hypothesis_report) == 2
         assert len(draws) == 48
         # a product of non-constants in place of a square, with the same
         # values, so the certificate is the pinned case's
-        want, _ = self._verify_drawing(monkeypatch, verify, pinned, p0, mu, kwargs)
+        want, _ = self._verify_drawing(monkeypatch, verify, pinned, p0, mu)
         assert cert.to_json() == want.to_json()
 
     def test_proved_hypotheses_draw_nothing(self, monkeypatch):
         # every function of the pinned case is proved convex, so only the 32
         # strictness points are drawn
-        verify, prob, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+        verify, prob, p0, mu = _pinned_cases()["p4-circle-center"]
         assert all(map(kkt._proved_convex, (prob.objective,) + prob.constraints))
-        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu, kwargs)
+        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu)
         assert len(cert.hypothesis_report) == 2
         assert all(check.holds for check in cert.hypothesis_report)
         assert len(draws) == 32
@@ -941,7 +898,7 @@ class TestOnePipeline:
     def test_mixed_hypotheses_match_the_sampled_certificate(self, monkeypatch):
         # a proved objective next to an undecided constraint: the same
         # certificate as with every stored shape unknown
-        verify, _, p0, mu, kwargs = _pinned_cases()["p4-circle-center"]
+        verify, _, p0, mu = _pinned_cases()["p4-circle-center"]
 
         def mixed():
             objective, _ = proved_p4_circle_center()
@@ -951,10 +908,10 @@ class TestOnePipeline:
         prob = mixed()
         assert kkt._proved_convex(prob.objective)
         assert not kkt._proved_convex(prob.constraints[0])
-        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu, kwargs)
+        cert, draws = self._verify_drawing(monkeypatch, verify, prob, p0, mu)
         assert len(draws) == 48
         without_proofs(monkeypatch)
-        sampled, _ = self._verify_drawing(monkeypatch, verify, mixed(), p0, mu, kwargs)
+        sampled, _ = self._verify_drawing(monkeypatch, verify, mixed(), p0, mu)
         assert json.dumps(cert.to_json()) == json.dumps(sampled.to_json())
 
 

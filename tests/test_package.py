@@ -26,7 +26,7 @@ def test_star_import_binds_the_public_names_only():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(bound) == public | {"__version__"}
-    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 92
+    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 90
 
 
 def test_no_submodule_is_exported():
@@ -44,8 +44,17 @@ def test_exports_are_callables_classes_and_constants():
     assert constants == {"ZERO", "__version__"}
     assert bound["__version__"] == ivopt.__version__
     for name in ("verify_p2", "verify_p3", "verify_p3_split", "verify_p4",
-                 "check_convex", "check_convex_at", "Interval", "SplitMode", "Spd"):
+                 "check_convex", "check_convex_at", "Interval", "KktVerdict", "Spd"):
         assert bound[name] is getattr(ivopt, name)
+
+
+def test_the_split_component_is_not_a_parameter():
+    # the split verifiers read the component from their samples
+    for module in (ivopt, ivopt.kkt, ivopt.errors):
+        assert not hasattr(module, "SplitMode") and not hasattr(module, "ModeMismatchError")
+    for verify in (ivopt.verify_p3_split, ivopt.verify_p4):
+        assert list(inspect.signature(verify).parameters) == [
+            "prob", "p0", "mu", "directions", "tol", "seed"]
 
 
 def _modules_after(code: str) -> set:
