@@ -49,7 +49,6 @@ from .functions import (
     iv_linear_combination,
     lift_real,
     linear_combination,
-    smooth_registry,
 )
 from .interval import (
     Interval,
@@ -60,11 +59,9 @@ from .interval import (
     combine,
     compare,
     format_interval,
-    geq_max,
     gh_diff,
     hausdorff,
     leq_min,
-    lt_min,
     parse_interval,
     scale,
 )

@@ -6,7 +6,8 @@ Any other function (a builtin, a ``linear_combination`` closure or one of
 ``reduce_p4`` without ``pfix``, a user callable) has no expression, so
 forward difference quotients on the step ladder LADDER_H0, LADDER_H0/2, ...
 are extrapolated by Richardson's rule until two estimates agree within
-LADDER_TOL.  The interval path differentiates center and width separately
+LADDER_TOL times max(1, |estimate|), so that the stopping rule scales with
+the derivative.  The interval path differentiates center and width separately
 and reassembles the derivative as an interval with halfwidth |width rate|;
 the center/width decomposition is only asserted when the width's one-sided
 rate is non-negative (within MONOTONE_SLACK).
@@ -26,7 +27,7 @@ WIDTH_GRID = 33  # points of the width gate's uniform grid over [0, 1]
 RICH_ORDER = 2  # deepest Richardson extrapolant of the step ladder
 LADDER_H0 = 1e-2  # first step of the ladder; each level halves it
 LADDER_LEVELS = 6
-LADDER_TOL = 1e-6  # agreement of consecutive estimates that ends the ladder
+LADDER_TOL = 1e-6  # relative agreement of consecutive estimates that ends the ladder
 
 
 def _extrapolated_limit(quotient, what: str) -> float:
@@ -42,7 +43,7 @@ def _extrapolated_limit(quotient, what: str) -> float:
             row.append((factor * row[j - 1] - rows[k - 1][j - 1]) / (factor - 1.0))
         rows.append(row)
         estimate = row[-1]
-        if last is not None and abs(estimate - last) <= LADDER_TOL:
+        if last is not None and abs(estimate - last) <= LADDER_TOL * max(1.0, abs(estimate)):
             return estimate
         last = estimate
     raise NotConvergedError(

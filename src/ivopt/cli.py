@@ -4,7 +4,9 @@ Subcommands: order, check-convexity, check-kkt, repro.  Exit codes are 0
 for a successful run with a positive verdict, 2 when the verdict is
 inconclusive, a counterexample was found, or a reproduction row mismatches,
 and 1 for usage or runtime errors.  The sampling seed resolves in order:
---seed flag, the problem file's options.seed, then 0.
+--seed flag, the problem file's options.seed, then 0.  check-kkt's active
+set is fixed (kkt.ACTIVE_TOL), and a blank --mu lists no multipliers, as a
+problem without constraints has none.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from typing import Optional
 from .convexity import check_convex, check_convex_at
 from .errors import ConfigError, IvoptError
 from .interval import Interval, OrderRelation, compare, format_interval, parse_interval
-from .kkt import (
-    ACTIVE_TOL,
-    active_set,
-    direction_samples,
-    find_multipliers,
-    verify_p2,
-    verify_p3,
-    verify_p4,
-)
+from .kkt import active_set, direction_samples, find_multipliers, verify_p2, verify_p3, verify_p4
 from .problems import load_problem, parse_point_text, run_repro, scenario_ids
 
 
@@ -59,6 +53,9 @@ def _fmt_value(value) -> str:
 
 
 def _cmd_order(args) -> int:
+    if args.eps is not None and args.relation == "lu":
+        raise ConfigError("--eps is the center tie tolerance of min and max; "
+                          "drop it with --relation lu")
     t1 = parse_interval(args.left)
     t2 = parse_interval(args.right)
     rel = OrderRelation(args.relation)
@@ -129,8 +126,9 @@ def _cmd_check_convexity(args) -> int:
 
 
 def _parse_mu(text: str, m: int) -> tuple:
+    """Comma-separated multipliers, blank text being none; exactly m of them."""
     try:
-        mu = tuple(float(part) for part in text.split(","))
+        mu = tuple(float(part) for part in text.split(",")) if text.strip() else ()
     except ValueError:
         raise ConfigError(f"cannot parse multipliers {text!r}") from None
     if len(mu) != m:
@@ -155,7 +153,7 @@ def _cmd_check_kkt(args) -> int:
     if args.mu is not None:
         mu = _parse_mu(args.mu, len(prob.constraints))
     else:
-        J = active_set(prob, p0, tol=args.tol)
+        J = active_set(prob, p0)
         found_mu = find_multipliers(prob, p0, J, dirs)
         if found_mu is None:
             message = "no feasible multipliers over the sampled directions"
@@ -168,11 +166,11 @@ def _cmd_check_kkt(args) -> int:
 
     label = prob.label
     if label == "P2":
-        cert = verify_p2(prob, p0, mu, dirs, tol=args.tol, seed=seed)
+        cert = verify_p2(prob, p0, mu, dirs, seed=seed)
     elif label == "P3":
-        cert = verify_p3(prob, p0, mu, dirs, tol=args.tol, seed=seed)
+        cert = verify_p3(prob, p0, mu, dirs, seed=seed)
     else:
-        cert = verify_p4(prob, p0, mu, dirs, tol=args.tol, seed=seed)
+        cert = verify_p4(prob, p0, mu, dirs, seed=seed)
 
     if args.json:
         payload = cert.to_json()
@@ -250,7 +248,7 @@ def build_parser() -> _Parser:
     )
     p_order.add_argument(
         "--eps", type=float, default=None,
-        help="center tie tolerance for min/max (default: scale-aware; 0 = exact)",
+        help="center tie tolerance for min/max, not lu (default: scale-aware; 0 = exact)",
     )
     p_order.add_argument("--json", action="store_true", help="emit a JSON report")
     p_order.set_defaults(handler=_cmd_order)
@@ -278,8 +276,6 @@ def build_parser() -> _Parser:
     p_kkt.add_argument("--directions", type=int, default=16,
                        help="sampled tangent directions (default: 16)")
     p_kkt.add_argument("--seed", type=int, default=None, help="sampling seed")
-    p_kkt.add_argument("--tol", type=float, default=ACTIVE_TOL,
-                       help=f"active-set tolerance (default: {ACTIVE_TOL:g})")
     p_kkt.add_argument("--json", action="store_true", help="emit a JSON certificate")
     p_kkt.set_defaults(handler=_cmd_check_kkt)
 

@@ -73,9 +73,6 @@ class Interval:
     def point(cls, x: float) -> "Interval":
         return cls(x, x)
 
-    def is_degenerate(self) -> bool:
-        return self.ub - self.lb <= 0.0
-
     def to_json(self) -> list:
         return [self.lb, self.ub]
 
@@ -209,18 +206,5 @@ def leq_min(t1: Interval, t2: Interval, eps_c: float | None = None) -> bool:
     """T1 precedes-or-ties T2 in the minimization order."""
     return compare(t1, t2, OrderRelation.MIN, eps_c) in (
         OrderOutcome.LESS,
-        OrderOutcome.EQUAL,
-    )
-
-
-def lt_min(t1: Interval, t2: Interval, eps_c: float | None = None) -> bool:
-    """Strict precedence: precedes-or-ties and the intervals differ."""
-    return leq_min(t1, t2, eps_c) and (t1.lb != t2.lb or t1.ub != t2.ub)
-
-
-def geq_max(t1: Interval, t2: Interval, eps_c: float | None = None) -> bool:
-    """T1 dominates-or-ties T2 in the maximization order."""
-    return compare(t1, t2, OrderRelation.MAX, eps_c) in (
-        OrderOutcome.GREATER,
         OrderOutcome.EQUAL,
     )

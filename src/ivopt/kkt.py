@@ -8,9 +8,10 @@ Three problem classes are supported, inferred from the value kinds:
 
 All verifiers run one pipeline, in this order:
 
-1. precheck -- multiplier count and signs, feasibility, and complementary
-   slackness: a positive multiplier needs an active constraint whose value
-   it scales to within RESID_TOL of zero;
+1. precheck -- multiplier count and signs, feasibility, the active set
+   (the constraints within ACTIVE_TOL of zero, a fixed constant), and
+   complementary slackness: a positive multiplier needs an active
+   constraint whose value it scales to within RESID_TOL of zero;
 2. convexity hypotheses at the candidate (reported, never gating) --
    proved by the curvature rules (``curvature``) where they decide, and
    sampled otherwise, with the same report either way;
@@ -199,22 +200,21 @@ def _gap(value: Union[float, Interval]) -> float:
     return hausdorff(value, ZERO) if isinstance(value, Interval) else abs(value)
 
 
-def active_set(prob: Problem, p0: Point, tol: float = ACTIVE_TOL) -> tuple:
-    """Indices of constraints binding at p0 (0-based; reports label them g1..)."""
-    return _constraints_at(prob, p0, tol)[1]
+def active_set(prob: Problem, p0: Point) -> tuple:
+    """Indices of constraints within ACTIVE_TOL of zero at p0 (0-based;
+    reports label them g1..)."""
+    return _constraints_at(prob, p0)[1]
 
 
-def _constraints_at(prob: Problem, p0: Point, tol: float) -> tuple:
+def _constraints_at(prob: Problem, p0: Point) -> tuple:
     """(values, active set) at p0, each constraint evaluated once, in order;
     an infeasible p0 raises InfeasibleCandidateError."""
-    if not tol >= 0.0:
-        raise ConfigError(f"active-set tolerance must be non-negative, got {tol}")
     values = [g(p0) for g in prob.constraints]
     bad = _violations(values)
     if bad:
         detail = ", ".join(f"{prob.constraint_label(i)}={v}" for i, v in bad)
         raise InfeasibleCandidateError(f"candidate violates: {detail}")
-    return values, tuple(i for i, value in enumerate(values) if _gap(value) <= tol)
+    return values, tuple(i for i, value in enumerate(values) if _gap(value) <= ACTIVE_TOL)
 
 
 def direction_samples(prob: Problem, p0: Point, n: int, seed: int = 0) -> List[TangentDirection]:
@@ -458,18 +458,18 @@ class KktCertificate:
         }
 
 
-def _precheck(prob: Problem, p0: Point, mu: Sequence[float], tol: float):
+def _precheck(prob: Problem, p0: Point, mu: Sequence[float]):
     """Validate multipliers and feasibility, and check complementary
     slackness: a multiplier above SLACK_TOL needs an active constraint g
     with mu * |g(p0)| <= RESID_TOL (an interval g by its Hausdorff distance
-    to [0, 0]), whatever tolerance made it active."""
+    to [0, 0])."""
     if len(mu) != len(prob.constraints):
         raise ConfigError(
             f"expected {len(prob.constraints)} multipliers, got {len(mu)}"
         )
     if not all(0.0 <= m < np.inf for m in mu):
         raise ConfigError("multipliers must be finite and nonnegative")
-    values, J = _constraints_at(prob, p0, tol)
+    values, J = _constraints_at(prob, p0)
     for i, m in enumerate(mu):
         if m <= SLACK_TOL:
             continue
@@ -551,7 +551,6 @@ def _verify(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    tol: float,
     seed: int,
     split: bool = False,
 ) -> KktCertificate:
@@ -587,7 +586,7 @@ def _verify(
             residuals, hyp + [check], KktVerdict.INCONCLUSIVE, check.name + ": " + check.detail
         )
 
-    J, slack_reason = _precheck(prob, p0, mu, tol)
+    J, slack_reason = _precheck(prob, p0, mu)
     _require_directions(directions)
     if slack_reason is not None:
         return certificate([], [], KktVerdict.INCONCLUSIVE, slack_reason)
@@ -658,13 +657,12 @@ def verify_p2(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Real objective, real constraints: stationarity over sampled directions."""
     if prob.label != "P2":
         raise ConfigError(f"verify_p2 expects a P2 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, tol, seed)
+    return _verify(prob, p0, mu, directions, seed)
 
 
 def verify_p3(
@@ -672,7 +670,6 @@ def verify_p3(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Interval objective, real constraints.
@@ -685,7 +682,7 @@ def verify_p3(
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3 expects a P3 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, tol, seed)
+    return _verify(prob, p0, mu, directions, seed)
 
 
 def verify_p3_split(
@@ -693,7 +690,6 @@ def verify_p3_split(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Split form of the P3 check: test one component as a real condition.
@@ -704,7 +700,7 @@ def verify_p3_split(
     """
     if prob.label != "P3":
         raise ConfigError(f"verify_p3_split expects a P3 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, tol, seed, split=True)
+    return _verify(prob, p0, mu, directions, seed, split=True)
 
 
 def verify_p4(
@@ -712,7 +708,6 @@ def verify_p4(
     p0: Point,
     mu: Sequence[float],
     directions: Sequence[TangentDirection],
-    tol: float = ACTIVE_TOL,
     seed: int = 0,
 ) -> KktCertificate:
     """Interval objective and constraints.
@@ -726,7 +721,7 @@ def verify_p4(
     """
     if prob.label != "P4":
         raise ConfigError(f"verify_p4 expects a P4 problem, got {prob.label}")
-    return _verify(prob, p0, mu, directions, tol, seed, split=True)
+    return _verify(prob, p0, mu, directions, seed, split=True)
 
 
 def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:

@@ -34,7 +34,6 @@ from .errors import DomainError, ManifoldMismatchError, NonPositiveDefiniteError
 SYM_TOL = 1e-8
 EIG_FLOOR = 1e-12
 ANGLE_SLACK = 1e-9
-CLOSE_TOL = 1e-9  # Point.close_to
 TWO_PI = 2.0 * math.pi
 
 
@@ -111,11 +110,6 @@ class Point:
     value: Union[float, np.ndarray]
     # Spd feature memo: a class attribute, not a field, so a point costs no more
     _features: ClassVar[Optional[dict]] = None
-
-    def close_to(self, other: "Point") -> bool:
-        if self.manifold != other.manifold:
-            return False
-        return self.manifold.distance(self, other) <= CLOSE_TOL
 
     def to_json(self):
         return self.manifold.point_to_json(self)

@@ -36,7 +36,6 @@ from ivopt.functions import (
     IvFn,
     RealFn,
     iv_linear_combination,
-    smooth_registry,
 )
 from ivopt.interval import (
     Interval,
@@ -255,6 +254,39 @@ def test_05_order_law_sweep(capsys):
 
 
 # -- 6: derivative oracle over the smooth registry ---------------------------
+
+SMOOTH_SPECS = (
+    ("circle_sq_dev", CIRCLE, "(theta - pi/2)^2"),
+    ("circle_lin_dev", CIRCLE, "theta - pi/2"),
+    ("circle_gauss_gap", CIRCLE, "exp(-(theta - pi/2)^2) - 1"),
+    ("circle_tilt_cap", CIRCLE, "(2*theta/pi - 1) - (theta - pi/2)^2 - 1"),
+    ("circle_sin", CIRCLE, "sin(theta)"),
+    ("circle_cos", CIRCLE, "cos(theta)"),
+    ("circle_cubic", CIRCLE, "theta^3/10"),
+    ("circle_log_shift", CIRCLE, "ln(1 + theta^2)"),
+    ("circle_root", CIRCLE, "sqrt(1 + theta^2)"),
+    ("circle_wave_mix", CIRCLE, "sin(2*theta) + cos(theta)"),
+    ("e2_quad", EUCLIDEAN2, "x1^2 + x2^2"),
+    ("e2_mix", EUCLIDEAN2, "x1*x2"),
+    ("e2_exp", EUCLIDEAN2, "exp(x1/2)"),
+    ("e2_trig", EUCLIDEAN2, "sin(x1) + cos(x2)"),
+    ("e2_gap_sq", EUCLIDEAN2, "(x1 - x2)^2"),
+    ("e2_root", EUCLIDEAN2, "sqrt(1 + x1^2 + x2^2)"),
+    ("spd_logdet", SPD2, "logdet"),
+    ("spd_logdet_sq", SPD2, "logdet^2"),
+    ("spd_logdet_exp", SPD2, "exp(logdet/2)"),
+    ("spd_logdet_sin", SPD2, "sin(logdet)"),
+    ("spd_logdet_cubic", SPD2, "logdet^3/6"),
+    ("spd_trace", SPD2, "trace"),
+)
+
+
+def smooth_registry() -> dict:
+    """Named smooth functions of the derivative oracle below."""
+    return {
+        name: RealFn.from_expression(text, manifold, name=name)
+        for name, manifold, text in SMOOTH_SPECS
+    }
 
 
 CIRCLE_DERIVS = {

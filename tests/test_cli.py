@@ -127,6 +127,15 @@ class TestOrder:
             assert captured.out == ""
             assert captured.err.startswith("error: eps_c must be non-negative")
 
+    def test_eps_with_the_lu_order_is_refused(self, capsys):
+        # the endpointwise order has no center tie to widen
+        assert main(["order", "[0,1]", "[0.5,2]", "--relation", "lu", "--eps", "0.5",
+                     "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --eps is the center tie tolerance of min and max; "
+                                "drop it with --relation lu\n")
+
     def test_infinite_eps_ties_every_center(self, capsys):
         assert main(["order", "[0.5,0.5]", "[0,0]", "--eps", "inf"]) == 0
         assert capsys.readouterr().out.strip() == "Equal"
@@ -287,26 +296,40 @@ class TestCheckKkt:
         assert captured.out == ""
         assert captured.err == "error: multipliers must be finite and nonnegative\n"
 
-    @pytest.mark.parametrize("value", ["-1", "nan"])
-    @pytest.mark.parametrize("mu", [[], ["--mu", "0,1,0"]])
-    def test_a_negative_or_nan_active_set_tolerance_is_refused(self, pstar_file, value, mu,
-                                                               capsys):
-        # g1 and g2 bind at pi/2; no tolerance may report an empty active set
-        assert main(["check-kkt", "--problem", pstar_file, "--tol", value, *mu]) == 1
+    def test_the_active_set_tolerance_is_not_an_option(self, pstar_file, capsys):
+        assert main(["check-kkt", "--problem", pstar_file, "--tol", "1e-8"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: active-set tolerance must be non-negative, got {float(value)}\n")
+        assert captured.err.startswith("usage error: unrecognized arguments: --tol")
 
-    def test_a_large_active_set_tolerance_does_not_excuse_slackness(self, pstar_file, capsys):
-        # the tolerance makes g3 active at theta = 1, where g3 is about -1.69:
-        # the multiplier found for it fails complementary slackness
-        assert main(["check-kkt", "--problem", pstar_file, "--point", "1.0",
-                     "--tol", "1e9"]) == 2
+    def test_an_active_constraint_does_not_excuse_slackness(self, pstar_file, capsys):
+        # 5e-9 below the quarter turn g1 is about -5e-9, active at the fixed
+        # tolerance: a unit multiplier on it fails complementary slackness
+        near = ["check-kkt", "--problem", pstar_file, "--point", "1.5707963217948966"]
+        assert main([*near, "--mu", "1,0,0"]) == 2
         out = capsys.readouterr().out
-        assert out.startswith(
-            "Inconclusive: complementary slackness fails: multiplier for g3 is ")
-        assert "active set: g1,g2,g3\n" in out
+        assert out.startswith("Inconclusive: complementary slackness fails: multiplier "
+                              "for g1 is 1.0 but g1 is -4.99")
+        assert "active set: g1,g2\n" in out
+        # 0.1 * |g1| is within RESID_TOL: slackness holds, stationarity does not
+        assert main([*near, "--mu", "0.1,0,0"]) == 2
+        assert capsys.readouterr().out.startswith("Inconclusive: stationarity fails")
+        assert main(near) == 0
+        assert capsys.readouterr().out.startswith("StrictOptimal: ")
+
+    def test_a_blank_mu_lists_no_multipliers(self, pstar_file, tmp_path, capsys):
+        cfg = {"manifold": {"kind": "circle"}, "objective": {"real": "(theta - 2)^2"},
+               "candidate": {"theta": 2.0}}
+        path = tmp_path / "unconstrained.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["check-kkt", "--problem", str(path), "--mu=", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "StrictOptimal" and payload["multipliers"] == []
+        # the count is still checked
+        assert main(["check-kkt", "--problem", pstar_file, "--mu="]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected 3 multipliers, got 0\n"
 
     def test_feasible_point_when_the_file_candidate_is_outside_the_domain(
             self, tmp_path, capsys):

@@ -31,12 +31,12 @@ from ivopt.functions import (
     lift_real,
     linear_combination,
     path_bounds,
-    smooth_registry,
     two_branch_classify,
     two_branch_membership,
 )
 from ivopt.interval import Interval
 from ivopt.manifolds import Circle, Euclidean, Spd
+from test_acceptance import smooth_registry
 
 I2 = np.eye(2)
 LN2 = math.log(2.0)

@@ -20,8 +20,6 @@ from ivopt.interval import (
     gh_diff,
     hausdorff,
     leq_min,
-    lt_min,
-    geq_max,
     parse_interval,
     scale,
 )
@@ -74,8 +72,8 @@ class TestConstruction:
     def test_point_is_degenerate(self):
         t = Interval.point(3.0)
         assert t.lb == t.ub == 3.0
-        assert t.is_degenerate()
-        assert not Interval(0.0, 1.0).is_degenerate()
+        assert t.halfwidth == 0.0
+        assert Interval(0.0, 1.0).halfwidth > 0.0
 
     @given(c=dyadics(), w=st.integers(min_value=0, max_value=1024).map(lambda k: k / 64.0))
     def test_center_width_roundtrip(self, c, w):
@@ -193,7 +191,8 @@ class TestCompare:
             is OrderOutcome.GREATER
         assert compare(Interval(2, 3), Interval(1, 4), OrderRelation.MAX) \
             is OrderOutcome.GREATER
-        assert geq_max(Interval(2, 3), Interval(1, 4))
+        assert compare(Interval(1, 4), Interval(2, 3), OrderRelation.MAX) \
+            is OrderOutcome.LESS
 
     def test_max_order_smaller_center_is_less(self):
         # the narrower interval would precede in the width tie-break
@@ -231,8 +230,9 @@ class TestCompare:
 
     def test_helpers(self):
         assert leq_min(Interval(0, 1), Interval(0, 1))
-        assert not lt_min(Interval(0, 1), Interval(0, 1))
-        assert lt_min(Interval(0, 1), Interval(4, 5))
+        assert compare(Interval(0, 1), Interval(0, 1), OrderRelation.MIN) \
+            is OrderOutcome.EQUAL
+        assert compare(Interval(0, 1), Interval(4, 5), OrderRelation.MIN) is OrderOutcome.LESS
 
     @given(t1=dyadic_intervals(), t2=dyadic_intervals())
     def test_min_order_total_and_antisymmetric(self, t1, t2):

@@ -49,6 +49,7 @@ from ivopt.problems import (
 
 I2 = np.eye(2)
 HALF_PI = math.pi / 2.0
+NEAR_HALF_PI = 1.5707963217948966  # pi/2 - 5e-9, where Pstar's g1 is near active
 
 PSTAR = pstar_problem()
 PSTARSTAR = pstarstar_problem()
@@ -192,13 +193,13 @@ class TestActiveSet:
         assert counts == [1, 1, 1]
         counts[:] = [0, 0, 0]
         # the verifiers' precheck: the active set and complementary slackness
-        assert kkt._precheck(prob, PSTAR.candidate, (0.0, 1.0, 0.0), 1e-8) == ((0, 1), None)
+        assert kkt._precheck(prob, PSTAR.candidate, (0.0, 1.0, 0.0)) == ((0, 1), None)
         assert counts == [1, 1, 1]
 
     def test_a_raising_constraint_raises_first_in_order(self):
         prob, counts = self.counted(PSTAR.problem, PSTAR.candidate, fault=1)
         for call in (lambda: active_set(prob, PSTAR.candidate),
-                     lambda: kkt._precheck(prob, PSTAR.candidate, (0.0, 1.0, 0.0), 1e-8),
+                     lambda: kkt._precheck(prob, PSTAR.candidate, (0.0, 1.0, 0.0)),
                      lambda: verify_p2(prob, PSTAR.candidate, (0.0, 1.0, 0.0),
                                        pstar_directions(4))):
             counts[:] = [0, 0, 0]
@@ -304,22 +305,21 @@ class TestVerifyP2:
         assert cert.residuals == ()
 
     def test_slackness_is_checked_by_the_constraint_value(self):
-        # a huge active-set tolerance makes every constraint active at
-        # theta = 1, which is not optimal; g3 is about -1.69 there, so a
-        # multiplier on it fails complementary slackness
-        prob, p0 = PSTAR.problem, CIRCLE.point(1.0)
-        assert active_set(prob, p0, tol=1e9) == (0, 1, 2)
-        assert brute_force_improvement(prob, p0, n=200, seed=0) is not None
-        g3 = prob.constraints[2](p0)
+        # 5e-9 below the quarter turn g1 is about -5e-9: feasible and within
+        # ACTIVE_TOL of zero, so active, yet a unit multiplier scales it past
+        # RESID_TOL and fails complementary slackness
+        prob, p0 = PSTAR.problem, CIRCLE.point(NEAR_HALF_PI)
+        g1 = prob.constraints[0](p0)
+        assert -kkt.ACTIVE_TOL < g1 < -kkt.RESID_TOL
+        assert active_set(prob, p0) == (0, 1)
         directions = direction_samples(prob, p0, 12)
-        cert = verify_p2(prob, p0, (0.0, 0.0, 0.641989), directions, tol=1e9)
+        cert = verify_p2(prob, p0, (1.0, 0.0, 0.0), directions)
         assert cert.verdict is KktVerdict.INCONCLUSIVE
-        assert cert.reason == ("complementary slackness fails: multiplier for g3 is "
-                               f"0.641989 but g3 is {g3} at the candidate")
+        assert cert.reason == ("complementary slackness fails: multiplier for g1 is "
+                               f"1.0 but g1 is {g1} at the candidate")
         assert cert.residuals == ()
-        # mu * |g3| within RESID_TOL passes the check
-        small = 0.5 * kkt.RESID_TOL / abs(g3)
-        cert = verify_p2(prob, p0, (0.0, 0.0, small), directions, tol=1e9)
+        # mu * |g1| within RESID_TOL passes the check
+        cert = verify_p2(prob, p0, (0.1, 0.0, 0.0), directions)
         assert "complementary slackness" not in cert.reason
 
     def test_multiplier_validation(self):
@@ -533,12 +533,13 @@ class TestVerifyP4:
         assert cert.active_labels == ("g1",)
 
     def test_slackness_is_checked_by_the_hausdorff_distance(self):
-        # g1 = <theta - 3, 0.5> is [-1.5, -0.5] at theta = 2, 1.5 from [0, 0]
+        # g1 = <theta - 2.000000005, 0> is about 5e-9 from [0, 0] at theta = 2:
+        # active, but a unit multiplier scales that distance past RESID_TOL
         f = IvFn.from_expressions("(theta - 2)^2", "0.1", CIRCLE)
-        g1 = IvFn.from_expressions("theta - 3", "0.5", CIRCLE)
+        g1 = IvFn.from_expressions("theta - 2.000000005", "0", CIRCLE)
         prob, p0 = Problem(CIRCLE, f, (g1,), circle_domain()), CIRCLE.point(2.0)
-        assert active_set(prob, p0, tol=2.0) == (0,)
-        cert = verify_p4(prob, p0, (1.0,), direction_samples(prob, p0, 4), tol=2.0)
+        assert active_set(prob, p0) == (0,)
+        cert = verify_p4(prob, p0, (1.0,), direction_samples(prob, p0, 4))
         assert cert.verdict is KktVerdict.INCONCLUSIVE
         assert cert.reason == ("complementary slackness fails: multiplier for g1 is 1.0 "
                                f"but g1 is {g1(p0)} at the candidate")

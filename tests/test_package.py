@@ -26,7 +26,7 @@ def test_star_import_binds_the_public_names_only():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(bound) == public | {"__version__"}
-    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 90
+    assert len(ivopt.__all__) == len(set(ivopt.__all__)) == 87
 
 
 def test_no_submodule_is_exported():
@@ -48,13 +48,23 @@ def test_exports_are_callables_classes_and_constants():
         assert bound[name] is getattr(ivopt, name)
 
 
-def test_the_split_component_is_not_a_parameter():
-    # the split verifiers read the component from their samples
+def test_the_split_component_and_the_active_set_tolerance_are_not_parameters():
+    # the split verifiers read the component from their samples, and every
+    # verifier takes its active set at the fixed kkt.ACTIVE_TOL
     for module in (ivopt, ivopt.kkt, ivopt.errors):
         assert not hasattr(module, "SplitMode") and not hasattr(module, "ModeMismatchError")
-    for verify in (ivopt.verify_p3_split, ivopt.verify_p4):
+    for verify in (ivopt.verify_p2, ivopt.verify_p3, ivopt.verify_p3_split, ivopt.verify_p4):
         assert list(inspect.signature(verify).parameters) == [
-            "prob", "p0", "mu", "directions", "tol", "seed"]
+            "prob", "p0", "mu", "directions", "seed"]
+    assert list(inspect.signature(ivopt.active_set).parameters) == ["prob", "p0"]
+
+
+def test_names_no_caller_reached_are_gone():
+    for owner, name in ((ivopt.interval, "lt_min"), (ivopt.interval, "geq_max"),
+                        (ivopt.interval.Interval, "is_degenerate"),
+                        (ivopt.manifolds.Point, "close_to"), (ivopt.manifolds, "CLOSE_TOL"),
+                        (ivopt.functions, "smooth_registry")):
+        assert not hasattr(owner, name), name
 
 
 def _modules_after(code: str) -> set:
