@@ -2,8 +2,8 @@
 
 A real function built from an expression is differentiated exactly by its
 dual lane (``expr.compile_dual``) over the manifold's ``feature_rates``.
-Any other function (a builtin, a ``linear_combination`` closure or one of
-``reduce_p4`` without ``pfix``, a user callable) has no expression, so
+Any other function (a builtin, a ``linear_combination`` closure, the zero
+width of ``lift_real``, a user callable) has no expression, so
 forward difference quotients on the step ladder LADDER_H0, LADDER_H0/2, ...
 are extrapolated by Richardson's rule until two estimates agree within
 LADDER_TOL times max(1, |estimate|), so that the stopping rule scales with

@@ -4,9 +4,9 @@ Subcommands: order, check-convexity, check-kkt, repro.  Exit codes are 0
 for a successful run with a positive verdict, 2 when the verdict is
 inconclusive, a counterexample was found, or a reproduction row mismatches,
 and 1 for usage or runtime errors.  The sampling seed resolves in order:
---seed flag, the problem file's options.seed, then 0.  check-kkt's active
-set is fixed (kkt.ACTIVE_TOL), and a blank --mu lists no multipliers, as a
-problem without constraints has none.
+--seed flag, the problem file's options.seed, then 0; a negative one is an
+error.  check-kkt's active set is fixed (kkt.ACTIVE_TOL), and a blank --mu
+lists no multipliers, as a problem without constraints has none.
 """
 
 from __future__ import annotations
@@ -125,15 +125,12 @@ def _cmd_check_convexity(args) -> int:
 # -- check-kkt ----------------------------------------------------------------
 
 
-def _parse_mu(text: str, m: int) -> tuple:
-    """Comma-separated multipliers, blank text being none; exactly m of them."""
+def _parse_mu(text: str) -> tuple:
+    """Comma-separated multipliers, blank text being none (``_precheck`` counts them)."""
     try:
-        mu = tuple(float(part) for part in text.split(",")) if text.strip() else ()
+        return tuple(float(part) for part in text.split(",")) if text.strip() else ()
     except ValueError:
         raise ConfigError(f"cannot parse multipliers {text!r}") from None
-    if len(mu) != m:
-        raise ConfigError(f"expected {m} multipliers, got {len(mu)}")
-    return mu
 
 
 def _cmd_check_kkt(args) -> int:
@@ -151,7 +148,7 @@ def _cmd_check_kkt(args) -> int:
 
     found_mu = None
     if args.mu is not None:
-        mu = _parse_mu(args.mu, len(prob.constraints))
+        mu = _parse_mu(args.mu)
     else:
         J = active_set(prob, p0)
         found_mu = find_multipliers(prob, p0, J, dirs)
@@ -302,6 +299,8 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return 0 if code == 0 else 1
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.handler(args)
     except IvoptError as exc:
         print(f"error: {exc}", file=sys.stderr)

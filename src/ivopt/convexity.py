@@ -41,6 +41,7 @@ from .calculus import dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
 from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval, compare_min_arrays, default_center_eps_arrays, gh_diff
+from .interval import endpoints, value_json
 from .manifolds import Manifold, Point, check_path, distance, log_map
 
 STRICT_MARGIN = 1e-10
@@ -231,14 +232,6 @@ class Verdict(Enum):
     COUNTEREXAMPLE = "CounterexampleFound"
 
 
-def _value_json(v):
-    if v is None:
-        return None
-    if isinstance(v, Interval):
-        return v.to_json()
-    return float(v)
-
-
 @dataclass(frozen=True)
 class Counterexample:
     p: Point
@@ -252,8 +245,8 @@ class Counterexample:
             "p": self.p.to_json(),
             "q": self.q.to_json(),
             "s": self.s,
-            "lhs": _value_json(self.lhs),
-            "rhs": _value_json(self.rhs),
+            "lhs": value_json(self.lhs),
+            "rhs": value_json(self.rhs),
         }
 
 
@@ -286,11 +279,6 @@ def _check_sizes(grid: int = 3, **counts: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {count}")
     if grid < 3:
         raise ValueError("grid must contain at least three points")
-
-
-def _bounds(v: Value) -> tuple:
-    """(lb, ub) of a value, a real v as (v, v)."""
-    return (v.lb, v.ub) if isinstance(v, Interval) else (v, v)
 
 
 def _violations(kind: str, bound: float, interval: bool, lhs: tuple, rhs: tuple):
@@ -365,7 +353,7 @@ def _worst_on_segments(f: Fn, segments, grid: int, kind: str = "convex",
             svals = path_grid(grid, interior=kind == "strict")
             s = np.array(svals)
         lhs = path_bounds(f, p, q, svals, path)
-        (plb, pub), (qlb, qub) = _bounds(vp), _bounds(vq)
+        (plb, pub), (qlb, qub) = endpoints(vp), endpoints(vq)
         with np.errstate(all="ignore"):
             rlb = (1.0 - s) * plb + s * qlb
             rhs = (rlb, (1.0 - s) * pub + s * qub) if interval else (rlb, rlb)
@@ -575,7 +563,7 @@ class LocalMinReport:
         if self.witness is not None:
             witness = {
                 "target": self.witness["target"].to_json(),
-                "derivative": _value_json(self.witness["derivative"]),
+                "derivative": value_json(self.witness["derivative"]),
             }
         return {
             "verdict": self.verdict,

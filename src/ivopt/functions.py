@@ -40,7 +40,7 @@ from .errors import (
     NonFiniteError,
     UnknownFeatureError,
 )
-from .interval import Interval
+from .interval import Interval, endpoints
 from .manifolds import Circle, Euclidean, Manifold, Point, Spd
 
 WIDTH_FLOOR = -1e-12
@@ -158,8 +158,7 @@ def path_bounds(
             return bounds
     lb, ub = np.empty(len(svals)), np.empty(len(svals))
     for j, pt in enumerate(m.path_points(p, q, svals, path)):
-        value = f(pt)
-        lb[j], ub[j] = (value.lb, value.ub) if isinstance(value, Interval) else (value, value)
+        lb[j], ub[j] = endpoints(f(pt))
     return lb, ub
 
 

@@ -2,7 +2,8 @@
 
 An interval is stored by its endpoints.  The center-then-halfwidth total
 orders (one for minimization, one for maximization) and the endpointwise
-partial order are exposed through a single ``compare`` entry point.
+partial order are exposed through a single ``compare`` entry point.  A real
+value v is the degenerate interval [v, v] (``endpoints``, ``value_json``).
 """
 
 from __future__ import annotations
@@ -81,6 +82,18 @@ class Interval:
 
 
 ZERO = Interval(0.0, 0.0)
+
+
+def endpoints(v) -> tuple:
+    """(lb, ub) of an interval, a real v as (v, v)."""
+    return (v.lb, v.ub) if isinstance(v, Interval) else (v, v)
+
+
+def value_json(v):
+    """A value's JSON form: [lb, ub] for an interval, float(v) for a real v, None for None."""
+    if isinstance(v, Interval):
+        return v.to_json()
+    return None if v is None else float(v)
 
 
 def format_interval(t: Interval) -> str:

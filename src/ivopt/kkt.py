@@ -67,12 +67,12 @@ from .interval import (
     ZERO,
     Interval,
     OrderOutcome,
-    OrderRelation,
     combine,
     compare,
     compare_min_arrays,
-    hausdorff,
+    endpoints,
     leq_min,
+    value_json,
 )
 from .manifolds import Manifold, Point, TangentDirection, exp_map, log_map, distance
 
@@ -196,8 +196,8 @@ def _violations(values: list) -> list:
 
 
 def _gap(value: Union[float, Interval]) -> float:
-    """A constraint value's distance to zero, an interval's by Hausdorff distance."""
-    return hausdorff(value, ZERO) if isinstance(value, Interval) else abs(value)
+    """A constraint value's Hausdorff distance to [0, 0], a real v being [v, v]."""
+    return max(abs(e) for e in endpoints(value))
 
 
 def active_set(prob: Problem, p0: Point) -> tuple:
@@ -408,11 +408,10 @@ class DirectionResidual:
     ok: bool
 
     def to_json(self) -> dict:
-        value = self.residual
         return {
             "index": self.index,
             "direction": np.asarray(self.direction.value).tolist(),
-            "residual": value.to_json() if isinstance(value, Interval) else value,
+            "residual": value_json(self.residual),
             "ok": self.ok,
         }
 
@@ -440,7 +439,6 @@ class KktCertificate:
         return self.verdict in (KktVerdict.OPTIMAL, KktVerdict.STRICT_OPTIMAL)
 
     def to_json(self) -> dict:
-        value = self.value
         return {
             "problem": self.problem_name,
             "label": self.label,
@@ -452,7 +450,7 @@ class KktCertificate:
             "hypothesis_report": [h.to_json() for h in self.hypothesis_report],
             "verdict": self.verdict.value,
             "reason": self.reason,
-            "value": value.to_json() if isinstance(value, Interval) else value,
+            "value": value_json(self.value),
             "n_directions": self.n_directions,
             "seed": self.seed,
         }
@@ -488,14 +486,11 @@ def _feasible_points(prob: Problem, p0: Point, n: int, seed: int) -> list:
 
 
 def _pairwise_distinct(values) -> bool:
-    """True when every pair of values differs by more than DISTINCT_TOL."""
-    for a_idx in range(len(values)):
-        for b_idx in range(a_idx + 1, len(values)):
-            a, b = values[a_idx], values[b_idx]
-            gap = hausdorff(a, b) if isinstance(a, Interval) else abs(a - b)
-            if gap <= DISTINCT_TOL:
-                return False
-    return True
+    """True when every pair of values is more than DISTINCT_TOL apart in Hausdorff
+    distance, max(|lb - lb'|, |ub - ub'|), a real v being [v, v]: one gap matrix."""
+    lb, ub = np.array([endpoints(v) for v in values], dtype=float).reshape(-1, 2).T
+    gap = np.maximum(np.abs(lb[:, None] - lb), np.abs(ub[:, None] - ub))
+    return not np.triu(gap <= DISTINCT_TOL, 1).any()
 
 
 def _proved_convex(fn: Fn) -> bool:
@@ -540,12 +535,6 @@ def _convexity_hypotheses(
     return checks
 
 
-def _center_constant(prob: Problem, points: list) -> bool:
-    """Whether the objective's center spreads by at most CONST_TOL over points."""
-    centers = [prob.objective.center(q) for q in points]
-    return max(centers) - min(centers) <= CONST_TOL
-
-
 def _verify(
     prob: Problem,
     p0: Point,
@@ -558,9 +547,10 @@ def _verify(
 
     Stages: precheck, convexity hypotheses, width gate, per-direction
     residual, strictness.  Unsplit checks test the objective; split checks
-    test its center, or its width where the center is constant on the
-    strictness points, which are drawn once.  The residual is an interval
-    when an interval-valued function enters it, a float otherwise.
+    test its center, or its width where the center spreads by at most
+    CONST_TOL on the strictness points, drawn once, where a tested center's
+    values are reused.  The residual is an interval when an interval-valued
+    function enters it, a float otherwise.
     """
     def certificate(residuals, hyp, verdict, reason):
         return KktCertificate(
@@ -590,13 +580,14 @@ def _verify(
     _require_directions(directions)
     if slack_reason is not None:
         return certificate([], [], KktVerdict.INCONCLUSIVE, slack_reason)
-    tested, what, of, points = prob.objective, "objective", "", None
+    tested, what, of, points, values = prob.objective, "objective", "", None, None
     if split:
         points = _feasible_points(prob, p0, STRICT_SAMPLES, seed)
-        if _center_constant(prob, points):
+        centers = [prob.objective.center(q) for q in points]
+        if max(centers) - min(centers) <= CONST_TOL:
             tested, what = prob.objective.width, "width"
         else:
-            tested, what = prob.objective.center, "center"
+            tested, what, values = prob.objective.center, "center", centers
         of = f" of the {what}"
     labelled = [(prob.objective, "objective")]
     labelled += [(prob.constraints[i], prob.constraint_label(i)) for i in J]
@@ -640,10 +631,11 @@ def _verify(
             reason += f" (residual {shown})"
         return certificate(residuals, hyp, KktVerdict.INCONCLUSIVE, reason)
 
-    if points is None:
-        points = _feasible_points(prob, p0, STRICT_SAMPLES, seed)
+    if values is None:
+        points = points or _feasible_points(prob, p0, STRICT_SAMPLES, seed)
+        values = [tested(q) for q in points]
     reason = f"stationarity{of} holds on all sampled directions; {what} values"
-    if _pairwise_distinct([tested(q) for q in points]):
+    if _pairwise_distinct(values):
         verdict = KktVerdict.STRICT_OPTIMAL
         reason += " pairwise distinct on sampled feasible points"
     else:
@@ -724,30 +716,22 @@ def verify_p4(
     return _verify(prob, p0, mu, directions, seed, split=True)
 
 
-def reduce_p4(prob: Problem, pfix: Optional[Point] = None) -> Problem:
-    """Rewrite interval constraints as real ones, pointwise by center size.
+def reduce_p4(prob: Problem, pfix: Point) -> Problem:
+    """Rewrite interval constraints as real ones, by center size at pfix.
 
-    At each evaluation point, a constraint whose center is away from zero
-    contributes its center function; one whose center vanishes contributes
-    its width function.  Requiring width <= 0 with nonnegative widths
-    forces the width to zero there, which is the intended equality reading.
-    Passing pfix freezes the center/width choice at that single point
-    instead of re-deciding per evaluation; the chosen component keeps its
-    array, dual and curvature lanes.
+    A constraint whose center at pfix is more than ACTIVE_TOL from zero
+    contributes its center function; one whose center vanishes there
+    contributes its width function.  Requiring width <= 0 with nonnegative
+    widths forces the width to zero, which is the intended equality
+    reading.  The chosen component is the constraint's own RealFn, renamed,
+    so it keeps its array, dual and curvature lanes.
     """
     if prob.label != "P4":
         raise ConfigError(f"reduce_p4 expects a P4 problem, got {prob.label}")
     reduced = []
     for g in prob.constraints:
-        if pfix is not None:
-            chosen = g.center if abs(g.center(pfix)) > ACTIVE_TOL else g.width
-            reduced.append(replace(chosen, name=f"reduced[{g.name}]"))
-        else:
-            def fn(p: Point, g=g) -> float:
-                c = g.center(p)
-                return c if abs(c) > ACTIVE_TOL else g.width(p)
-
-            reduced.append(RealFn(prob.manifold, fn, name=f"reduced[{g.name}]"))
+        chosen = g.center if abs(g.center(pfix)) > ACTIVE_TOL else g.width
+        reduced.append(replace(chosen, name=f"reduced[{g.name}]"))
     return Problem(
         manifold=prob.manifold,
         objective=prob.objective,
@@ -772,7 +756,7 @@ def brute_force_improvement(
     matching what a strict-optimality claim rules out.
     """
     stream = ProposalStream(prob.feasible_sampler(), np.random.default_rng(seed))
-    v0 = _as_interval(prob.objective(p0))
+    v0 = Interval(*endpoints(prob.objective(p0)))
     drawn = 0
     while drawn < n:
         points, features = stream.take(n - drawn)
@@ -780,7 +764,7 @@ def brute_force_improvement(
         bounds = bounds_on(prob.objective, points[0].manifold, features)
         if bounds is None:
             for q in points:
-                outcome = compare(_as_interval(prob.objective(q)), v0, OrderRelation.MIN, 0.0)
+                outcome = compare(Interval(*endpoints(prob.objective(q))), v0, eps_c=0.0)
                 if outcome is OrderOutcome.LESS or (
                     strict and outcome is OrderOutcome.EQUAL and distance(p0, q) > MIN_DIST
                 ):
@@ -795,7 +779,3 @@ def brute_force_improvement(
             if less[j] or distance(p0, points[j]) > MIN_DIST:
                 return points[j]
     return None
-
-
-def _as_interval(value: Union[float, Interval]) -> Interval:
-    return value if isinstance(value, Interval) else Interval.point(value)

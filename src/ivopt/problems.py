@@ -345,8 +345,8 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     seed = options.pop("seed", None)
     domain_spec = options.pop("domain", None)
     _reject_unknown(options, "options")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("options.seed must be an integer")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise ConfigError("options.seed must be a non-negative integer")
 
     # The piecewise builtins only make sense on their own branch set.
     uses_builtin = any(

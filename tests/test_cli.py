@@ -597,6 +597,38 @@ class TestSeedResolution:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 11
 
+    @pytest.mark.parametrize("command", [
+        ["check-convexity", "--problem", "{file}"],
+        ["check-kkt", "--problem", "{file}"],
+        ["repro", "--all"],
+    ])
+    def test_a_negative_seed_flag_is_refused(self, pstar_file, command, capsys):
+        argv = [arg.format(file=pstar_file) for arg in command] + ["--seed", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", ["check-convexity", "check-kkt"])
+    def test_a_negative_file_seed_is_refused(self, tmp_path, command, capsys):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(dict(PSTAR_CFG, options={"seed": -1})), encoding="utf-8")
+        assert main([command, "--problem", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: options.seed must be a non-negative integer\n"
+
+    def test_a_seed_of_two_to_the_63_runs(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(PSTAR_CFG, options={"seed": 2**63})), encoding="utf-8")
+        for argv in (["check-kkt", "--problem", str(path), "--mu", "0,1,0", "--json"],
+                     ["check-kkt", "--problem", str(path), "--mu", "0,1,0", "--json",
+                      "--seed", str(2**63 + 1)]):
+            assert main([*argv, "--directions", "4"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert json.loads(first)["seed"] == 2**63
+        assert json.loads(second)["seed"] == 2**63 + 1
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):

@@ -236,7 +236,6 @@ def test_functions_without_an_expression_get_no_proof():
         linear_combination(1.0, f, 2.0, f),
         iv_linear_combination(1.0, iv, 2.0, iv),
         lift_real(f),
-        *reduce_p4(p4).constraints,
     ]
     assert not any(map(kkt._proved_convex, unproved))
     # a frozen reduction is the chosen component: the width 0 at theta = 1,

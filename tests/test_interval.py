@@ -16,12 +16,14 @@ from ivopt.interval import (
     compare,
     default_center_eps,
     default_center_eps_arrays,
+    endpoints,
     format_interval,
     gh_diff,
     hausdorff,
     leq_min,
     parse_interval,
     scale,
+    value_json,
 )
 
 LN2 = math.log(2.0)
@@ -161,6 +163,22 @@ class TestHausdorff:
         assert hausdorff(t1, t1) == 0.0
         assert (hausdorff(t1, t2) == 0.0) == (t1 == t2)
         assert hausdorff(t1, t3) <= hausdorff(t1, t2) + hausdorff(t2, t3)
+
+
+class TestRealValues:
+    """A real v stands for the degenerate interval [v, v]."""
+
+    def test_endpoints(self):
+        assert endpoints(Interval(1, 4)) == (1.0, 4.0)
+        assert endpoints(2.5) == (2.5, 2.5)
+        lb, ub = endpoints(-0.0)
+        assert math.copysign(1.0, lb) == math.copysign(1.0, ub) == -1.0
+
+    def test_value_json(self):
+        assert value_json(Interval(1, 4)) == [1.0, 4.0]
+        for v in (2.5, np.float64(2.5)):
+            assert value_json(v) == 2.5 and type(value_json(v)) is float
+        assert value_json(None) is None
 
 
 class TestCompare:

@@ -22,7 +22,7 @@ from ivopt.functions import (
     builtin_real,
     lift_real,
 )
-from ivopt.interval import Interval
+from ivopt.interval import ZERO, Interval, endpoints, hausdorff
 from ivopt.kkt import (
     KktVerdict,
     Problem,
@@ -555,6 +555,83 @@ class TestVerifyP4:
         with pytest.raises(InfeasibleCandidateError):
             verify_p4(prob, bad, (1.0, 0.0, 0.0), [])
 
+    def test_a_tested_center_is_evaluated_once_per_strictness_point(self):
+        # the P4 problem file of the CI determinism step: its center is tested,
+        # at the 32 strictness points once and at the candidate for the value
+        prob = build_problem({
+            "manifold": {"kind": "euclidean", "dim": 2},
+            "objective": {"center": "(x1 - 1)^2 + (x2 - 1)^2",
+                          "width": "0.5*((x1 - 1)^2 + (x2 - 1)^2) + 0.25"},
+            "constraints": [{"center": "x1 + x2 - 1", "width": "0.1*(x1 + x2 - 1)^2"}],
+        }).problem
+        p0 = EUCLIDEAN2.point([0.5, 0.5])
+        dirs = direction_samples(prob, p0, 12, seed=0)
+        center, calls = prob.objective.center, []
+        fn = center.fn
+        object.__setattr__(center, "fn", lambda p: calls.append(p) or fn(p))
+        cert = verify_p4(prob, p0, (1.0,), dirs, seed=0)
+        assert cert.verdict is KktVerdict.STRICT_OPTIMAL
+        assert cert.reason.startswith("stationarity of the center holds")
+        assert len(calls) == kkt.STRICT_SAMPLES + 1
+
+
+def _pairwise_distinct_loop(values) -> bool:
+    """The pair loop that strictness ran before its array test: the reference."""
+    for a_idx in range(len(values)):
+        for b_idx in range(a_idx + 1, len(values)):
+            a, b = values[a_idx], values[b_idx]
+            gap = hausdorff(a, b) if isinstance(a, Interval) else abs(a - b)
+            if gap <= kkt.DISTINCT_TOL:
+                return False
+    return True
+
+
+def _strictness_cases() -> list:
+    tol = kkt.DISTINCT_TOL
+    below, above = np.nextafter(tol, 0.0), np.nextafter(tol, 1.0)
+    cases = [[], [1.0], [Interval(0.0, 1.0)], [-0.0, 0.0],
+             [Interval(-0.0, 1.0), Interval(0.0, 1.0)], [Interval(-1.0, -0.0), Interval(-1.0, 0.0)]]
+    for gap in (below, tol, above):
+        cases += [[0.0, gap], [gap, 5.0, 0.0],
+                  [Interval(0.0, 0.5), Interval(gap, 0.5)],
+                  [Interval(-1.0, 0.0), Interval(-1.0, gap)],
+                  [Interval(0.0, 0.5), Interval(gap, 0.5 + gap)]]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        spread = rng.normal(size=32)
+        clustered = rng.integers(0, 200, size=32) * tol
+        cases.append(spread.tolist())
+        cases.append(clustered.tolist())
+        for centers in (spread, clustered):
+            widths = rng.integers(0, 3, size=32) * rng.choice([tol, 1.0])
+            cases.append([Interval.from_center_width(c, w)
+                          for c, w in zip(centers.tolist(), widths.tolist())])
+    return cases
+
+
+class TestStrictness:
+    def test_the_array_test_is_the_pair_loop(self):
+        answers = []
+        for values in _strictness_cases():
+            answers.append(kkt._pairwise_distinct(values))
+            assert answers[-1] is _pairwise_distinct_loop(values), values
+        assert True in answers and False in answers
+
+    def test_the_tolerance_edge(self):
+        tol = kkt.DISTINCT_TOL
+        assert kkt._pairwise_distinct([]) and kkt._pairwise_distinct([1.0])
+        assert not kkt._pairwise_distinct([-0.0, 0.0])
+        assert not kkt._pairwise_distinct([0.0, tol])
+        assert kkt._pairwise_distinct([0.0, np.nextafter(tol, 1.0)])
+        assert not kkt._pairwise_distinct([Interval(-1.0, 0.0), Interval(-1.0, tol)])
+        assert kkt._pairwise_distinct([Interval(-1.0, 0.0),
+                                       Interval(-1.0, np.nextafter(tol, 1.0))])
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 3e-9, -2.5, Interval(-0.0, 0.0),
+                                       Interval(-3.0, 1.0), Interval(-1e-9, 2e-9)])
+    def test_the_gap_to_zero_is_the_hausdorff_distance(self, value):
+        assert kkt._gap(value) == hausdorff(Interval(*endpoints(value)), ZERO)
+
 
 class TestReduceP4:
     def test_pointwise_center_or_width_choice(self):
@@ -574,9 +651,9 @@ class TestReduceP4:
             (away, pinned),
             euclidean_box_domain(EUCLIDEAN1),
         )
-        reduced = reduce_p4(prob)
-        assert reduced.label == "P3"
         p = EUCLIDEAN1.point([0.3])
+        reduced = reduce_p4(prob, p)
+        assert reduced.label == "P3"
         assert reduced.constraints[0](p) == -1.0  # center decides
         assert reduced.constraints[1](p) == 0.0   # width decides
 
@@ -608,7 +685,8 @@ class TestReduceP4:
 
     def test_lifted_reduction_matches_originals_on_samples(self):
         prob = lifted_two_branch_problem()
-        reduced = reduce_p4(prob)
+        # all three centers are nonzero at pfix, so each reduces to its center
+        reduced = reduce_p4(prob, SPD2.point(np.diag([2.0**0.5, 2.0**0.5])))
         originals = [builtin_real(n) for n in
                      ("two_branch_g1", "two_branch_g2", "two_branch_g3")]
         rng = np.random.default_rng(4)
@@ -620,7 +698,7 @@ class TestReduceP4:
 
     def test_requires_interval_constraints(self):
         with pytest.raises(ConfigError):
-            reduce_p4(PSTARSTAR.problem)
+            reduce_p4(PSTARSTAR.problem, PSTARSTAR.candidate)
 
 
 class TestBruteForce:

@@ -359,6 +359,7 @@ class TestBuildProblem:
         ({"manifold": {"kind": "spd", "dim": True}, "objective": {"real": "logdet^2"}}, "dim"),
         (pstar_config(options={"seed": True}), "options.seed"),
         (pstar_config(options={"seed": False}), "options.seed"),
+        (pstar_config(options={"seed": -1}), "options.seed must be a non-negative integer"),
     ])
     def test_json_booleans_are_not_integers(self, cfg, key):
         # json.loads gives a Python bool, which isinstance counts as an int
