@@ -56,6 +56,8 @@ def _cmd_order(args) -> int:
     if args.eps is not None and args.relation == "lu":
         raise ConfigError("--eps is the center tie tolerance of min and max; "
                           "drop it with --relation lu")
+    if args.eps is not None and not args.eps >= 0.0:
+        raise ConfigError(f"--eps must be a non-negative number, got {args.eps}")
     t1 = parse_interval(args.left)
     t2 = parse_interval(args.right)
     rel = OrderRelation(args.relation)

@@ -29,7 +29,7 @@ from typing import ClassVar, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ManifoldMismatchError, NonPositiveDefiniteError
+from .errors import DomainError, IvoptError, ManifoldMismatchError, NonPositiveDefiniteError
 
 SYM_TOL = 1e-8
 EIG_FLOOR = 1e-12
@@ -57,24 +57,30 @@ def _mix(a: np.ndarray, b: np.ndarray, s) -> np.ndarray:
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Return (A + A^T)/2, rejecting asymmetry beyond SYM_TOL."""
+    """Return (A + A^T)/2 of a matrix, or of each of a stack (the last two
+    axes), rejecting asymmetry beyond SYM_TOL."""
     arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {arr.shape}")
-    gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+    flipped = arr.swapaxes(-1, -2)
+    gap = float(np.abs(arr - flipped).max()) if arr.size else 0.0
     if gap > SYM_TOL:
         raise DomainError(f"matrix asymmetry {gap:.3e} exceeds tolerance {SYM_TOL:.1e}")
-    return 0.5 * (arr + arr.T)
+    return 0.5 * (arr + flipped)
 
 
-def _pd_eig(mat: np.ndarray):
-    sym = symmetrize(mat)
-    vals, vecs = np.linalg.eigh(sym)
+def _above_floor(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues, or the error for the least of them at or below EIG_FLOOR."""
     if vals.min() <= EIG_FLOOR:
         raise NonPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {vals.min():.3e})"
         )
-    return vals, vecs
+    return vals
+
+
+def _pd_eig(mat: np.ndarray):
+    vals, vecs = np.linalg.eigh(symmetrize(mat))
+    return _above_floor(vals), vecs
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:
@@ -222,20 +228,21 @@ class Euclidean(Manifold):
     def feature_names(self) -> tuple:
         return tuple(f"x{i + 1}" for i in range(self.dim))
 
-    def point(self, raw) -> Point:
+    def _vector(self, raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=float).reshape(-1)
         if arr.shape != (self.dim,):
             raise DomainError(f"expected a length-{self.dim} vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        return arr
+
+    def point(self, raw) -> Point:
+        arr = self._vector(raw)
+        if not np.isfinite(arr).all():
             raise DomainError("point coordinates must be finite")
         return Point(self, _readonly(arr))
 
     def tangent(self, base: Point, raw) -> TangentDirection:
         self._check(base)
-        arr = np.asarray(raw, dtype=float).reshape(-1)
-        if arr.shape != (self.dim,):
-            raise DomainError(f"expected a length-{self.dim} vector, got shape {arr.shape}")
-        return TangentDirection(base, _readonly(arr))
+        return TangentDirection(base, _readonly(self._vector(raw)))
 
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
@@ -414,34 +421,33 @@ class Spd(Manifold):
     def feature_names(self) -> tuple:
         return ("logdet", "trace")
 
-    def point(self, raw) -> Point:
+    def _matrix(self, raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
         if arr.shape != (self.dim, self.dim):
-            raise DomainError(
-                f"expected a {self.dim}x{self.dim} matrix, got shape {arr.shape}"
-            )
-        # non-finite entries fail before the symmetry check, and so do entries
-        # above about 8.99e307, which overflow in (A + A^T) / 2
-        with np.errstate(over="ignore"):
-            sym = symmetrize(arr) if np.all(np.isfinite(arr)) else arr
-        if not np.all(np.isfinite(sym)):
+            raise DomainError(f"expected a {self.dim}x{self.dim} matrix, got shape {arr.shape}")
+        return arr
+
+    @staticmethod
+    def _checked(stack: np.ndarray) -> np.ndarray:
+        """The symmetrized stack if each matrix is a point, else the first failing
+        check's error: finite entries, symmetric within SYM_TOL, no overflow in
+        (A + A^T) / 2, eigenvalues above EIG_FLOOR, a Cholesky factor (pencils need it)."""
+        if not np.isfinite(stack).all():
             raise DomainError("matrix entries must be finite")
-        vals = np.linalg.eigvalsh(sym)
-        if vals.min() <= EIG_FLOOR:
-            raise NonPositiveDefiniteError(
-                f"matrix is not positive definite (min eigenvalue {vals.min():.3e})"
-            )
-        _cholesky(sym)  # every pencil from the point needs the factor
-        return Point(self, _readonly(sym))
+        with np.errstate(over="ignore"):
+            sym = symmetrize(stack)
+        if not np.isfinite(sym).all():
+            raise DomainError("matrix entries must be finite")
+        _above_floor(np.linalg.eigvalsh(sym))
+        _cholesky(sym)
+        return sym
+
+    def point(self, raw) -> Point:
+        return Point(self, _readonly(self._checked(self._matrix(raw)[None])[0]))
 
     def tangent(self, base: Point, raw) -> TangentDirection:
         self._check(base)
-        arr = np.asarray(raw, dtype=float)
-        if arr.shape != (self.dim, self.dim):
-            raise DomainError(
-                f"expected a {self.dim}x{self.dim} matrix, got shape {arr.shape}"
-            )
-        return TangentDirection(base, _readonly(symmetrize(arr)))
+        return TangentDirection(base, _readonly(symmetrize(self._matrix(raw))))
 
     def _pencil(self, p: Point, q: Point):
         """(b, vals), b b^T = p and b diag(vals) b^T = q: b = L V from the Cholesky
@@ -510,29 +516,6 @@ class Spd(Manifold):
     def chord_point(self, p: Point, q: Point, s: float) -> Point:
         return next(self.path_points(p, q, (s,), "chord"))
 
-    def _stack(self, raw: np.ndarray):
-        """(sym, features) of a stack of matrices that all pass ``point``'s
-        checks and have a positive determinant sign: the symmetrized stack
-        and its logdet and trace arrays.  None otherwise."""
-        flipped = raw.transpose(0, 2, 1)
-        # entries above about 8.99e307 overflow in (A + A^T) / 2; like
-        # ``point``, reject them by the finiteness test, without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            sym = 0.5 * (raw + flipped)
-            gap = np.abs(raw - flipped)
-        if not (np.isfinite(sym).all() and (gap <= SYM_TOL).all()):
-            return None
-        if not (np.linalg.eigvalsh(sym).min(axis=1) > EIG_FLOOR).all():
-            return None
-        try:
-            _cholesky(sym)
-        except NonPositiveDefiniteError:
-            return None
-        signs, logdets = np.linalg.slogdet(sym)
-        if not (signs > 0).all():
-            return None
-        return sym, {"logdet": logdets, "trace": np.trace(sym, axis1=1, axis2=2)}
-
     def _memoised(self, value: np.ndarray, logdet: float, trace: float) -> Point:
         value.setflags(write=False)
         pt = Point(self, value)
@@ -588,10 +571,10 @@ class Spd(Manifold):
 
         One stacked normal draw gives the bits of k draws in a row.  Each
         matrix is rebuilt on its own from one stacked eigh, as ``sym_exp``
-        rebuilds it, and the stack is validated with ``point``'s checks.
-        When a matrix fails them, ``features`` is None and each ``point(i)``
-        goes through ``sym_exp`` and ``point``, raising its error there.
-        Overflow from a huge scale is silenced; ``point`` rejects the result.
+        rebuilds it, and the stack must pass ``point``'s checks (``_checked``)
+        and have positive determinant signs.  Otherwise ``features`` is None
+        and each ``point(i)`` goes through ``sym_exp`` and ``point``, raising
+        its error there.  Overflow from a huge scale is silenced.
         """
         raw = rng.normal(0.0, scale, size=(k, self.dim, self.dim))
 
@@ -605,14 +588,15 @@ class Spd(Manifold):
             sym = 0.5 * (tangents + tangents.transpose(0, 2, 1))
             try:
                 vals, vecs = np.linalg.eigh(sym)
-            except np.linalg.LinAlgError:
+                sym = self._checked(
+                    np.stack([(vecs[i] * np.exp(vals[i])) @ vecs[i].T for i in range(k)])
+                )
+            except (np.linalg.LinAlgError, IvoptError):
                 return None, one_by_one
-            stack = self._stack(
-                np.stack([(vecs[i] * np.exp(vals[i])) @ vecs[i].T for i in range(k)])
-            )
-        if stack is None:
+            signs, logdets = np.linalg.slogdet(sym)
+        if not (signs > 0).all():
             return None, one_by_one
-        sym, features = stack
+        features = {"logdet": logdets, "trace": np.trace(sym, axis1=1, axis2=2)}
         logdets, traces = features["logdet"].tolist(), features["trace"].tolist()
         return features, lambda i: self._memoised(sym[i], logdets[i], traces[i])
 

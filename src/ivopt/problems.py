@@ -196,21 +196,20 @@ def two_branch_domain() -> DomainSampler:
 
 def default_domain(manifold: Manifold, spec: Optional[dict] = None) -> DomainSampler:
     """Domain sampler for a manifold, honouring an options.domain override."""
-    spec = dict(spec or {})
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"options.domain must be an object, got {spec!r}")
     if isinstance(manifold, Circle):
-        arc = spec.pop("arc", [0.0, TWO_PI])
-        _reject_unknown(spec, "options.domain")
+        (arc,) = _fields(spec, "options.domain", arc=[0.0, TWO_PI])
         where = "options.domain.arc"
         if not (isinstance(arc, (list, tuple)) and len(arc) == 2):
             raise ConfigError(f"{where} must be [lo, hi], got {arc!r}")
         return circle_domain(_number(arc[0], where), _number(arc[1], where))
     if isinstance(manifold, Euclidean):
-        box = spec.pop("box", None)
-        _reject_unknown(spec, "options.domain")
+        (box,) = _fields(spec, "options.domain", box=None)
         return euclidean_box_domain(manifold, box)
     if isinstance(manifold, Spd):
-        scale = spec.pop("scale", 0.7)
-        _reject_unknown(spec, "options.domain")
+        (scale,) = _fields(spec, "options.domain", scale=0.7)
         return spd_domain(manifold, _number(scale, "options.domain.scale"))
     raise ConfigError(f"no default domain for manifold {manifold.name}")
 
@@ -218,22 +217,24 @@ def default_domain(manifold: Manifold, spec: Optional[dict] = None) -> DomainSam
 # -- config parsing --------------------------------------------------------
 
 
-def _reject_unknown(mapping: dict, where: str) -> None:
-    if mapping:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(mapping)}")
+def _fields(spec: dict, where: str, **defaults) -> list:
+    """The values of the named keys of spec, in order, each its default when
+    absent; any other key is refused, naming ``where`` it was found."""
+    unknown = spec.keys() - defaults.keys()
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return [spec.get(key, default) for key, default in defaults.items()]
 
 
 def parse_manifold(spec) -> Manifold:
     if not isinstance(spec, dict):
         raise ConfigError("manifold must be an object with a 'kind'")
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
+    kind = spec.get("kind")
     if kind == "circle":
-        _reject_unknown(spec, "manifold")
+        _fields(spec, "manifold", kind=None)
         return CIRCLE
     if kind in ("euclidean", "spd"):
-        dim = spec.pop("dim", None)
-        _reject_unknown(spec, "manifold")
+        _, dim = _fields(spec, "manifold", kind=None, dim=None)
         # a JSON true or false is a Python bool, which is an int
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ConfigError(f"{kind} manifold needs an integer dim >= 1")
@@ -245,9 +246,7 @@ def parse_point(manifold: Manifold, raw, where: str = "candidate") -> Point:
     """A point from its JSON form; errors name ``where`` it came from."""
     if isinstance(manifold, Circle):
         if isinstance(raw, dict):
-            raw = dict(raw)
-            theta = raw.pop("theta", None)
-            _reject_unknown(raw, where)
+            (theta,) = _fields(raw, where, theta=None)
             if theta is None:
                 raise ConfigError(f"{where}: circle point object needs a 'theta'")
             where = f"{where}.theta"
@@ -283,21 +282,16 @@ def parse_point_text(manifold: Manifold, text: str, where: str = "point") -> Poi
 def _parse_fn(spec, manifold: Manifold, where: str) -> Union[RealFn, IvFn]:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
-    spec = dict(spec)
     if "real" in spec:
-        text = spec.pop("real")
-        _reject_unknown(spec, where)
+        (text,) = _fields(spec, where, real=None)
         return RealFn.from_expression(str(text), manifold)
     if "center" in spec or "width" in spec:
-        center = spec.pop("center", None)
-        width = spec.pop("width", None)
-        _reject_unknown(spec, where)
+        center, width = _fields(spec, where, center=None, width=None)
         if center is None or width is None:
             raise ConfigError(f"{where} needs both 'center' and 'width'")
         return IvFn.from_expressions(str(center), str(width), manifold)
     if "builtin" in spec:
-        name = str(spec.pop("builtin"))
-        _reject_unknown(spec, where)
+        name = str(_fields(spec, where, builtin=None)[0])
         fn = builtin(name)
         if fn.manifold != manifold:
             raise ConfigError(
@@ -319,14 +313,9 @@ class LoadedProblem:
 def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{source}: top level must be an object")
-    cfg = dict(cfg)
-    manifold_spec = cfg.pop("manifold", None)
-    objective_spec = cfg.pop("objective", None)
-    constraints_spec = cfg.pop("constraints", [])
-    candidate_spec = cfg.pop("candidate", None)
-    options = cfg.pop("options", {})
-    name = cfg.pop("name", "")
-    _reject_unknown(cfg, source)
+    manifold_spec, objective_spec, constraints_spec, candidate_spec, options, name = _fields(
+        cfg, source, manifold=None, objective=None, constraints=[], candidate=None,
+        options={}, name="")
     if manifold_spec is None or objective_spec is None:
         raise ConfigError(f"{source}: 'manifold' and 'objective' are required")
 
@@ -341,10 +330,7 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
 
     if not isinstance(options, dict):
         raise ConfigError("options must be an object")
-    options = dict(options)
-    seed = options.pop("seed", None)
-    domain_spec = options.pop("domain", None)
-    _reject_unknown(options, "options")
+    seed, domain_spec = _fields(options, "options", seed=None, domain=None)
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         raise ConfigError("options.seed must be a non-negative integer")
 
@@ -417,7 +403,7 @@ def pstarstar_problem() -> LoadedProblem:
 
 
 def scenario_ids() -> tuple:
-    return ("3.1", "3.2", "4.1", "Pstar", "Pstarstar")
+    return tuple(_SCENARIOS)
 
 
 def _row(name, expected, actual, tol: float = 0.0, note: str = "") -> dict:

@@ -20,6 +20,7 @@ from test_problems import (
     BAD_DOMAIN_CASES,
     MALFORMED_NUMBER_CASES,
     NO_FACTOR,
+    NON_OBJECT_DOMAINS,
     OUTSIDE_CANDIDATE,
     SPD_I,
     bad_domain_config,
@@ -119,13 +120,16 @@ class TestOrder:
         assert main(args + ["--eps", "0"]) == 0
         assert capsys.readouterr().out.strip() == "Less"
 
-    @pytest.mark.parametrize("eps", ["-1", "nan"])
-    def test_negative_or_nan_eps_rejected(self, capsys, eps):
+    @pytest.mark.parametrize("eps, shown", [("-1", "-1.0"), ("nan", "nan")], ids=["-1", "nan"])
+    def test_negative_or_nan_eps_rejected(self, capsys, eps, shown):
         for pair in (["[0.5,0.5]", "[0,0]"], ["[0,0]", "[0.5,0.5]"]):
             assert main(["order", *pair, "--eps", eps]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: eps_c must be non-negative")
+            assert captured.err == f"error: --eps must be a non-negative number, got {shown}\n"
+        # the --relation lu refusal comes first
+        assert main(["order", "[0,1]", "[0.5,2]", "--relation", "lu", "--eps", eps]) == 1
+        assert "drop it with --relation lu" in capsys.readouterr().err
 
     def test_eps_with_the_lu_order_is_refused(self, capsys):
         # the endpointwise order has no center tie to widen
@@ -420,6 +424,19 @@ class TestUnsamplableDomain:
         assert main([command, "--problem", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+class TestNonObjectDomain:
+    @pytest.mark.parametrize("command", ["check-kkt", "check-convexity"])
+    @pytest.mark.parametrize("domain", NON_OBJECT_DOMAINS, ids=repr)
+    def test_is_an_error_line(self, tmp_path, command, domain, capsys):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(dict(PSTAR_CFG, options={"domain": domain})),
+                        encoding="utf-8")
+        assert main([command, "--problem", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: options.domain must be an object, got {domain!r}\n"
 
 
 class TestMalformedNumbers:

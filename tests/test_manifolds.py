@@ -199,9 +199,10 @@ class TestSpd:
             SPD.point(self.NO_FACTOR)
 
     def test_a_stack_with_a_matrix_without_a_cholesky_factor_is_refused(self):
-        sym, features = SPD._stack(np.stack([I2, 2.0 * I2]))
-        assert features["trace"].tolist() == [2.0, 4.0]
-        assert SPD._stack(np.stack([I2, self.NO_FACTOR])) is None
+        sym = SPD._checked(np.stack([I2, 2.0 * I2]))
+        assert np.trace(sym, axis1=1, axis2=2).tolist() == [2.0, 4.0]
+        with pytest.raises(NonPositiveDefiniteError, match="^matrix has no Cholesky factor$"):
+            SPD._checked(np.stack([I2, self.NO_FACTOR]))
 
     @pytest.mark.parametrize("manifold", [Spd(1), SPD, Spd(3)], ids=str)
     def test_log_and_distance_match_their_formulas_bitwise(self, manifold):
@@ -221,6 +222,99 @@ class TestSpd:
             m = inv_half @ q.value @ inv_half
             assert np.allclose(log_map(p, q).value, half @ sym_log(m) @ half,
                                rtol=1e-12, atol=1e-12)
+
+
+# one matrix of each malformed class, with the error Spd(2) gives it
+MALFORMED_SPD = {
+    "non-finite": (np.array([[math.nan, 0.0], [0.0, 1.0]]), DomainError,
+                   "matrix entries must be finite"),
+    "asymmetric": (np.array([[1.0, 0.5], [0.0, 1.0]]), DomainError,
+                   "matrix asymmetry 5.000e-01 exceeds tolerance 1.0e-08"),
+    "overflows-when-symmetrized": (np.diag([1e308, 1.0]), DomainError,
+                                   "matrix entries must be finite"),
+    "below-eig-floor": (np.diag([1e-13, 1.0]), NonPositiveDefiniteError,
+                        "matrix is not positive definite (min eigenvalue 1.000e-13)"),
+    "no-cholesky-factor": (TestSpd.NO_FACTOR, NonPositiveDefiniteError,
+                           "matrix has no Cholesky factor"),
+    "wrong-shape": (np.eye(3), DomainError, "expected a 2x2 matrix, got shape (3, 3)"),
+}
+STACKABLE = {k: v for k, v in MALFORMED_SPD.items() if k != "wrong-shape"}
+
+
+def _raises_exactly(error, text, fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            fn(*args)
+    assert type(info.value) is error and str(info.value) == text
+
+
+class _FixedNormal:
+    """An rng whose normal draw is a given stack, so the draws' tangents are known."""
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def normal(self, loc, scale, size):
+        assert size == self.stack.shape
+        return self.stack
+
+
+class TestSpdValidity:
+    """The one SPD validity rule: the same error, whichever way a matrix arrives."""
+
+    @pytest.mark.parametrize("mat, error, text", MALFORMED_SPD.values(), ids=MALFORMED_SPD)
+    def test_point_gives_each_class_its_error(self, mat, error, text):
+        _raises_exactly(error, text, SPD.point, mat)
+
+    @pytest.mark.parametrize("name", ["asymmetric", "wrong-shape"])
+    def test_tangent_gives_shape_and_asymmetry_their_error(self, name):
+        mat, error, text = MALFORMED_SPD[name]
+        _raises_exactly(error, text, SPD.tangent, SPD.point(I2), mat)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("mat, error, text", STACKABLE.values(), ids=STACKABLE)
+    def test_the_stack_check_gives_the_error_at_any_index(self, mat, error, text, index):
+        stack = np.stack([I2, 2.0 * I2, 3.0 * I2])
+        stack[index] = mat
+        _raises_exactly(error, text, SPD._checked, stack)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("tangent, error, start", [
+        (np.diag([800.0, 0.0]), DomainError, "matrix entries must be finite"),
+        (np.array([[30.0, 0.7], [0.7, 31.0]]), DomainError, "matrix asymmetry "),
+        (np.diag([-40.0, 0.0]), NonPositiveDefiniteError,
+         "matrix is not positive definite (min eigenvalue "),
+    ], ids=["non-finite", "asymmetric", "below-eig-floor"])
+    def test_a_draw_stack_holding_a_malformed_matrix_has_no_array_form(
+            self, tangent, error, start, index):
+        tangents = np.stack([np.zeros((2, 2)), 0.1 * I2, 0.2 * I2])
+        tangents[index] = tangent
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as expected:
+                SPD.point(sym_exp(tangent))
+        assert str(expected.value).startswith(start)
+        features, point = SPD.random_points(_FixedNormal(tangents), 3)
+        assert features is None
+        for i in range(3):
+            if i == index:
+                _raises_exactly(error, str(expected.value), point, i)
+            else:
+                assert point(i).value.tobytes() == SPD.point(sym_exp(tangents[i])).value.tobytes()
+
+    def test_a_stack_symmetrizes_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(5, 3, 3))
+        stack = stack + np.swapaxes(stack, 1, 2) + rng.uniform(-5e-9, 5e-9, (5, 3, 3))
+        sym = symmetrize(stack)
+        for i in range(5):
+            assert sym[i].tobytes() == symmetrize(stack[i]).tobytes()
+        stack[3, 0, 2] += 0.25
+        with pytest.raises(DomainError) as info:
+            symmetrize(stack)
+        with pytest.raises(DomainError) as alone:
+            symmetrize(stack[3])
+        assert str(info.value) == str(alone.value)
 
 
 def _grid(n, interior):

@@ -310,6 +310,46 @@ class TestParsePoint:
             parse_point_text(CIRCLE, "not-a-point")
 
 
+SPD_TRACE = {"manifold": SPD_2, "objective": {"real": "trace"}}
+EUCLID_X1 = {"manifold": {"kind": "euclidean", "dim": 2}, "objective": {"real": "x1"}}
+# a problem file with one unknown key at one level, and the error's full text
+UNKNOWN_KEYS = {
+    "top-level": (pstar_config(extra=1, another=2),
+                  "unknown key(s) in src.json: ['another', 'extra']"),
+    "manifold-circle": (pstar_config(manifold={"kind": "circle", "radius": 1.0}),
+                        "unknown key(s) in manifold: ['radius']"),
+    "manifold-euclidean": (dict(EUCLID_X1, manifold={"kind": "euclidean", "dim": 2, "n": 2}),
+                           "unknown key(s) in manifold: ['n']"),
+    "manifold-spd": (dict(SPD_TRACE, manifold={"kind": "spd", "dim": 2, "metric": "ai"}),
+                     "unknown key(s) in manifold: ['metric']"),
+    "real": (pstar_config(objective={"real": "theta", "width": "1"}),
+             "unknown key(s) in objective: ['width']"),
+    "center-width": (pstar_config(constraints=[{"center": "theta", "width": "1", "lb": 0}]),
+                     "unknown key(s) in constraints[0]: ['lb']"),
+    "builtin": ({"manifold": SPD_2, "objective": {"builtin": "two_branch_objective", "on": 1}},
+                "unknown key(s) in objective: ['on']"),
+    "circle-candidate": (pstar_config(candidate={"theta": 1.5, "phi": 0.0}),
+                         "unknown key(s) in candidate: ['phi']"),
+    "options": (pstar_config(options={"seed": 1, "speed": 1}),
+                "unknown key(s) in options: ['speed']"),
+    "domain-circle": (pstar_config(options={"domain": {"arc": [0.0, 3.0], "box": 1}}),
+                      "unknown key(s) in options.domain: ['box']"),
+    "domain-euclidean": (dict(EUCLID_X1, options={"domain": {"scale": 1}}),
+                         "unknown key(s) in options.domain: ['scale']"),
+    "domain-spd": (dict(SPD_TRACE, options={"domain": {"scale": 0.5, "arc": 1, "box": 2}}),
+                   "unknown key(s) in options.domain: ['arc', 'box']"),
+}
+# options.domain values that are not an object, on each manifold's default domain
+# and on the two-branch set
+NON_OBJECT_DOMAINS = [[1], 5, True, "x", [["box", [[0, 1], [0, 1]]]], False, 0, [], ""]
+NON_OBJECT_DOMAIN_PROBLEMS = {
+    "circle": (CIRCLE_M, {"real": "theta"}),
+    "euclidean": (EUCLID_X1["manifold"], EUCLID_X1["objective"]),
+    "spd": (SPD_2, {"real": "trace"}),
+    "two-branch": (SPD_2, {"builtin": "two_branch_objective"}),
+}
+
+
 class TestBuildProblem:
     def test_full_config(self):
         loaded = build_problem(pstar_config())
@@ -353,6 +393,28 @@ class TestBuildProblem:
     def test_rejections(self, cfg):
         with pytest.raises(ConfigError):
             build_problem(cfg)
+
+    @pytest.mark.parametrize("cfg, text", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS)
+    def test_an_unknown_key_is_named_with_its_level(self, cfg, text):
+        with pytest.raises(ConfigError) as info:
+            build_problem(cfg, source="src.json")
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("manifold, objective", NON_OBJECT_DOMAIN_PROBLEMS.values(),
+                             ids=NON_OBJECT_DOMAIN_PROBLEMS)
+    @pytest.mark.parametrize("domain", NON_OBJECT_DOMAINS, ids=repr)
+    def test_a_domain_that_is_not_an_object_is_refused(self, manifold, objective, domain):
+        cfg = {"manifold": manifold, "objective": objective, "options": {"domain": domain}}
+        with pytest.raises(ConfigError) as info:
+            build_problem(json.loads(json.dumps(cfg)))
+        assert str(info.value) == f"options.domain must be an object, got {domain!r}"
+
+    @pytest.mark.parametrize("manifold, objective", NON_OBJECT_DOMAIN_PROBLEMS.values(),
+                             ids=NON_OBJECT_DOMAIN_PROBLEMS)
+    def test_a_null_or_absent_domain_is_the_default(self, manifold, objective):
+        cfg = {"manifold": manifold, "objective": objective}
+        default = build_problem(cfg).problem.domain.name
+        assert build_problem(dict(cfg, options={"domain": None})).problem.domain.name == default
 
     @pytest.mark.parametrize("cfg, key", [
         ({"manifold": {"kind": "euclidean", "dim": True}, "objective": {"real": "x1^2"}}, "dim"),
