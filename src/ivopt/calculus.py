@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ManifoldMismatchError, NotConvergedError
 from .functions import IvFn, RealFn, path_bounds, path_grid
-from .interval import Interval
+from .interval import Interval, JsonReport
 from .manifolds import Point, TangentDirection, exp_map
 
 MONOTONE_SLACK = 1e-10
@@ -74,19 +74,11 @@ def dir_deriv(f: RealFn, p: Point, x: TangentDirection) -> float:
 
 
 @dataclass(frozen=True)
-class GhDerivative:
+class GhDerivative(JsonReport):
     value: Interval
     center_part: float
     width_part: float
     monotone_width_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value.to_json(),
-            "center_part": self.center_part,
-            "width_part": self.width_part,
-            "monotone_width_ok": self.monotone_width_ok,
-        }
 
 
 def gh_dir_deriv(f: IvFn, p: Point, x: TangentDirection) -> GhDerivative:

@@ -41,7 +41,7 @@ from .calculus import dir_deriv, gh_dir_deriv, width_monotone_along
 from .errors import SamplerExhaustedError
 from .functions import IvFn, RealFn, path_bounds, path_grid
 from .interval import Interval, compare_min_arrays, default_center_eps_arrays, gh_diff
-from .interval import endpoints, value_json
+from .interval import JsonReport, endpoints
 from .manifolds import Manifold, Point, check_path, distance, log_map
 
 STRICT_MARGIN = 1e-10
@@ -233,25 +233,16 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class Counterexample:
+class Counterexample(JsonReport):
     p: Point
     q: Point
     s: float
     lhs: Optional[Value]
     rhs: Optional[Value]
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p.to_json(),
-            "q": self.q.to_json(),
-            "s": self.s,
-            "lhs": value_json(self.lhs),
-            "rhs": value_json(self.rhs),
-        }
-
 
 @dataclass
-class ConvexityReport:
+class ConvexityReport(JsonReport):
     verdict: Verdict
     counterexample: Optional[Counterexample]
     samples_used: int
@@ -259,16 +250,6 @@ class ConvexityReport:
 
     def holds(self) -> bool:
         return self.verdict is Verdict.HOLDS
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "counterexample": (
-                self.counterexample.to_json() if self.counterexample else None
-            ),
-            "samples_used": self.samples_used,
-            "skipped": self.skipped,
-        }
 
 
 def _check_sizes(grid: int = 3, **counts: int) -> None:
@@ -549,7 +530,7 @@ def check_gradient_inequality(
 
 
 @dataclass
-class LocalMinReport:
+class LocalMinReport(JsonReport):
     verdict: str  # "Minimum" | "NotMinimumWitness"
     witness: Optional[dict]
     cw_convex_at: Optional[ConvexityReport]
@@ -557,20 +538,6 @@ class LocalMinReport:
 
     def holds(self) -> bool:
         return self.verdict == "Minimum"
-
-    def to_json(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = {
-                "target": self.witness["target"].to_json(),
-                "derivative": value_json(self.witness["derivative"]),
-            }
-        return {
-            "verdict": self.verdict,
-            "witness": witness,
-            "cw_convex_at": self.cw_convex_at.to_json() if self.cw_convex_at else None,
-            "samples_used": self.samples_used,
-        }
 
 
 def check_local_min(

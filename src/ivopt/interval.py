@@ -3,13 +3,15 @@
 An interval is stored by its endpoints.  The center-then-halfwidth total
 orders (one for minimization, one for maximization) and the endpointwise
 partial order are exposed through a single ``compare`` entry point.  A real
-value v is the degenerate interval [v, v] (``endpoints``, ``value_json``).
+value v is the degenerate interval [v, v] (``endpoints``).  ``value_json`` is
+the one rule that turns a value or a report into JSON, and a report dataclass
+that derives from ``JsonReport`` is written out field by field through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -90,10 +92,28 @@ def endpoints(v) -> tuple:
 
 
 def value_json(v):
-    """A value's JSON form: [lb, ub] for an interval, float(v) for a real v, None for None."""
-    if isinstance(v, Interval):
+    """A value's JSON form: its own ``to_json`` where it has one (an interval
+    gives [lb, ub]), an enum's value, a list, tuple or dict item by item,
+    None, a bool, an int or a string as it is, and float(v) for any other real."""
+    if hasattr(v, "to_json"):
         return v.to_json()
-    return None if v is None else float(v)
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, dict):
+        return {key: value_json(item) for key, item in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [value_json(item) for item in v]
+    if v is None or isinstance(v, (bool, int, str)):
+        return v
+    return float(v)
+
+
+class JsonReport:
+    """Base of the report dataclasses: a report's JSON is its fields by name,
+    in field order, each through ``value_json``."""
+
+    def to_json(self) -> dict:
+        return {field.name: value_json(getattr(self, field.name)) for field in fields(self)}
 
 
 def format_interval(t: Interval) -> str:

@@ -66,13 +66,13 @@ from .functions import IvFn, RealFn, bounds_on
 from .interval import (
     ZERO,
     Interval,
+    JsonReport,
     OrderOutcome,
     combine,
     compare,
     compare_min_arrays,
     endpoints,
     leq_min,
-    value_json,
 )
 from .manifolds import Manifold, Point, TangentDirection, exp_map, log_map, distance
 
@@ -385,39 +385,23 @@ class KktVerdict(Enum):
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(JsonReport):
     name: str
     holds: bool
     gating: bool
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "gating": self.gating,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
-class DirectionResidual:
+class DirectionResidual(JsonReport):
     index: int
     direction: TangentDirection
     residual: Union[float, Interval]
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "direction": np.asarray(self.direction.value).tolist(),
-            "residual": value_json(self.residual),
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class KktCertificate:
+class KktCertificate(JsonReport):
     problem_name: str
     label: str
     candidate: Point
@@ -439,21 +423,13 @@ class KktCertificate:
         return self.verdict in (KktVerdict.OPTIMAL, KktVerdict.STRICT_OPTIMAL)
 
     def to_json(self) -> dict:
-        return {
-            "problem": self.problem_name,
-            "label": self.label,
-            "candidate": self.candidate.to_json(),
-            "active_set": list(self.active_labels),
-            "active_indices": list(self.active_set),
-            "multipliers": list(self.multipliers),
-            "residuals": [r.to_json() for r in self.residuals],
-            "hypothesis_report": [h.to_json() for h in self.hypothesis_report],
-            "verdict": self.verdict.value,
-            "reason": self.reason,
-            "value": value_json(self.value),
-            "n_directions": self.n_directions,
-            "seed": self.seed,
-        }
+        """The fields' JSON with problem_name as "problem", the active indices as
+        "active_indices" and their labels as "active_set", ahead of the rest."""
+        blob = super().to_json()
+        head = {"problem": blob.pop("problem_name"), "label": blob.pop("label"),
+                "candidate": blob.pop("candidate"), "active_set": list(self.active_labels),
+                "active_indices": blob.pop("active_set")}
+        return {**head, **blob}
 
 
 def _precheck(prob: Problem, p0: Point, mu: Sequence[float]):

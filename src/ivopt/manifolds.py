@@ -58,10 +58,12 @@ def _mix(a: np.ndarray, b: np.ndarray, s) -> np.ndarray:
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2 of a matrix, or of each of a stack (the last two
-    axes), rejecting asymmetry beyond SYM_TOL."""
+    axes), rejecting non-finite entries, then asymmetry beyond SYM_TOL."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError("matrix entries must be finite")
     flipped = arr.swapaxes(-1, -2)
     gap = float(np.abs(arr - flipped).max()) if arr.size else 0.0
     if gap > SYM_TOL:
@@ -125,6 +127,9 @@ class Point:
 class TangentDirection:
     base: Point
     value: Union[float, np.ndarray]
+
+    def to_json(self):
+        return np.asarray(self.value).tolist()
 
     def scaled(self, a: float) -> "TangentDirection":
         if isinstance(self.value, float):
@@ -228,21 +233,20 @@ class Euclidean(Manifold):
     def feature_names(self) -> tuple:
         return tuple(f"x{i + 1}" for i in range(self.dim))
 
-    def _vector(self, raw) -> np.ndarray:
+    def _vector(self, raw, what: str) -> np.ndarray:
         arr = np.asarray(raw, dtype=float).reshape(-1)
         if arr.shape != (self.dim,):
             raise DomainError(f"expected a length-{self.dim} vector, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{what} coordinates must be finite")
         return arr
 
     def point(self, raw) -> Point:
-        arr = self._vector(raw)
-        if not np.isfinite(arr).all():
-            raise DomainError("point coordinates must be finite")
-        return Point(self, _readonly(arr))
+        return Point(self, _readonly(self._vector(raw, "point")))
 
     def tangent(self, base: Point, raw) -> TangentDirection:
         self._check(base)
-        return TangentDirection(base, _readonly(self._vector(raw)))
+        return TangentDirection(base, _readonly(self._vector(raw, "tangent")))
 
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
@@ -326,7 +330,10 @@ class Circle(Manifold):
 
     def tangent(self, base: Point, raw) -> TangentDirection:
         self._check(base)
-        return TangentDirection(base, float(raw))
+        rate = float(raw)
+        if not math.isfinite(rate):
+            raise DomainError("angle rate must be finite")
+        return TangentDirection(base, rate)
 
     def geodesic_point(self, p: Point, q: Point, s: float) -> Point:
         self._check(p)
@@ -431,9 +438,8 @@ class Spd(Manifold):
     def _checked(stack: np.ndarray) -> np.ndarray:
         """The symmetrized stack if each matrix is a point, else the first failing
         check's error: finite entries, symmetric within SYM_TOL, no overflow in
-        (A + A^T) / 2, eigenvalues above EIG_FLOOR, a Cholesky factor (pencils need it)."""
-        if not np.isfinite(stack).all():
-            raise DomainError("matrix entries must be finite")
+        (A + A^T) / 2, eigenvalues above EIG_FLOOR, a Cholesky factor (pencils need it).
+        ``symmetrize`` makes the first two checks."""
         with np.errstate(over="ignore"):
             sym = symmetrize(stack)
         if not np.isfinite(sym).all():

@@ -334,12 +334,13 @@ def build_problem(cfg: dict, source: str = "<config>") -> LoadedProblem:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         raise ConfigError("options.seed must be a non-negative integer")
 
-    # The piecewise builtins only make sense on their own branch set.
+    # The piecewise builtins only make sense on their own branch set, which an
+    # absent, null or empty options.domain keeps.
     uses_builtin = any(
         getattr(f, "name", "").startswith("two_branch")
         for f in (objective,) + constraints
     )
-    if uses_builtin and domain_spec is None:
+    if uses_builtin and domain_spec in (None, {}):
         domain = two_branch_domain()
     else:
         domain = default_domain(manifold, domain_spec)

@@ -439,6 +439,21 @@ class TestNonObjectDomain:
         assert captured.err == f"error: options.domain must be an object, got {domain!r}\n"
 
 
+class TestEmptyDomain:
+    def test_a_two_branch_file_keeps_its_union(self, tmp_path, capsys):
+        cfg = {"manifold": {"kind": "spd", "dim": 2},
+               "objective": {"builtin": "two_branch_objective"},
+               "constraints": [{"builtin": f"two_branch_g{i}"} for i in (1, 2, 3)],
+               "candidate": [[1.0, 0.0], [0.0, 1.0]]}
+        outputs = []
+        for extra in ({}, {"options": {"domain": {}}}):
+            path = tmp_path / "p3.json"
+            path.write_text(json.dumps(dict(cfg, **extra)), encoding="utf-8")
+            rc = main(["check-kkt", "--problem", str(path), "--json", "--directions", "8"])
+            outputs.append((rc, capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][1].err == ""
+
+
 class TestMalformedNumbers:
     @pytest.mark.parametrize("command", ["check-kkt", "check-convexity"])
     @MALFORMED_NUMBER_CASES

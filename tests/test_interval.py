@@ -1,11 +1,14 @@
 """Interval arithmetic, gH difference, Hausdorff metric, and order relations."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ivopt.calculus import GhDerivative
+from ivopt.convexity import ConvexityReport, Counterexample, LocalMinReport, Verdict
 from ivopt.interval import (
     Interval,
     OrderOutcome,
@@ -25,6 +28,8 @@ from ivopt.interval import (
     scale,
     value_json,
 )
+from ivopt.kkt import DirectionResidual, HypothesisCheck, KktCertificate, KktVerdict
+from ivopt.manifolds import Circle, Euclidean
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -174,11 +179,71 @@ class TestRealValues:
         lb, ub = endpoints(-0.0)
         assert math.copysign(1.0, lb) == math.copysign(1.0, ub) == -1.0
 
-    def test_value_json(self):
-        assert value_json(Interval(1, 4)) == [1.0, 4.0]
-        for v in (2.5, np.float64(2.5)):
-            assert value_json(v) == 2.5 and type(value_json(v)) is float
-        assert value_json(None) is None
+
+E2 = Euclidean(2)
+ORIGIN = E2.point([0.0, 0.0])
+COUNTEREXAMPLE = Counterexample(ORIGIN, E2.point([1.0, 2.0]), 0.5, 1.0, Interval(0, 2))
+# one instance of each report, with its JSON keys in order: a renamed field
+# changes its report's JSON, so it must change this table too
+REPORTS = {
+    "Counterexample": (COUNTEREXAMPLE, ["p", "q", "s", "lhs", "rhs"]),
+    "ConvexityReport": (ConvexityReport(Verdict.COUNTEREXAMPLE, COUNTEREXAMPLE, 3),
+                        ["verdict", "counterexample", "samples_used", "skipped"]),
+    "LocalMinReport": (LocalMinReport("NotMinimumWitness", {"target": ORIGIN, "derivative": -1.0},
+                                      None, 2),
+                       ["verdict", "witness", "cw_convex_at", "samples_used"]),
+    "GhDerivative": (GhDerivative(Interval(0, 1), 0.5, -0.5, False),
+                     ["value", "center_part", "width_part", "monotone_width_ok"]),
+    "HypothesisCheck": (HypothesisCheck("objective convex", True, True),
+                        ["name", "holds", "gating", "detail"]),
+    "DirectionResidual": (DirectionResidual(0, E2.tangent(ORIGIN, [1.0, 0.0]), 0.25, True),
+                          ["index", "direction", "residual", "ok"]),
+    "KktCertificate": (KktCertificate("P", "P2", ORIGIN, (1,), (0.5,), (), (),
+                                      KktVerdict.OPTIMAL, "why", 2.0, 8, 3),
+                       ["problem", "label", "candidate", "active_set", "active_indices",
+                        "multipliers", "residuals", "hypothesis_report", "verdict", "reason",
+                        "value", "n_directions", "seed"]),
+}
+
+# value_json on each kind of value, as JSON text: an int stays an int
+JSON_TABLE = {
+    "None": (None, "null"),
+    "bool": (True, "true"),
+    "int": (3, "3"),
+    "float": (2.5, "2.5"),
+    "float64": (np.float64(2.5), "2.5"),
+    "str": ("x", '"x"'),
+    "Interval": (Interval(1, 4), "[1.0, 4.0]"),
+    "Point": (E2.point([1, 2]), "[1.0, 2.0]"),
+    "circle Point": (Circle().point(1.5), '{"theta": 1.5}'),
+    "TangentDirection": (E2.tangent(ORIGIN, [0.5, -1]), "[0.5, -1.0]"),
+    "enum": (Verdict.HOLDS, '"HoldsOnSamples"'),
+    "nested list and dict": ([1, (2.5, None), {"a": Interval(0, 1)}],
+                             '[1, [2.5, null], {"a": [0.0, 1.0]}]'),
+    "nested report": (ConvexityReport(Verdict.COUNTEREXAMPLE, COUNTEREXAMPLE, 3, 1),
+                      '{"verdict": "CounterexampleFound", "counterexample": {"p": [0.0, 0.0], '
+                      '"q": [1.0, 2.0], "s": 0.5, "lhs": 1.0, "rhs": [0.0, 2.0]}, '
+                      '"samples_used": 3, "skipped": 1}'),
+}
+
+
+class TestJsonRule:
+    """``value_json`` is the one JSON rule; a report is its fields through it."""
+
+    @pytest.mark.parametrize("value, text", JSON_TABLE.values(), ids=JSON_TABLE)
+    def test_value_json(self, value, text):
+        out = value_json(value)
+        assert json.dumps(out) == text
+        if isinstance(value, float):
+            assert type(out) is float
+
+    @pytest.mark.parametrize("report, keys", REPORTS.values(), ids=REPORTS)
+    def test_report_json_keys(self, report, keys):
+        assert list(report.to_json()) == keys
+
+    def test_the_certificate_keeps_its_renames(self):
+        blob = REPORTS["KktCertificate"][0].to_json()
+        assert (blob["problem"], blob["active_set"], blob["active_indices"]) == ("P", ["g2"], [1])
 
 
 class TestCompare:

@@ -760,6 +760,20 @@ class TestCrossManifoldSafety:
         x = S1.tangent(p, 0.5).scaled(-2.0)
         assert x.value == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("make, raw, text", [
+        (lambda raw: SPD.tangent(SPD.point(I2), raw), [[1.0, math.nan], [0.0, 1.0]],
+         "matrix entries must be finite"),
+        (symmetrize, [[1.0, math.nan], [0.0, 1.0]], "matrix entries must be finite"),
+        (symmetrize, [[1.0, math.inf], [0.0, 1.0]], "matrix entries must be finite"),
+        (sym_exp, [[math.inf, 0.0], [0.0, 1.0]], "matrix entries must be finite"),
+        (lambda raw: S1.tangent(S1.point(1.0), raw), math.nan, "angle rate must be finite"),
+        (lambda raw: E2.tangent(E2.point([0.0, 0.0]), raw), [math.inf, 1.0],
+         "tangent coordinates must be finite"),
+    ], ids=["spd-tangent", "symmetrize-nan", "symmetrize-inf", "sym-exp", "circle", "euclidean"])
+    def test_a_non_finite_tangent_is_refused(self, make, raw, text):
+        # finiteness is tested first, so a NaN gap cannot pass the asymmetry test
+        _raises_exactly(DomainError, text, make, raw)
+
     def test_point_json_forms(self):
         assert S1.point(1.5).to_json() == {"theta": 1.5}
         assert E2.point([1.0, 2.0]).to_json() == [1.0, 2.0]

@@ -411,10 +411,12 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("manifold, objective", NON_OBJECT_DOMAIN_PROBLEMS.values(),
                              ids=NON_OBJECT_DOMAIN_PROBLEMS)
-    def test_a_null_or_absent_domain_is_the_default(self, manifold, objective):
+    def test_a_null_absent_or_empty_domain_is_the_default(self, manifold, objective):
+        # on the two-branch builtins, the default is the two-branch union
         cfg = {"manifold": manifold, "objective": objective}
         default = build_problem(cfg).problem.domain.name
-        assert build_problem(dict(cfg, options={"domain": None})).problem.domain.name == default
+        for domain in (None, {}):
+            assert build_problem(dict(cfg, options={"domain": domain})).problem.domain.name == default
 
     @pytest.mark.parametrize("cfg, key", [
         ({"manifold": {"kind": "euclidean", "dim": True}, "objective": {"real": "x1^2"}}, "dim"),
